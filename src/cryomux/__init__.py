@@ -7,11 +7,9 @@ from .chainmodel import (
     MuxDigitalState,
     MuxModel,
     active_port,
-    envelope_csv,
     gating_envelope,
     low_threshold_mux,
     per_channel_budget,
-    power_sweep_csv,
     program_parallel,
     program_serial,
     qubit_capacity,
@@ -56,7 +54,6 @@ from .qubitsim import (
 )
 from .rbengine import (
     CliffordTable,
-    FidelityModel,
     RbResult,
     build_clifford_table,
     coherence_limited_fidelity,

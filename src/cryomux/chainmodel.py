@@ -114,7 +114,7 @@ class MuxModel:
     def static_power(self, v_dd: float) -> float:
         """Static dissipation (W): leakage below threshold, cubic above."""
         if v_dd < 0:
-            raise ValueError("v_dd must be >= 0")
+            raise ConfigError("v_dd must be >= 0")
         if v_dd < self.v_threshold:
             return self.subthreshold_leak
         over = v_dd - self.v_threshold
@@ -123,22 +123,18 @@ class MuxModel:
     def dynamic_power(self, switch_rate: float, v_dd: float, mode: str = "parallel") -> float:
         """Switching dissipation (W): coeff * v_dd^2 * rate."""
         if switch_rate < 0:
-            raise ValueError("switch_rate must be >= 0")
+            raise ConfigError("switch_rate must be >= 0")
         if mode == "parallel":
             coeff = self.dyn_coeff
         elif mode == "serial_digital_only":
             coeff = self.dyn_coeff_serial
         else:
-            raise ValueError(f"unknown switching mode {mode!r}")
+            raise ConfigError(f"unknown switching mode {mode!r}")
         return coeff * v_dd * v_dd * switch_rate
 
     def floor_amplitude(self) -> float:
         """Leakage amplitude to an unselected port, 10^(-isolation/20)."""
         return 10.0 ** (-self.isolation_db / 20.0)
-
-    def insertion_amplitude(self) -> float:
-        """Amplitude transmission of the selected path, 10^(-IL/20)."""
-        return 10.0 ** (-self.insertion_loss_db / 20.0)
 
     def to_dict(self) -> dict:
         return {
@@ -418,31 +414,6 @@ class EnvelopeModulator:
 
     def __call__(self, t):
         return gating_envelope(self.schedule, self.target_port, t, self.rise_time)
-
-
-def power_sweep_csv(mux: MuxModel, voltages: Sequence[float], path) -> None:
-    """Write the static power curve as (v_dd_v, power_w, unit) CSV rows."""
-    lines = ["v_dd_v,power_w,unit"]
-    for v in voltages:
-        lines.append(f"{float(v)!r},{mux.static_power(float(v))!r},W")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
-def envelope_csv(
-    schedule: GatingSchedule,
-    target_port: str,
-    rise_time: float,
-    times: Sequence[float],
-    path,
-) -> None:
-    """Write a gating envelope as (time_s, amplitude, unit) CSV rows."""
-    lines = ["time_s,amplitude,unit"]
-    for t in times:
-        value = gating_envelope(schedule, target_port, float(t), rise_time)
-        lines.append(f"{float(t)!r},{value!r},dimensionless")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------------------

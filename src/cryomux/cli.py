@@ -33,6 +33,11 @@ class _UnknownScenarioError(CryomuxError):
     pass
 
 
+def _check_seed(seed, source: str) -> None:
+    if isinstance(seed, bool) or not isinstance(seed, int) or seed < 0:
+        raise _SchemaError(f"{source} must be a non-negative integer, got {seed!r}")
+
+
 def _load_config(path: str) -> dict:
     """Parse and schema-check a scenario file; does not touch the registry
     defaults beyond key validation."""
@@ -53,8 +58,8 @@ def _load_config(path: str) -> dict:
     name = cfg.get("scenario")
     if not isinstance(name, str):
         raise _SchemaError("config must name a scenario (string key 'scenario')")
-    if "seed" in cfg and not isinstance(cfg["seed"], int):
-        raise _SchemaError("seed must be an integer")
+    if "seed" in cfg:
+        _check_seed(cfg["seed"], "seed")
     params = cfg.get("params", {})
     if not isinstance(params, dict):
         raise _SchemaError("params must be an object")
@@ -69,6 +74,8 @@ def _load_config(path: str) -> dict:
 
 def _cmd_run(args) -> int:
     cfg = _load_config(args.file)
+    if args.seed is not None:
+        _check_seed(args.seed, "--seed")
     seed = args.seed if args.seed is not None else cfg.get("seed", 0)
     out_dir = args.out_dir or os.environ.get("CRYOMUX_OUT_DIR", ".")
     written = run_scenario(

@@ -9,8 +9,10 @@ class CryomuxError(Exception):
     """Base class for all package-specific errors."""
 
 
-class ConfigError(CryomuxError):
-    """Invalid configuration: bad schema, units, or parameter domain."""
+class ConfigError(CryomuxError, ValueError):
+    """Invalid configuration: bad schema, units, or parameter domain.
+
+    Also a ValueError, so callers that catch the built-in keep working."""
 
 
 class ProtocolError(CryomuxError):

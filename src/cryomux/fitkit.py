@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .errors import BoundsError, DegenerateDataError, FitError, SingularJacobianError
+from .errors import BoundsError, ConfigError, DegenerateDataError, FitError, SingularJacobianError
 
 _MAX_LAMBDA = 1e12
 
@@ -62,7 +62,7 @@ class QpModelParams:
 
     def __post_init__(self):
         if self.n_qp < 0 or self.t1_qp < 0 or self.t1_r < 0:
-            raise ValueError("quasiparticle model parameters must be >= 0")
+            raise ConfigError("quasiparticle model parameters must be >= 0")
 
 
 def _finite_difference_jacobian(model: Callable, x: np.ndarray) -> np.ndarray:

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .constants import BOLTZMANN_K, HBAR, PLANCK_H, TWO_PI
-from .errors import SingularityError
+from .constants import BOLTZMANN_K, HBAR, PLANCK_H, TWO_PI, db_to_power_ratio
+from .errors import ConfigError, SingularityError
 
 # Additional dephasing rate per unit of multiplexer switching rate,
 # measured as 88.66 kHz of dephasing per MHz of switching.
@@ -45,7 +45,7 @@ class TransmonParams:
 
     def __post_init__(self):
         if self.omega_q <= 0 or self.omega_r <= 0 or self.kappa_r <= 0:
-            raise ValueError("omega_q, omega_r and kappa_r must be positive")
+            raise ConfigError("omega_q, omega_r and kappa_r must be positive")
 
     @classmethod
     def from_hz(cls, omega_q_hz, omega_r_hz, kappa_r_hz, chi_hz, alpha_hz, g_hz):
@@ -89,7 +89,7 @@ class DriveCoupling:
 
     def __post_init__(self):
         if min(self.c_d, self.c_q, self.r_m) <= 0 or self.t_eff < 0:
-            raise ValueError("capacitances and resistance must be positive, t_eff >= 0")
+            raise ConfigError("capacitances and resistance must be positive, t_eff >= 0")
 
 
 @dataclass(frozen=True)
@@ -102,9 +102,9 @@ class CoherenceRecord:
 
     def __post_init__(self):
         if self.t1 <= 0 or self.t2_star <= 0 or self.t2_echo <= 0:
-            raise ValueError("coherence times must be positive")
+            raise ConfigError("coherence times must be positive")
         if self.t2_star > 2 * self.t1 or self.t2_echo > 2 * self.t1:
-            raise ValueError("t2 may not exceed 2*t1")
+            raise ConfigError("t2 may not exceed 2*t1")
 
     @property
     def echo_rate(self) -> float:
@@ -127,12 +127,12 @@ class NoisePath:
 
     def __post_init__(self):
         if self.attenuation_db < 0:
-            raise ValueError("attenuation_db must be >= 0")
+            raise ConfigError("attenuation_db must be >= 0")
         if self.source_occupancy < 0 or self.source_temperature < 0:
-            raise ValueError("occupancy and temperature must be >= 0")
+            raise ConfigError("occupancy and temperature must be >= 0")
         n_check = temperature_to_occupancy(self.source_temperature, self.frequency_hz)
         if not math.isclose(n_check, self.source_occupancy, rel_tol=1e-6, abs_tol=1e-12):
-            raise ValueError("occupancy and temperature are not Bose-Einstein consistent")
+            raise ConfigError("occupancy and temperature are not Bose-Einstein consistent")
 
     @classmethod
     def from_occupancy(cls, n: float, frequency_hz: float, attenuation_db: float):
@@ -169,7 +169,7 @@ def occupancy_from_dephasing(gamma_excess: float, params: TransmonParams) -> flo
     rate in 1/s and kappa_r, chi angular.
     """
     if gamma_excess < 0:
-        raise ValueError("gamma_excess must be >= 0")
+        raise ConfigError("gamma_excess must be >= 0")
     if params.chi == 0:
         raise SingularityError("dispersive shift chi = 0: no photon-number sensitivity")
     k, x = params.kappa_r, params.chi
@@ -179,7 +179,7 @@ def occupancy_from_dephasing(gamma_excess: float, params: TransmonParams) -> flo
 def dephasing_from_occupancy(n: float, params: TransmonParams) -> float:
     """Exact inverse of occupancy_from_dephasing (rate in 1/s)."""
     if n < 0:
-        raise ValueError("occupancy must be >= 0")
+        raise ConfigError("occupancy must be >= 0")
     if params.chi == 0:
         raise SingularityError("dispersive shift chi = 0: no photon-number sensitivity")
     k, x = params.kappa_r, params.chi
@@ -189,9 +189,9 @@ def dephasing_from_occupancy(n: float, params: TransmonParams) -> float:
 def occupancy_to_temperature(n: float, f: float) -> float:
     """Temperature (K) of a Bose-Einstein mode at frequency f (Hz) with occupancy n."""
     if f <= 0:
-        raise ValueError("frequency must be positive")
+        raise ConfigError("frequency must be positive")
     if n < 0:
-        raise ValueError("occupancy must be >= 0")
+        raise ConfigError("occupancy must be >= 0")
     if n == 0:
         return 0.0
     return PLANCK_H * f / (BOLTZMANN_K * math.log1p(1.0 / n))
@@ -200,9 +200,9 @@ def occupancy_to_temperature(n: float, f: float) -> float:
 def temperature_to_occupancy(t: float, f: float) -> float:
     """Mean thermal photon number 1/(exp(hf/kT) - 1); t = 0 maps to 0."""
     if f <= 0:
-        raise ValueError("frequency must be positive")
+        raise ConfigError("frequency must be positive")
     if t < 0:
-        raise ValueError("temperature must be >= 0")
+        raise ConfigError("temperature must be >= 0")
     if t == 0:
         return 0.0
     return 1.0 / math.expm1(PLANCK_H * f / (BOLTZMANN_K * t))
@@ -216,13 +216,13 @@ def propagate_attenuation(n: float, attenuation_db: float, direction: str) -> fl
     Self-emission of the cold attenuator is neglected.
     """
     if n < 0:
-        raise ValueError("occupancy must be >= 0")
-    factor = 10.0 ** (-attenuation_db / 10.0)
+        raise ConfigError("occupancy must be >= 0")
+    factor = db_to_power_ratio(attenuation_db)
     if direction == "toward_qubit":
         return n * factor
     if direction == "toward_source":
         return n / factor
-    raise ValueError(f"unknown direction {direction!r}")
+    raise ConfigError(f"unknown direction {direction!r}")
 
 
 def voltage_noise_psd(omega: float, r_m: float, t_eff: float) -> float:
@@ -232,9 +232,9 @@ def voltage_noise_psd(omega: float, r_m: float, t_eff: float) -> float:
     as T -> 0 for omega > 0.
     """
     if omega <= 0 or r_m <= 0:
-        raise ValueError("omega and r_m must be positive")
+        raise ConfigError("omega and r_m must be positive")
     if t_eff < 0:
-        raise ValueError("t_eff must be >= 0")
+        raise ConfigError("t_eff must be >= 0")
     if t_eff == 0:
         return 0.0
     return 4.0 * r_m * HBAR * omega / math.expm1(HBAR * omega / (BOLTZMANN_K * t_eff))
@@ -255,7 +255,7 @@ def t1_limit(coupling: DriveCoupling, omega_q: float, attenuation_db: float = 0.
     reaching the qubit. Returns inf when the source emits no noise.
     """
     svv = voltage_noise_psd(omega_q, coupling.r_m, coupling.t_eff)
-    svv *= 10.0 ** (-attenuation_db / 10.0)
+    svv *= db_to_power_ratio(attenuation_db)
     if svv == 0.0:
         return math.inf
     a_d = drive_coupling_energy(coupling.c_d, coupling.c_q, omega_q)
@@ -269,5 +269,5 @@ def dephasing_vs_switching(
 ) -> float | np.ndarray:
     """Total dephasing rate under dynamic switching: gamma_static + slope * rate."""
     if np.any(np.asarray(rate) < 0):
-        raise ValueError("switching rate must be >= 0")
+        raise ConfigError("switching rate must be >= 0")
     return gamma_static + slope * rate

@@ -66,7 +66,6 @@ class SimConfig:
     t1            : relaxation time (s) or None for no relaxation
     t_phi         : pure dephasing time (s) or None
     anharmonicity : level-2 shift for 3-level runs (rad/s, signed)
-    frame         : fixed to "rotating"
     """
 
     levels: int = 2
@@ -74,15 +73,12 @@ class SimConfig:
     t1: float | None = None
     t_phi: float | None = None
     anharmonicity: float = DEFAULT_ANHARMONICITY
-    frame: str = "rotating"
 
     def __post_init__(self):
         if self.levels not in (2, 3):
             raise ConfigError("levels must be 2 or 3")
         if self.dt is not None and self.dt <= 0:
             raise ConfigError("dt must be positive")
-        if self.frame != "rotating":
-            raise ConfigError("only the rotating frame is supported")
         for name in ("t1", "t_phi"):
             val = getattr(self, name)
             if val is not None and val <= 0:
@@ -228,6 +224,38 @@ def _resolve_dt(pulse: PulseSpec, config: SimConfig) -> float:
     return dt
 
 
+def _rk4(x: np.ndarray, pulse: PulseSpec, config: SimConfig, modulator, phase, step_hook=None):
+    """Step x (vec(rho), or a stack of them as columns) through [0, t_g].
+
+    Each segment between modulator breakpoints gets its own uniform grid.
+    step_hook(x, t), when given, sees x after every step and returns the
+    array to continue from.
+    """
+    dt_target = _resolve_dt(pulse, config)
+    l0, lx, ly, ln = _liouvillian_parts(config)
+    breakpoints = getattr(modulator, "breakpoints", None)
+    for seg_start, seg_end in _segments(pulse.t_g, breakpoints):
+        n_steps = max(1, math.ceil((seg_end - seg_start) / dt_target))
+        dt = (seg_end - seg_start) / n_steps
+        stencil = seg_start + np.arange(n_steps)[:, None] * dt + np.array([0.0, 0.5, 1.0]) * dt
+        # sample strictly inside the half-open segment so a discontinuity at
+        # seg_end is never read from the wrong side
+        t_eval = np.minimum(stencil, np.nextafter(seg_end, seg_start))
+        wx, wy, wn = _drive_waveforms(pulse, config, t_eval, modulator, phase)
+        for i in range(n_steps):
+            l_a = l0 + wx[i, 0] * lx + wy[i, 0] * ly + wn[i, 0] * ln
+            l_b = l0 + wx[i, 1] * lx + wy[i, 1] * ly + wn[i, 1] * ln
+            l_c = l0 + wx[i, 2] * lx + wy[i, 2] * ly + wn[i, 2] * ln
+            k1 = l_a @ x
+            k2 = l_b @ (x + 0.5 * dt * k1)
+            k3 = l_b @ (x + 0.5 * dt * k2)
+            k4 = l_c @ (x + dt * k3)
+            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            if step_hook is not None:
+                x = step_hook(x, stencil[i, 2])
+    return x
+
+
 def evolve(
     state: QubitState,
     pulse: PulseSpec,
@@ -249,43 +277,24 @@ def evolve(
     """
     if state.levels != config.levels:
         raise ConfigError("state dimension does not match config.levels")
-    dt_target = _resolve_dt(pulse, config)
-    l0, lx, ly, ln = _liouvillian_parts(config)
-    breakpoints = getattr(envelope_modulator, "breakpoints", None)
-
-    v = state.density_matrix.reshape(-1).astype(complex)
     dim = config.levels
     trace_idx = np.arange(dim) * (dim + 1)
+    v = state.density_matrix.reshape(-1).astype(complex)
     times = [0.0]
     traj = [v.copy()]
 
-    for seg_start, seg_end in _segments(pulse.t_g, breakpoints):
-        n_steps = max(1, math.ceil((seg_end - seg_start) / dt_target))
-        dt = (seg_end - seg_start) / n_steps
-        stencil = seg_start + np.arange(n_steps)[:, None] * dt + np.array([0.0, 0.5, 1.0]) * dt
-        # sample strictly inside the half-open segment so a discontinuity at
-        # seg_end is never read from the wrong side
-        t_eval = np.minimum(stencil, np.nextafter(seg_end, seg_start))
-        wx, wy, wn = _drive_waveforms(pulse, config, t_eval, envelope_modulator, phase)
-        for i in range(n_steps):
-            l_a = l0 + wx[i, 0] * lx + wy[i, 0] * ly + wn[i, 0] * ln
-            l_b = l0 + wx[i, 1] * lx + wy[i, 1] * ly + wn[i, 1] * ln
-            l_c = l0 + wx[i, 2] * lx + wy[i, 2] * ly + wn[i, 2] * ln
-            k1 = l_a @ v
-            k2 = l_b @ (v + 0.5 * dt * k1)
-            k3 = l_b @ (v + 0.5 * dt * k2)
-            k4 = l_c @ (v + dt * k3)
-            v = v + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = v.reshape(dim, dim)
-            rho = 0.5 * (rho + rho.conj().T)
-            v = rho.reshape(-1)
-            trace = v[trace_idx].real.sum()
-            if abs(trace - 1.0) > _TRACE_TOL:
-                raise IntegrationError(f"trace drifted to {trace!r} during integration")
-            if return_trajectory:
-                times.append(stencil[i, 2])
-                traj.append(v.copy())
+    def project(v, t):
+        rho = v.reshape(dim, dim)
+        v = (0.5 * (rho + rho.conj().T)).reshape(-1)
+        trace = v[trace_idx].real.sum()
+        if abs(trace - 1.0) > _TRACE_TOL:
+            raise IntegrationError(f"trace drifted to {trace!r} during integration")
+        if return_trajectory:
+            times.append(t)
+            traj.append(v.copy())
+        return v
 
+    v = _rk4(v, pulse, config, envelope_modulator, phase, project)
     final = QubitState(v.reshape(dim, dim))
     if return_trajectory:
         return final, np.array(times), np.array(traj).reshape(-1, dim, dim)
@@ -301,31 +310,11 @@ def gate_channel(
 ) -> np.ndarray:
     """Quantum channel of one pulse as a superoperator on vec(rho).
 
-    Integrates the full propagator of the (column-stacked) master equation,
-    so composing channels reproduces evolve() gate by gate. Useful when the
-    same gate is applied many times, e.g. in benchmarking sequences.
+    Integrates the propagator of the master equation (row-major vec, as in
+    evolve), so composing channels reproduces evolve() gate by gate. Useful
+    when the same gate is applied many times, e.g. in benchmarking sequences.
     """
-    dt_target = _resolve_dt(pulse, config)
-    l0, lx, ly, ln = _liouvillian_parts(config)
-    breakpoints = getattr(envelope_modulator, "breakpoints", None)
-    dim2 = config.levels**2
-    u = np.eye(dim2, dtype=complex)
-    for seg_start, seg_end in _segments(pulse.t_g, breakpoints):
-        n_steps = max(1, math.ceil((seg_end - seg_start) / dt_target))
-        dt = (seg_end - seg_start) / n_steps
-        stencil = seg_start + np.arange(n_steps)[:, None] * dt + np.array([0.0, 0.5, 1.0]) * dt
-        t_eval = np.minimum(stencil, np.nextafter(seg_end, seg_start))
-        wx, wy, wn = _drive_waveforms(pulse, config, t_eval, envelope_modulator, phase)
-        for i in range(n_steps):
-            l_a = l0 + wx[i, 0] * lx + wy[i, 0] * ly + wn[i, 0] * ln
-            l_b = l0 + wx[i, 1] * lx + wy[i, 1] * ly + wn[i, 1] * ln
-            l_c = l0 + wx[i, 2] * lx + wy[i, 2] * ly + wn[i, 2] * ln
-            k1 = l_a @ u
-            k2 = l_b @ (u + 0.5 * dt * k1)
-            k3 = l_b @ (u + 0.5 * dt * k2)
-            k4 = l_c @ (u + dt * k3)
-            u = u + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-    return u
+    return _rk4(np.eye(config.levels**2, dtype=complex), pulse, config, envelope_modulator, phase)
 
 
 # ---------------------------------------------------------------------------

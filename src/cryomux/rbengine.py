@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError
+from .errors import ConfigError, FitError
 from .fitkit import FitResult, fit_rb_decay
 from .noisecalc import CoherenceRecord
 from .qubitsim import PulseSpec, SimConfig, gate_channel
@@ -24,9 +24,8 @@ from .qubitsim import PulseSpec, SimConfig, gate_channel
 _SQ2 = 1.0 / math.sqrt(2.0)
 
 # Log-spaced ladder up to 1000 Cliffords (the published lengths are not
-# listed; this is a documented choice). Desk-scale runs cap at 400.
+# listed; this is a documented choice).
 DEFAULT_SEQUENCE_LENGTHS = (2, 4, 8, 16, 32, 64, 128, 256, 512, 1000)
-DESK_SEQUENCE_LENGTHS = (2, 4, 8, 16, 32, 64, 128, 256, 400)
 
 GENERATOR_UNITARIES: dict[str, np.ndarray] = {
     "I": np.eye(2, dtype=complex),
@@ -99,10 +98,18 @@ def sequence_unitary(sequence: Sequence[str]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CliffordTable:
-    """The single-qubit Clifford group with generator decompositions."""
+    """The single-qubit Clifford group with generator decompositions.
+
+    lookup maps a unitary's phase-free fingerprint to its index,
+    composition[i, j] is the index of applying i then j, and inverses[i]
+    the index of the inverse of i.
+    """
 
     unitaries: tuple
     decompositions: tuple[tuple[str, ...], ...]
+    lookup: dict
+    composition: np.ndarray
+    inverses: np.ndarray
 
     @property
     def size(self) -> int:
@@ -113,52 +120,31 @@ class CliffordTable:
         return sum(len(d) for d in self.decompositions) / len(self.decompositions)
 
     def index_of(self, unitary: np.ndarray) -> int:
-        return self._lookup()[_phase_key(unitary)]
+        return self.lookup[_phase_key(unitary)]
 
     def compose(self, first: int, then: int) -> int:
         """Index of the element equal to applying `first` then `then`."""
-        return int(self._composition()[first, then])
+        return int(self.composition[first, then])
 
     def inverse(self, index: int) -> int:
-        return int(self._inverses()[index])
+        return int(self.inverses[index])
 
     @property
     def identity_index(self) -> int:
         return self.index_of(np.eye(2, dtype=complex))
-
-    def _lookup(self) -> dict:
-        if not hasattr(self, "_cached_lookup"):
-            object.__setattr__(
-                self,
-                "_cached_lookup",
-                {_phase_key(u): i for i, u in enumerate(self.unitaries)},
-            )
-        return self._cached_lookup
-
-    def _composition(self) -> np.ndarray:
-        if not hasattr(self, "_cached_composition"):
-            n = self.size
-            comp = np.empty((n, n), dtype=np.int8)
-            for i in range(n):
-                for j in range(n):
-                    comp[i, j] = self.index_of(self.unitaries[j] @ self.unitaries[i])
-            object.__setattr__(self, "_cached_composition", comp)
-        return self._cached_composition
-
-    def _inverses(self) -> np.ndarray:
-        if not hasattr(self, "_cached_inverses"):
-            inv = np.array(
-                [self.index_of(u.conj().T) for u in self.unitaries], dtype=np.int8
-            )
-            object.__setattr__(self, "_cached_inverses", inv)
-        return self._cached_inverses
 
 
 @lru_cache(maxsize=1)
 def build_clifford_table() -> CliffordTable:
     """Construct (and cache) the verified 24-element table."""
     unitaries = tuple(sequence_unitary(seq) for seq in CLIFFORD_DECOMPOSITIONS)
-    return CliffordTable(unitaries=unitaries, decompositions=CLIFFORD_DECOMPOSITIONS)
+    lookup = {_phase_key(u): i for i, u in enumerate(unitaries)}
+    composition = np.array(
+        [[lookup[_phase_key(then @ first)] for then in unitaries] for first in unitaries],
+        dtype=np.int8,
+    )
+    inverses = np.array([lookup[_phase_key(u.conj().T)] for u in unitaries], dtype=np.int8)
+    return CliffordTable(unitaries, CLIFFORD_DECOMPOSITIONS, lookup, composition, inverses)
 
 
 def rb_sequence(m: int, seed, table: CliffordTable | None = None) -> list[int]:
@@ -168,7 +154,7 @@ def rb_sequence(m: int, seed, table: CliffordTable | None = None) -> list[int]:
     execution. seed may be an int or a numpy Generator.
     """
     if m < 1:
-        raise ValueError("sequence length must be >= 1")
+        raise ConfigError("sequence length must be >= 1")
     table = table or build_clifford_table()
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     indices = list(rng.integers(0, table.size, size=m))
@@ -227,12 +213,12 @@ def run_rb(
     order.
     """
     if pulse is None:
-        raise ValueError("a calibrated pulse is required")
+        raise ConfigError("a calibrated pulse is required")
     lengths = list(lengths)
     if any(m2 <= m1 for m1, m2 in zip(lengths, lengths[1:])):
-        raise ValueError("lengths must be strictly increasing")
+        raise ConfigError("lengths must be strictly increasing")
     if repeats < 1:
-        raise ValueError("repeats must be >= 1")
+        raise ConfigError("repeats must be >= 1")
     if config is None:
         config = (
             SimConfig.from_coherence(noise, levels=2)
@@ -308,26 +294,6 @@ def fit_rb(lengths, fidelities, mean_generator_count: float | None = None) -> Rb
     )
 
 
-@dataclass(frozen=True)
-class FidelityModel:
-    """Coherence-limited gate fidelity decomposition.
-
-    fidelity = 1 - c0 - k1 / t_phi_mux, where c0 collects relaxation
-    (t_g / 3 t1) plus any calibration floor, and 1/t_phi_mux is the
-    dephasing added relative to the baseline.
-    """
-
-    c0: float
-    k1: float
-    t_g: float
-    t_phi_mux: float
-
-    @property
-    def fidelity(self) -> float:
-        mux_term = self.k1 / self.t_phi_mux if math.isfinite(self.t_phi_mux) else 0.0
-        return 1.0 - self.c0 - mux_term
-
-
 def coherence_limited_fidelity(
     t_g: float,
     t1: float,
@@ -338,17 +304,17 @@ def coherence_limited_fidelity(
 ) -> float:
     """Gate fidelity predicted from coherence times.
 
-    k1 defaults to 0.433 * t_g / 3, the fitted value for the Lorentzian
-    photon-shot-noise spectrum; pass t_g / 3 for white (Markovian) dephasing.
-    A t2_star above baseline makes the added-dephasing term vanish.
+    fidelity = 1 - c0 - k1 / t_phi_mux, where c0 = t_g / (3 t1) + c0_extra
+    collects relaxation plus any calibration floor, and 1/t_phi_mux is the
+    dephasing added relative to the baseline. k1 defaults to 0.433 * t_g / 3,
+    the fitted value for the Lorentzian photon-shot-noise spectrum; pass
+    t_g / 3 for white (Markovian) dephasing. A t2_star above baseline makes
+    the added-dephasing term vanish.
     """
     if min(t_g, t1, t2_star, t2_star_baseline) <= 0:
-        raise ValueError("times must be positive")
+        raise ConfigError("times must be positive")
     if k1 is None:
         k1 = 0.433 * t_g / 3.0
     inv_mux = 1.0 / t2_star - 1.0 / t2_star_baseline
     t_phi_mux = 1.0 / inv_mux if inv_mux > 0 else math.inf
-    model = FidelityModel(
-        c0=t_g / (3.0 * t1) + c0_extra, k1=k1, t_g=t_g, t_phi_mux=t_phi_mux
-    )
-    return model.fidelity
+    return 1.0 - (t_g / (3.0 * t1) + c0_extra) - k1 / t_phi_mux

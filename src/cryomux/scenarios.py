@@ -18,7 +18,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from . import chainmodel, noisecalc, qubitsim, rbengine
-from .errors import ConfigError
+from .errors import ConfigError, SingularityError
 
 
 # ---------------------------------------------------------------------------
@@ -26,14 +26,15 @@ from .errors import ConfigError
 # ---------------------------------------------------------------------------
 
 def format_number(value) -> str:
-    """Shortest round-trip decimal, scientific beyond 1e+-6."""
+    """Shortest round-trip decimal, scientific beyond 1e+-6; NaN and
+    infinities raise SingularityError instead of being written."""
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     x = float(value)
     if x == 0.0:
         return "0"
     if not math.isfinite(x):
-        return repr(x)
+        raise SingularityError(f"non-finite result {x!r} cannot be written")
     if abs(x) >= 1e6 or abs(x) < 1e-6:
         return np.format_float_scientific(x, unique=True, trim="-")
     return np.format_float_positional(x, unique=True, trim="-")
@@ -64,7 +65,10 @@ class Table:
                 for row in self.rows
             ],
         }
-        return json.dumps(payload, indent=2, sort_keys=True) + "\n"
+        try:
+            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+        except ValueError as exc:
+            raise SingularityError(f"non-finite result in table {self.name!r}") from exc
 
 
 def config_hash(name: str, params: Mapping, seed: int) -> str:
@@ -474,8 +478,9 @@ def run_scenario(
 ) -> list[Path]:
     """Execute a registered scenario and write its tables.
 
-    Outputs are computed fully before anything is written, so a failing run
-    leaves no partial files. Returns the written paths.
+    Outputs are computed and rendered fully before anything is written, so
+    a failing run, including one with a non-finite result, leaves no
+    partial files. Returns the written paths.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown scenario {name!r}")
@@ -487,16 +492,14 @@ def run_scenario(
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     tables = scenario.runner(params, rng)
 
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    written = []
     meta = {"scenario": name, "seed": seed, "config_sha256": digest}
     header = f"scenario={name} seed={seed} config_sha256={digest}"
+    out_dir = Path(out_dir)
+    texts = {}
     for table in tables:
-        path = out_dir / f"{name}_{table.name}.{fmt}"
-        if fmt == "csv":
-            path.write_text(table.render_csv(header))
-        else:
-            path.write_text(table.render_json(meta))
-        written.append(path)
-    return written
+        text = table.render_csv(header) if fmt == "csv" else table.render_json(meta)
+        texts[out_dir / f"{name}_{table.name}.{fmt}"] = text
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for path, text in texts.items():
+        path.write_text(text)
+    return list(texts)

@@ -275,19 +275,3 @@ class TestMuxModelConfig:
         )
         clone = cm.GatingSchedule.from_dict(sched.to_dict())
         assert clone == sched
-
-    def test_power_sweep_csv(self, tmp_path):
-        path = tmp_path / "power.csv"
-        cm.power_sweep_csv(cm.MuxModel(), [0.0, 0.5, 0.7], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "v_dd_v,power_w,unit"
-        assert lines[3].split(",")[1] == repr(cm.MuxModel().static_power(0.7))
-
-    def test_envelope_csv(self, tmp_path):
-        mux = cm.MuxModel(rise_time=0.0)
-        sched = cm.GatingSchedule.from_mux(mux, [(10e-9, "RF1"), (30e-9, "RF2")])
-        path = tmp_path / "env.csv"
-        cm.envelope_csv(sched, "RF1", 0.0, [0.0, 20e-9, 40e-9], path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "time_s,amplitude,unit"
-        assert float(lines[2].split(",")[1]) == 1.0

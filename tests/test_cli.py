@@ -99,6 +99,44 @@ class TestRun:
         assert run_cli("run", cfg, "--out-dir", str(out_dir)) == 4
         assert not (out_dir / "fig4b_tdm_tdm_window_sweep.csv").exists()
 
+    @pytest.mark.parametrize(
+        "payload, flags",
+        [
+            ({"scenario": "methods_teff", "seed": True}, ()),
+            ({"scenario": "methods_teff", "seed": -1}, ()),
+            ({"scenario": "methods_teff"}, ("--seed", "-1")),
+        ],
+    )
+    def test_bad_seed_exits_3_without_outputs(self, tmp_path, capsys, payload, flags):
+        cfg = write_config(tmp_path, payload)
+        out_dir = tmp_path / "out"
+        assert run_cli("run", cfg, "--out-dir", str(out_dir), *flags) == 3
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "scenario, params, fmt",
+        [
+            ("methods_t1_limit", {"t_eff_k": 0}, "csv"),
+            ("methods_t1_limit", {"t_eff_k": 0}, "json"),
+            ("fig3_coherence", {"v_full_on_v": 0.6}, "csv"),
+        ],
+    )
+    def test_non_finite_result_exits_4_without_outputs(
+        self, tmp_path, capsys, scenario, params, fmt
+    ):
+        cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+        out_dir = tmp_path / "out"
+        assert run_cli("run", cfg, "--out-dir", str(out_dir), "--format", fmt) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out_dir.exists()
+
+    def test_non_increasing_lengths_exit_4(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"scenario": "fig4a_rb", "params": {"lengths": [8, 4]}}
+        )
+        assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 4
+
     def test_run_writes_header_and_units(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "methods_teff", "seed": 3})
         out_dir = tmp_path / "out"

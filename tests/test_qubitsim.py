@@ -105,6 +105,24 @@ class TestEvolve:
         assert leak_drag < leak_plain / 1e3
 
 
+@pytest.mark.parametrize(
+    "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
+)
+def test_gate_channel_matches_evolve(levels, shape, rise_time):
+    """evolve and gate_channel share one RK4 kernel: the channel applied to
+    vec(rho0) is the evolved state, up to evolve's Hermitian projection."""
+    config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
+    pulse = qs.PulseSpec(shape, T_G, 2 * math.pi / T_G, drag_coefficient=1.0)
+    sched = cm.GatingSchedule.from_mux(cm.MuxModel(), [(10e-9, "RF1"), (30e-9, "RF2")])
+    modulator = cm.EnvelopeModulator(sched, "RF1", rise_time)
+    rho0 = np.zeros((levels, levels), dtype=complex)
+    rho0[:2, :2] = [[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]
+    final = qs.evolve(qs.QubitState(rho0), pulse, modulator, config, phase=0.7)
+    channel = qs.gate_channel(pulse, config, phase=0.7, envelope_modulator=modulator)
+    gap = np.max(np.abs(channel @ rho0.reshape(-1) - final.density_matrix.reshape(-1)))
+    assert gap <= 1e-12
+
+
 class TestCalibration:
     def test_cosine_amplitude_is_area_condition(self, pi_pulse):
         assert pi_pulse.amplitude == pytest.approx(2 * math.pi / T_G, rel=1e-12)
