@@ -152,7 +152,10 @@ class MuxModel:
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "MuxModel":
-        """Build from a JSON-style mapping with unit-suffixed keys."""
+        """Build from a JSON-style mapping with unit-suffixed keys; a malformed
+        entry raises ConfigError."""
+        if not isinstance(cfg, Mapping):
+            raise ConfigError(f"MuxModel config must be a mapping, got {cfg!r}")
         known = {
             "v_threshold_v": "v_threshold",
             "static_coeff_w_per_v3": "static_coeff",
@@ -164,16 +167,21 @@ class MuxModel:
             "insertion_loss_db": "insertion_loss_db",
             "rise_time_s": "rise_time",
         }
+        words = {f"{d1}{d0}": (d1, d0) for d1, d0 in DEFAULT_PORT_MAP}
         kwargs = {}
         for key, value in cfg.items():
-            if key in known:
-                kwargs[known[key]] = float(value)
-            elif key == "port_map":
-                kwargs["port_map"] = {
-                    (int(word[0]), int(word[1])): port for word, port in value.items()
-                }
-            else:
+            if key == "port_map":
+                if not isinstance(value, Mapping) or not all(
+                    word in words and isinstance(port, str) for word, port in value.items()
+                ):
+                    raise ConfigError(f"port_map must map words '00'..'11' to ports, got {value!r}")
+                kwargs["port_map"] = {words[word]: port for word, port in value.items()}
+            elif key not in known:
                 raise ConfigError(f"unknown MuxModel key {key!r}")
+            elif isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ConfigError(f"MuxModel key {key!r} must be a number, got {value!r}")
+            else:
+                kwargs[known[key]] = float(value)
         return cls(**kwargs)
 
 

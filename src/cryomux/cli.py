@@ -39,8 +39,8 @@ def _check_seed(seed, source: str) -> None:
 
 
 def _load_config(path: str) -> dict:
-    """Parse and schema-check a scenario file; does not touch the registry
-    defaults beyond key validation."""
+    """Parse a scenario file and check it: the top-level schema, the seed,
+    and each parameter's name and type against the scenario's spec."""
     try:
         text = Path(path).read_text()
     except OSError as exc:

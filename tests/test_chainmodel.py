@@ -259,6 +259,21 @@ class TestMuxModelConfig:
         with pytest.raises(ConfigError):
             cm.MuxModel.from_dict({"voltage_v": 0.7})
 
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            [("isolation_db", 30.0)],
+            {"isolation_db": "abc"},
+            {"isolation_db": True},
+            {"port_map": ["RF1", "RF2", "RF3", "RF4"]},
+            {"port_map": {"0x": "RF1", "01": "RF2", "10": "RF3", "11": "RF4"}},
+            {"port_map": {"00": 1, "01": "RF2", "10": "RF3", "11": "RF4"}},
+        ],
+    )
+    def test_malformed_config_rejected(self, cfg):
+        with pytest.raises(ConfigError):
+            cm.MuxModel.from_dict(cfg)
+
     def test_serial_coefficient_must_undercut_parallel(self):
         with pytest.raises(ConfigError):
             cm.MuxModel(dyn_coeff=1e-12, dyn_coeff_serial=2e-12)

@@ -2,13 +2,18 @@
 import json
 import subprocess
 import sys
+import tempfile
+import warnings
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cryomux.cli import main
+from cryomux.scenarios import REGISTRY, merge_params
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
+CONFIG_DIR = Path(__file__).parents[1] / "configs"
 
 SCENARIOS = [
     "fig2_power",
@@ -21,6 +26,13 @@ SCENARIOS = [
     "scaling_capacity",
 ]
 
+CLOSED_FORM = [name for name in SCENARIOS if name not in ("fig4a_rb", "fig4b_tdm")]
+
+# Small fig4a_rb and fig4b_tdm settings, so that a malformed value the
+# checks miss still fails fast.
+FAST_RB = {"t2_star_values_s": [1e-5], "lengths": [2, 4, 8], "repeats": 2}
+FAST_TDM = {"windows_ns": [10]}
+
 
 def run_cli(*args):
     return main(list(args))
@@ -30,6 +42,11 @@ def write_config(tmp_path, payload, name="cfg.json"):
     path = tmp_path / name
     path.write_text(json.dumps(payload))
     return str(path)
+
+
+def assert_one_error_line(capsys):
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), err
 
 
 class TestList:
@@ -131,6 +148,27 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: ")
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("fig2_power", {"mux": {"isolation_db": "abc"}}),
+            ("fig3_coherence", {"v_full_on_v": 0.6}),
+            ("fig3f_slope", {"t2_echo_on_s": 0}),
+            ("fig3_coherence", {"t2_star_baseline_s": 0}),
+            ("fig3f_slope", {"attenuation_db": -5000}),
+            ("scaling_capacity", {"per_channel_nominal_w": 1e-320}),
+        ],
+    )
+    def test_failing_run_exits_4_with_one_error_line(self, tmp_path, capsys, scenario, params):
+        # warnings are errors, so a numpy warning ahead of the failure shows
+        cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+        out_dir = tmp_path / "out"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("run", cfg, "--out-dir", str(out_dir)) == 4
+        assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
     def test_non_increasing_lengths_exit_4(self, tmp_path):
         cfg = write_config(
             tmp_path, {"scenario": "fig4a_rb", "params": {"lengths": [8, 4]}}
@@ -216,6 +254,80 @@ class TestRun:
         lines = (out_dir / "fig4a_rb_rb_decay_curves.csv").read_text().splitlines()
         assert lines[1] == "t2_star_s,sequence_length,mean_survival"
         assert len(lines) == 2 + 4
+
+
+class TestParameterSpec:
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("fig2_power", {"v_points": "abc"}),
+            ("fig2_power", {"v_points": -1}),
+            ("fig2_power", {"dynamic_v_dd_v": 0.7}),
+            ("fig2_power", {"mux": 5}),
+            ("fig2_power", {"mux": []}),
+            ("fig4b_tdm", {"window_points": -3}),
+            ("fig4b_tdm", {**FAST_TDM, "levels": "3"}),
+            ("fig4b_tdm", {**FAST_TDM, "windows_ns": "abc"}),
+            ("fig4b_tdm", {**FAST_TDM, "detection_floor": "x"}),
+            ("fig4b_tdm", {**FAST_TDM, "pulse_shape": 3}),
+            ("scaling_capacity", {"ports_per_chip": 0}),
+            ("scaling_capacity", {"target_qubits": True}),
+            ("fig4a_rb", {**FAST_RB, "t2_star_values_s": "abc"}),
+            ("fig4a_rb", {**FAST_RB, "repeats": 2.5}),
+            ("fig4a_rb", {**FAST_RB, "lengths": [-2, 4, 8]}),
+            ("fig3f_slope", {"attenuation_db": "13"}),
+            ("fig3f_slope", {"slope": float("nan")}),
+        ],
+    )
+    def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):
+        cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+        out_dir = tmp_path / "out"
+        flags = ("--out-dir", str(out_dir)) if verb == "run" else ()
+        assert run_cli(verb, cfg, *flags) == 3
+        assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
+    def test_defaults_match_their_annotations(self):
+        for scenario in REGISTRY.values():
+            assert merge_params(scenario, scenario.defaults) == scenario.defaults
+
+    def test_shipped_configs_validate(self):
+        paths = sorted(CONFIG_DIR.glob("*.json"))
+        assert paths
+        assert [p.name for p in paths if run_cli("validate", str(p)) != 0] == []
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.text(max_size=4),
+    st.integers(-3, 60),
+    st.floats(),
+    st.sampled_from([0.0, -1.0, 1e300, -1e300, 1e-320]),
+)
+# objects reach MuxModel.from_dict through the `mux` parameters
+_MUX_OBJECTS = st.dictionaries(
+    st.sampled_from(["v_threshold_v", "isolation_db", "rise_time_s", "port_map", "bogus"]),
+    st.one_of(_SCALARS, st.dictionaries(st.text(max_size=2), _SCALARS)),
+    max_size=2,
+)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), _MUX_OBJECTS)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=150)
+@given(scenario=st.sampled_from(SCENARIOS), data=st.data())
+def test_fuzzed_params_exit_cleanly(scenario, data):
+    """validate every scenario and run the closed-form ones on 1-2 mutated
+    parameters: any escaping exception fails, and the exit code is 0, 3 or 4."""
+    names = sorted(REGISTRY[scenario].defaults)
+    keys = data.draw(st.lists(st.sampled_from(names), min_size=1, max_size=2, unique=True))
+    params = {key: data.draw(_VALUES) for key in keys}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), {"scenario": scenario, "params": params})
+        assert run_cli("validate", cfg) in (0, 3, 4)
+        if scenario in CLOSED_FORM:
+            assert run_cli("run", cfg, "--out-dir", str(Path(tmp) / "out")) in (0, 3, 4)
 
 
 class TestEntryPoint:
