@@ -427,8 +427,9 @@ def _conforms(value, kind) -> bool:
 
 
 def merge_params(scenario: Scenario, overrides: Mapping) -> dict:
-    """The scenario's defaults with overrides applied. An unknown name, or a
-    value that does not match its parameter's annotation, raises ConfigError."""
+    """The scenario's defaults with overrides applied. An unknown name, a
+    value that does not match its parameter's annotation, or a dict that
+    MuxModel.from_dict rejects raises ConfigError."""
     params = dict(scenario.defaults)
     for key, value in overrides.items():
         if key not in params:
@@ -436,6 +437,8 @@ def merge_params(scenario: Scenario, overrides: Mapping) -> dict:
         if not _conforms(value, scenario.types[key]):
             kind = inspect.formatannotation(scenario.types[key])
             raise ConfigError(f"parameter {key!r} of {scenario.name!r} must be {kind}, got {value!r}")
+        if scenario.types[key] is dict:
+            chainmodel.MuxModel.from_dict(value)  # every dict parameter is a mux config
         params[key] = value
     return params
 

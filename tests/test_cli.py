@@ -151,7 +151,6 @@ class TestRun:
     @pytest.mark.parametrize(
         "scenario, params",
         [
-            ("fig2_power", {"mux": {"isolation_db": "abc"}}),
             ("fig3_coherence", {"v_full_on_v": 0.6}),
             ("fig3f_slope", {"t2_echo_on_s": 0}),
             ("fig3_coherence", {"t2_star_baseline_s": 0}),
@@ -278,6 +277,7 @@ class TestParameterSpec:
             ("fig4a_rb", {**FAST_RB, "lengths": [-2, 4, 8]}),
             ("fig3f_slope", {"attenuation_db": "13"}),
             ("fig3f_slope", {"slope": float("nan")}),
+            ("fig2_power", {"mux": {"isolation_db": "abc"}}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):

@@ -59,7 +59,22 @@ class TestCliffordTable:
 
     def test_decompositions_match_unitaries(self, table):
         for seq, u in zip(table.decompositions, table.unitaries):
-            assert _phase_distance(rb.sequence_unitary(seq), u) < 1e-12
+            assert _phase_distance(rb.sequence_unitary(seq, rb.GENERATOR_UNITARIES), u) < 1e-12
+
+    def test_generator_unitaries_match_textbook_matrices(self):
+        s = 1.0 / math.sqrt(2.0)
+        textbook = {
+            "I": np.eye(2),
+            "X90": s * np.array([[1, -1j], [-1j, 1]]),
+            "X90m": s * np.array([[1, 1j], [1j, 1]]),
+            "Y90": s * np.array([[1, -1], [1, 1]]),
+            "Y90m": s * np.array([[1, 1], [-1, 1]]),
+            "X180": np.array([[0, -1j], [-1j, 0]]),
+            "Y180": np.array([[0, -1], [1, 0]]),
+        }
+        assert list(rb.GENERATOR_UNITARIES) == list(textbook)
+        for name, u in textbook.items():
+            assert np.max(np.abs(rb.GENERATOR_UNITARIES[name] - u)) <= 1e-15, name
 
 
 class TestSequences:
@@ -108,6 +123,27 @@ class TestRunRb:
         p_strong = rb.fit_rb(lengths, surv_strong).p
         p_weak = rb.fit_rb(lengths, surv_weak).p
         assert p_weak < p_strong
+
+    def test_batched_run_matches_gate_by_gate_reference(self, pi_pulse):
+        # each sequence applied one generator channel at a time to rho_0,
+        # with the same spawned stream per (length, repeat)
+        lengths, repeats, seed = [1, 5, 20, 64], 6, 9
+        noise = CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6)
+        table = rb.build_clifford_table()
+        channels = rb.generator_channels(pi_pulse, qs.SimConfig.from_coherence(noise, levels=2))
+        streams = np.random.SeedSequence(seed).spawn(len(lengths) * repeats)
+        expected = np.empty((len(lengths), repeats))
+        for i, m in enumerate(lengths):
+            for j in range(repeats):
+                v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
+                for idx in rb.rb_sequence(m, np.random.default_rng(streams[i * repeats + j]), table):
+                    for gate in table.decompositions[idx]:
+                        v = channels[gate] @ v
+                expected[i, j] = v[0].real
+        ls, survival = rb.run_rb(lengths, repeats, noise, pi_pulse, seed=seed)
+        assert np.array_equal(ls, lengths)
+        assert np.max(np.abs(survival - expected.mean(axis=1))) <= 1e-12
+        assert survival[-1] < 0.99  # the noise is visible at the longest length
 
     def test_lengths_must_increase(self, pi_pulse):
         with pytest.raises(ValueError):
