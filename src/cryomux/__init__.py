@@ -59,7 +59,6 @@ from .rbengine import (
     coherence_limited_fidelity,
     error_rates_from_decay,
     fit_rb,
-    rb_sequence,
     run_rb,
 )
 from .scenarios import list_scenarios, run_scenario

@@ -32,6 +32,20 @@ DEFAULT_PORT_MAP: dict[tuple[int, int], str] = {
     (1, 1): "RF4",
 }
 
+# JSON key (unit-suffixed) of each numeric MuxModel field; the port map is
+# keyed "port_map", with words written as "00".."11".
+_MUX_JSON_KEYS = {
+    "v_threshold_v": "v_threshold",
+    "static_coeff_w_per_v3": "static_coeff",
+    "esd_static_w": "esd_static",
+    "subthreshold_leak_w": "subthreshold_leak",
+    "dyn_coeff_j_per_hz_v2": "dyn_coeff",
+    "dyn_coeff_serial_j_per_hz_v2": "dyn_coeff_serial",
+    "isolation_db": "isolation_db",
+    "insertion_loss_db": "insertion_loss_db",
+    "rise_time_s": "rise_time",
+}
+
 # 10-90% rise time of a first-order response is ln(9) time constants.
 _RISE_TO_TAU = 1.0 / math.log(9.0)
 
@@ -137,18 +151,9 @@ class MuxModel:
         return 10.0 ** (-self.isolation_db / 20.0)
 
     def to_dict(self) -> dict:
-        return {
-            "v_threshold_v": self.v_threshold,
-            "static_coeff_w_per_v3": self.static_coeff,
-            "esd_static_w": self.esd_static,
-            "subthreshold_leak_w": self.subthreshold_leak,
-            "dyn_coeff_j_per_hz_v2": self.dyn_coeff,
-            "dyn_coeff_serial_j_per_hz_v2": self.dyn_coeff_serial,
-            "isolation_db": self.isolation_db,
-            "insertion_loss_db": self.insertion_loss_db,
-            "rise_time_s": self.rise_time,
-            "port_map": {f"{d1}{d0}": port for (d1, d0), port in self.port_map.items()},
-        }
+        out = {key: getattr(self, name) for key, name in _MUX_JSON_KEYS.items()}
+        out["port_map"] = {f"{d1}{d0}": port for (d1, d0), port in self.port_map.items()}
+        return out
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "MuxModel":
@@ -156,17 +161,6 @@ class MuxModel:
         entry raises ConfigError."""
         if not isinstance(cfg, Mapping):
             raise ConfigError(f"MuxModel config must be a mapping, got {cfg!r}")
-        known = {
-            "v_threshold_v": "v_threshold",
-            "static_coeff_w_per_v3": "static_coeff",
-            "esd_static_w": "esd_static",
-            "subthreshold_leak_w": "subthreshold_leak",
-            "dyn_coeff_j_per_hz_v2": "dyn_coeff",
-            "dyn_coeff_serial_j_per_hz_v2": "dyn_coeff_serial",
-            "isolation_db": "isolation_db",
-            "insertion_loss_db": "insertion_loss_db",
-            "rise_time_s": "rise_time",
-        }
         words = {f"{d1}{d0}": (d1, d0) for d1, d0 in DEFAULT_PORT_MAP}
         kwargs = {}
         for key, value in cfg.items():
@@ -176,12 +170,12 @@ class MuxModel:
                 ):
                     raise ConfigError(f"port_map must map words '00'..'11' to ports, got {value!r}")
                 kwargs["port_map"] = {words[word]: port for word, port in value.items()}
-            elif key not in known:
+            elif key not in _MUX_JSON_KEYS:
                 raise ConfigError(f"unknown MuxModel key {key!r}")
             elif isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ConfigError(f"MuxModel key {key!r} must be a number, got {value!r}")
             else:
-                kwargs[known[key]] = float(value)
+                kwargs[_MUX_JSON_KEYS[key]] = float(value)
         return cls(**kwargs)
 
 

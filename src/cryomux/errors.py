@@ -32,7 +32,7 @@ class IntegrationError(CryomuxError):
 
 
 class CalibrationError(CryomuxError):
-    """Pulse calibration failed to converge within the iteration budget."""
+    """Pulse calibration missed its target."""
 
 
 class FitError(CryomuxError):

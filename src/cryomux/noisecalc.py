@@ -143,15 +143,6 @@ class NoisePath:
             source_temperature=occupancy_to_temperature(n, frequency_hz),
         )
 
-    @classmethod
-    def from_temperature(cls, t: float, frequency_hz: float, attenuation_db: float):
-        return cls(
-            attenuation_db=attenuation_db,
-            frequency_hz=frequency_hz,
-            source_occupancy=temperature_to_occupancy(t, frequency_hz),
-            source_temperature=t,
-        )
-
     def occupancy_at_load(self) -> float:
         """Occupancy reaching the cold end of the attenuation chain."""
         return propagate_attenuation(self.source_occupancy, self.attenuation_db, "toward_qubit")

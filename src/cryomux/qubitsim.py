@@ -326,56 +326,24 @@ def calibrate_pi_pulse(
     shape: str = "cosine",
     config: SimConfig | None = None,
     drag_coefficient: float | None = None,
-    target_infidelity: float = 1e-6,
-    max_iter: int = 80,
 ) -> PulseSpec:
     """Find the amplitude driving a full ground-to-excited flip.
 
-    Calibration always runs on a decay-free 2-level simulation with the
-    full window open. The analytic seed is amplitude = pi / integral of the
-    unit envelope (2*pi/t_g for the raised cosine); a bounded golden-section
-    refinement follows if the seed misses the target infidelity.
+    The amplitude is the analytic pi / integral of the unit envelope
+    (2*pi/t_g for the raised cosine). One decay-free 2-level simulation with
+    the full window open, at config's step, checks that it flips the qubit
+    to within 1e-6.
     """
     if t_g <= 0:
         raise ConfigError("t_g must be positive")
     if drag_coefficient is None:
         drag_coefficient = 1.0 if shape == "cosine_drag" else 0.0
-    base = config or SimConfig()
-    cal_config = SimConfig(levels=2, dt=base.dt, anharmonicity=base.anharmonicity)
-
-    def excited(amplitude: float) -> float:
-        pulse = PulseSpec(shape, t_g, amplitude, drag_coefficient)
-        return evolve(QubitState.ground(2), pulse, None, cal_config).population(1)
-
-    seed = TWO_PI / t_g  # mean of the cosine window is 1/2
-    if excited(seed) >= 1.0 - target_infidelity:
-        return PulseSpec(shape, t_g, seed, drag_coefficient)
-
-    # golden-section maximization of p_e(amplitude) on a bracket around the seed
-    inv_phi = (math.sqrt(5.0) - 1.0) / 2.0
-    lo, hi = 0.8 * seed, 1.2 * seed
-    a = hi - inv_phi * (hi - lo)
-    b = lo + inv_phi * (hi - lo)
-    fa, fb = excited(a), excited(b)
-    best_amp, best_pe = (a, fa) if fa > fb else (b, fb)
-    for _ in range(max_iter):
-        if fa < fb:
-            lo, a, fa = a, b, fb
-            b = lo + inv_phi * (hi - lo)
-            fb = excited(b)
-        else:
-            hi, b, fb = b, a, fa
-            a = hi - inv_phi * (hi - lo)
-            fa = excited(a)
-        cand_amp, cand_pe = (a, fa) if fa > fb else (b, fb)
-        if cand_pe > best_pe:
-            best_amp, best_pe = cand_amp, cand_pe
-        if best_pe >= 1.0 - target_infidelity:
-            return PulseSpec(shape, t_g, best_amp, drag_coefficient)
-    raise CalibrationError(
-        f"pi calibration did not reach 1 - {target_infidelity:g} "
-        f"(best infidelity {1.0 - best_pe:.3e})"
-    )
+    pulse = PulseSpec(shape, t_g, TWO_PI / t_g, drag_coefficient)
+    cal_config = SimConfig(levels=2, dt=(config or SimConfig()).dt)
+    infidelity = 1.0 - evolve(QubitState.ground(2), pulse, None, cal_config).population(1)
+    if infidelity > 1e-6:
+        raise CalibrationError(f"pi calibration missed a full flip by {infidelity:.3e}")
+    return pulse
 
 
 def tdm_experiment(

@@ -2,11 +2,12 @@
 
 The 24-element Clifford group is shipped as a literal decomposition table
 over the physical generator set {I, +-X90, +-Y90, X180, Y180} (45 generator
-gates in total, 1.875 per Clifford on average) and verified by the test
-suite rather than asserted. A run integrates each generator's channel once
-from the pulse simulator and composes the 24 Clifford channels; by linearity
-a sequence's survival is their product applied to the ground state, and all
-repeats of one length advance together as one batched product.
+gates in total, MEAN_GENERATOR_COUNT = 1.875 per Clifford) and verified by
+the test suite rather than asserted. A run integrates each generator's
+channel once from the pulse simulator and composes the 24 Clifford channels;
+by linearity a sequence's survival is their product applied to the ground
+state, and all repeats of one length advance together as one batched
+product.
 """
 from __future__ import annotations
 
@@ -76,6 +77,10 @@ CLIFFORD_DECOMPOSITIONS: tuple[tuple[str, ...], ...] = (
     ("X90m", "Y90", "X90m"),
 )
 
+# Average physical gates per Clifford, which converts the error per Clifford
+# into the error per gate.
+MEAN_GENERATOR_COUNT = sum(map(len, CLIFFORD_DECOMPOSITIONS)) / len(CLIFFORD_DECOMPOSITIONS)
+
 
 def _phase_key(u: np.ndarray) -> bytes:
     """Fingerprint of a unitary up to global phase (Clifford entries have
@@ -98,40 +103,16 @@ def sequence_unitary(sequence: Sequence[str], gates: Mapping[str, np.ndarray]) -
 
 @dataclass(frozen=True)
 class CliffordTable:
-    """The single-qubit Clifford group with generator decompositions.
+    """The single-qubit Clifford group, element i decomposed as
+    CLIFFORD_DECOMPOSITIONS[i] (element 0 is the identity).
 
-    lookup maps a unitary's phase-free fingerprint to its index,
     composition[i, j] is the index of applying i then j, and inverses[i]
     the index of the inverse of i.
     """
 
     unitaries: tuple
-    decompositions: tuple[tuple[str, ...], ...]
-    lookup: dict
     composition: np.ndarray
     inverses: np.ndarray
-
-    @property
-    def size(self) -> int:
-        return len(self.unitaries)
-
-    @property
-    def mean_generator_count(self) -> float:
-        return sum(len(d) for d in self.decompositions) / len(self.decompositions)
-
-    def index_of(self, unitary: np.ndarray) -> int:
-        return self.lookup[_phase_key(unitary)]
-
-    def compose(self, first: int, then: int) -> int:
-        """Index of the element equal to applying `first` then `then`."""
-        return int(self.composition[first, then])
-
-    def inverse(self, index: int) -> int:
-        return int(self.inverses[index])
-
-    @property
-    def identity_index(self) -> int:
-        return self.index_of(np.eye(2, dtype=complex))
 
 
 @lru_cache(maxsize=1)
@@ -144,25 +125,7 @@ def build_clifford_table() -> CliffordTable:
         dtype=np.int8,
     )
     inverses = np.array([lookup[_phase_key(u.conj().T)] for u in unitaries], dtype=np.int8)
-    return CliffordTable(unitaries, CLIFFORD_DECOMPOSITIONS, lookup, composition, inverses)
-
-
-def rb_sequence(m: int, seed, table: CliffordTable | None = None) -> list[int]:
-    """m uniformly random Cliffords plus the recovery element.
-
-    The returned list of table indices composes to the identity under ideal
-    execution. seed may be an int or a numpy Generator.
-    """
-    if m < 1:
-        raise ConfigError("sequence length must be >= 1")
-    table = table or build_clifford_table()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    indices = list(rng.integers(0, table.size, size=m))
-    net = 0  # identity is element 0 by construction
-    for idx in indices:
-        net = table.compose(net, int(idx))
-    recovery = table.inverse(net)
-    return [int(i) for i in indices] + [recovery]
+    return CliffordTable(unitaries, composition, inverses)
 
 
 def generator_channels(
@@ -190,30 +153,36 @@ def run_rb(
     """Average sequence survival versus sequence length.
 
     repeats defaults to the published 80 sequences per length; desk-scale
-    presets use 20. Each (length, repeat) draws its own random stream from
-    the master seed, so results are reproducible regardless of execution
-    order.
+    presets use 20. Each (length, repeat) draws its m Cliffords from its own
+    random stream of the master seed, so results are reproducible regardless
+    of execution order; the recovery element inverts their ideal product.
     """
     if pulse is None:
         raise ConfigError("a calibrated pulse is required")
     lengths = list(lengths)
-    if any(m2 <= m1 for m1, m2 in zip(lengths, lengths[1:])):
-        raise ConfigError("lengths must be strictly increasing")
+    if any(m2 <= m1 for m1, m2 in zip([0] + lengths, lengths)):
+        raise ConfigError("lengths must be >= 1 and strictly increasing")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
     config = SimConfig(levels=2) if noise is None else SimConfig.from_coherence(noise, levels=2)
     table = build_clifford_table()
     channels = generator_channels(pulse, config)
-    cliffords = np.array([sequence_unitary(seq, channels) for seq in table.decompositions])
+    cliffords = np.array([sequence_unitary(seq, channels) for seq in CLIFFORD_DECOMPOSITIONS])
     streams = np.random.SeedSequence(seed).spawn(len(lengths) * repeats)
     survivals = np.empty((len(lengths), repeats))
     for i, m in enumerate(lengths):
-        rngs = map(np.random.default_rng, streams[i * repeats : (i + 1) * repeats])
-        steps = np.array([rb_sequence(m, rng, table) for rng in rngs])
-        # (repeats, d^2) states: each first Clifford applied to vec(|0><0|)
+        steps = np.array([
+            np.random.default_rng(stream).integers(0, len(cliffords), size=m)
+            for stream in streams[i * repeats : (i + 1) * repeats]
+        ])
+        # (repeats, d^2) states from vec(|0><0|); net is each ideal product
+        # so far, whose inverse is the recovery element
         states = cliffords[steps[:, 0], :, 0]
+        net = steps[:, 0]
         for step in steps[:, 1:].T:
             states = np.einsum("rij,rj->ri", cliffords[step], states)
+            net = table.composition[net, step]
+        states = np.einsum("rij,rj->ri", cliffords[table.inverses[net]], states)
         survivals[i] = states[:, 0].real
     return np.asarray(lengths, dtype=float), survivals.mean(axis=1)
 
@@ -235,7 +204,7 @@ class RbResult:
 
 
 def error_rates_from_decay(
-    p: float, d: int = 2, mean_generator_count: float = 1.875
+    p: float, d: int = 2, mean_generator_count: float = MEAN_GENERATOR_COUNT
 ) -> tuple[float, float, float]:
     """Map the decay parameter to (r_clifford, r_g, f_1q).
 
@@ -251,15 +220,14 @@ def error_rates_from_decay(
 
 def fit_rb(lengths, fidelities) -> RbResult:
     """Fit F = A p^m + B and derive error per Clifford and per gate (d = 2)."""
-    mean_generator_count = build_clifford_table().mean_generator_count
     result = fit_rb_decay(lengths, fidelities)
     if not result.converged:
         raise FitError(f"benchmarking decay fit did not converge: {result.status}")
     p = result.parameters["p"]
     d = 2
-    r_clifford, r_g, f_1q = error_rates_from_decay(p, d, mean_generator_count)
+    r_clifford, r_g, f_1q = error_rates_from_decay(p, d)
     p_stderr = result.standard_errors["p"] if result.standard_errors else float("nan")
-    scale = (d - 1) / d / mean_generator_count
+    scale = (d - 1) / d / MEAN_GENERATOR_COUNT
     return RbResult(
         a=result.parameters["a"],
         b=result.parameters["b"],

@@ -13,6 +13,7 @@ import hashlib
 import inspect
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -452,9 +453,11 @@ def run_scenario(
 ) -> list[Path]:
     """Execute a registered scenario and write its tables.
 
-    Outputs are computed and rendered fully before anything is written, so
-    a failing run, including one with a non-finite result, leaves no
-    partial files. Returns the written paths.
+    Outputs are computed and rendered fully before anything is written, and
+    each table goes to a temporary file in out_dir that replaces its target
+    only once all are written, so a failing run, including one with a
+    non-finite result or a failed write, leaves no file. Returns the
+    written paths.
     """
     if name not in REGISTRY:
         raise KeyError(f"unknown scenario {name!r}")
@@ -477,6 +480,14 @@ def run_scenario(
         text = table.render_csv(header) if fmt == "csv" else table.render_json(meta)
         texts[out_dir / f"{name}_{table.name}.{fmt}"] = text
     out_dir.mkdir(parents=True, exist_ok=True)
-    for path, text in texts.items():
-        path.write_text(text)
+    temps = {path: path.with_name(f".{path.name}.{os.getpid()}.tmp") for path in texts}
+    try:
+        for path, text in texts.items():
+            temps[path].write_text(text)
+    except OSError:
+        for temp in temps.values():
+            temp.unlink(missing_ok=True)
+        raise
+    for path, temp in temps.items():
+        os.replace(temp, path)
     return list(texts)

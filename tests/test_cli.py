@@ -174,6 +174,37 @@ class TestRun:
         )
         assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 4
 
+    def test_out_dir_below_a_file_exits_4_with_one_error_line(self, tmp_path, capsys):
+        blocker = tmp_path / "blocker"
+        blocker.write_text("")
+        cfg = write_config(tmp_path, {"scenario": "fig2_power"})
+        assert run_cli("run", cfg, "--out-dir", str(blocker / "out")) == 4
+        assert_one_error_line(capsys)
+
+    def test_failed_write_leaves_no_file_from_the_run(self, tmp_path, capsys, monkeypatch):
+        # fig2_power writes two tables; the second write fails, after the
+        # first table has gone to its temporary file
+        cfg = write_config(tmp_path, {"scenario": "fig2_power", "seed": 1})
+        out_dir = tmp_path / "out"
+        assert run_cli("run", cfg, "--out-dir", str(out_dir)) == 0
+        capsys.readouterr()
+        before = {path.name: path.read_bytes() for path in out_dir.iterdir()}
+        assert len(before) == 2
+        write_text = Path.write_text
+        calls = []
+
+        def failing_second_write(self, text, *args, **kwargs):
+            calls.append(self)
+            if len(calls) == 2:
+                raise OSError(28, "No space left on device", str(self))
+            return write_text(self, text, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "write_text", failing_second_write)
+        assert run_cli("run", cfg, "--out-dir", str(out_dir), "--seed", "2") == 4
+        assert_one_error_line(capsys)
+        assert len(calls) == 2
+        assert {path.name: path.read_bytes() for path in out_dir.iterdir()} == before
+
     def test_run_writes_header_and_units(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"scenario": "methods_teff", "seed": 3})
         out_dir = tmp_path / "out"

@@ -6,7 +6,7 @@ import pytest
 
 from cryomux import chainmodel as cm
 from cryomux import qubitsim as qs
-from cryomux.errors import ConfigError, IntegrationError
+from cryomux.errors import CalibrationError, ConfigError, IntegrationError
 from cryomux.noisecalc import CoherenceRecord
 
 T_G = 40e-9
@@ -139,11 +139,10 @@ class TestCalibration:
         with pytest.raises(ConfigError):
             qs.calibrate_pi_pulse(0.0)
 
-    def test_unreachable_tolerance_raises_after_bounded_search(self):
-        from cryomux.errors import CalibrationError
-
+    def test_missed_flip_raises(self, monkeypatch):
+        monkeypatch.setattr(qs, "evolve", lambda state, *args, **kwargs: state)
         with pytest.raises(CalibrationError):
-            qs.calibrate_pi_pulse(T_G, "cosine", target_infidelity=0.0, max_iter=12)
+            qs.calibrate_pi_pulse(T_G, "cosine")
 
     def test_detection_floor(self):
         assert qs.detected_population(0.3) == 0.3

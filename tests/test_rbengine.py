@@ -6,7 +6,7 @@ import pytest
 
 from cryomux import qubitsim as qs
 from cryomux import rbengine as rb
-from cryomux.errors import FitError
+from cryomux.errors import ConfigError, FitError
 from cryomux.noisecalc import CoherenceRecord
 
 T_G = 40e-9
@@ -29,7 +29,7 @@ def _phase_distance(u, v):
 
 class TestCliffordTable:
     def test_has_24_distinct_elements(self, table):
-        assert table.size == 24
+        assert len(table.unitaries) == len(rb.CLIFFORD_DECOMPOSITIONS) == 24
         keys = {rb._phase_key(u) for u in table.unitaries}
         assert len(keys) == 24
 
@@ -38,27 +38,27 @@ class TestCliffordTable:
             assert np.max(np.abs(u @ u.conj().T - np.eye(2))) < 1e-12
 
     def test_identity_is_element_zero(self, table):
-        assert table.identity_index == 0
-        assert table.decompositions[0] == ("I",)
+        assert _phase_distance(table.unitaries[0], np.eye(2)) < 1e-12
+        assert rb.CLIFFORD_DECOMPOSITIONS[0] == ("I",)
 
     def test_group_closure(self, table):
         for i in range(24):
             for j in range(24):
-                k = table.compose(i, j)
+                k = table.composition[i, j]
                 expected = table.unitaries[j] @ table.unitaries[i]
                 assert _phase_distance(table.unitaries[k], expected) < 1e-12
 
     def test_every_element_has_inverse(self, table):
-        for i in range(24):
-            inv = table.inverse(i)
-            assert table.compose(i, inv) == table.identity_index
+        for i, inv in enumerate(table.inverses):
+            assert table.composition[i, inv] == 0
+            assert _phase_distance(table.unitaries[inv] @ table.unitaries[i], np.eye(2)) < 1e-12
 
-    def test_mean_generator_count(self, table):
-        assert table.mean_generator_count == pytest.approx(1.875, abs=1e-12)
-        assert sum(len(d) for d in table.decompositions) == 45
+    def test_mean_generator_count(self):
+        assert rb.MEAN_GENERATOR_COUNT == pytest.approx(1.875, abs=1e-12)
+        assert sum(len(d) for d in rb.CLIFFORD_DECOMPOSITIONS) == 45
 
     def test_decompositions_match_unitaries(self, table):
-        for seq, u in zip(table.decompositions, table.unitaries):
+        for seq, u in zip(rb.CLIFFORD_DECOMPOSITIONS, table.unitaries):
             assert _phase_distance(rb.sequence_unitary(seq, rb.GENERATOR_UNITARIES), u) < 1e-12
 
     def test_generator_unitaries_match_textbook_matrices(self):
@@ -77,26 +77,40 @@ class TestCliffordTable:
             assert np.max(np.abs(rb.GENERATOR_UNITARIES[name] - u)) <= 1e-15, name
 
 
-class TestSequences:
-    def test_minimal_sequence_composes_to_identity(self, table):
-        seq = rb.rb_sequence(1, seed=5)
-        assert len(seq) == 2
-        u = np.eye(2, dtype=complex)
-        for idx in seq:
-            u = table.unitaries[idx] @ u
-        assert _phase_distance(u, np.eye(2)) < 1e-12
+def _recovery(table, sequence):
+    """Index of the Clifford that returns the ideal product of `sequence` to
+    the identity, found by phase distance rather than the composition table."""
+    u = np.eye(2, dtype=complex)
+    for idx in sequence:
+        u = table.unitaries[idx] @ u
+    return min(range(24), key=lambda k: _phase_distance(table.unitaries[k] @ u, np.eye(2)))
 
-    def test_seeded_reproducibility(self):
-        assert rb.rb_sequence(20, seed=123) == rb.rb_sequence(20, seed=123)
-        assert rb.rb_sequence(20, seed=123) != rb.rb_sequence(20, seed=124)
+
+class TestSequences:
+    def test_minimal_sequence_composes_to_identity(self, pi_pulse):
+        # one Clifford plus its recovery, noise free, returns every repeat
+        # to the ground state
+        lengths, survival = rb.run_rb([1], 8, None, pi_pulse, seed=5)
+        assert np.array_equal(lengths, [1.0])
+        assert survival[0] >= 1 - 1e-9
+
+    def test_seeded_reproducibility(self, pi_pulse):
+        noise = CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6)
+        first = rb.run_rb([3, 30], 4, noise, pi_pulse, seed=123)[1]
+        assert np.array_equal(first, rb.run_rb([3, 30], 4, noise, pi_pulse, seed=123)[1])
+        assert not np.array_equal(first, rb.run_rb([3, 30], 4, noise, pi_pulse, seed=124)[1])
 
     @pytest.mark.parametrize("m", [3, 10, 40])
-    def test_recovery_inverts_any_sequence(self, table, m):
-        seq = rb.rb_sequence(m, seed=m)
-        u = np.eye(2, dtype=complex)
-        for idx in seq:
-            u = table.unitaries[idx] @ u
-        assert _phase_distance(u, np.eye(2)) < 1e-12
+    def test_recovery_inverts_any_sequence(self, pi_pulse, m):
+        # a survival of at most 1 per repeat averages to 1 only if every
+        # repeat's recovery inverts its sequence
+        _, survival = rb.run_rb([m], 8, None, pi_pulse, seed=m)
+        assert survival[0] >= 1 - 1e-9
+
+    @pytest.mark.parametrize("lengths", [[0, 2], [-1, 2], [0]])
+    def test_lengths_below_one_rejected(self, pi_pulse, lengths):
+        with pytest.raises(ConfigError):
+            rb.run_rb(lengths, 2, None, pi_pulse)
 
     def test_noise_free_execution_returns_to_ground(self, pi_pulse):
         lengths, survival = rb.run_rb([1, 5, 20], 4, None, pi_pulse, seed=11)
@@ -135,9 +149,10 @@ class TestRunRb:
         expected = np.empty((len(lengths), repeats))
         for i, m in enumerate(lengths):
             for j in range(repeats):
+                sequence = np.random.default_rng(streams[i * repeats + j]).integers(0, 24, size=m)
                 v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
-                for idx in rb.rb_sequence(m, np.random.default_rng(streams[i * repeats + j]), table):
-                    for gate in table.decompositions[idx]:
+                for idx in [*sequence, _recovery(table, sequence)]:
+                    for gate in rb.CLIFFORD_DECOMPOSITIONS[idx]:
                         v = channels[gate] @ v
                 expected[i, j] = v[0].real
         ls, survival = rb.run_rb(lengths, repeats, noise, pi_pulse, seed=seed)
