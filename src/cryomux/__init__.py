@@ -50,6 +50,7 @@ from .qubitsim import (
     gate_channel,
     synth_decay_trace,
     tdm_experiment,
+    tdm_sweep,
     windowed_rabi_angle,
 )
 from .rbengine import (

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import UnionType
-from typing import Callable, Mapping, get_args, get_origin
+from typing import Annotated, Callable, Mapping, get_args, get_origin
 
 import numpy as np
 
@@ -81,6 +81,25 @@ def config_hash(name: str, params: Mapping, seed: int) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
+@dataclass(frozen=True)
+class Above:
+    """Annotated metadata bounding a parameter from below: value > low, or
+    value >= low when inclusive."""
+
+    low: float
+    inclusive: bool = False
+
+    def admits(self, value) -> bool:
+        return value >= self.low if self.inclusive else value > self.low
+
+    def __repr__(self) -> str:
+        return f"{'>=' if self.inclusive else '>'} {self.low:g}"
+
+
+Duration = Annotated[float, Above(0.0)]  # a time span (s)
+Offset = Annotated[float, Above(0.0, inclusive=True)]  # a time that may be zero (s)
+
+
 # ---------------------------------------------------------------------------
 # Scenario implementations (each returns a list of Tables); the shared
 # `mux: dict = {}` is never mutated, and a plain dict keeps it hashable as JSON
@@ -115,9 +134,9 @@ def fig2_power(
 
 def fig3_coherence(
     rng, *,
-    t1_s: float = 30e-6,
-    t2_star_baseline_s: float = 40e-6,
-    t2_echo_baseline_s: float = 35e-6,
+    t1_s: Duration = 30e-6,
+    t2_star_baseline_s: Duration = 40e-6,
+    t2_echo_baseline_s: Duration = 35e-6,
     n_mux_on: float = 0.146,
     attenuation_db: float = 13.0,
     v_full_on_v: float = 0.7,
@@ -151,8 +170,8 @@ def fig3_coherence(
 
 def fig3f_slope(
     rng, *,
-    t2_echo_on_s: float = 25e-6,
-    t2_echo_baseline_s: float = 35e-6,
+    t2_echo_on_s: Duration = 25e-6,
+    t2_echo_baseline_s: Duration = 35e-6,
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
     attenuation_db: float = 13.0,
     rate_stop_hz: float = 1e6,
@@ -180,9 +199,9 @@ def fig3f_slope(
 
 def fig4a_rb(
     rng, *,
-    t_g_s: float = 40e-9,
-    t1_s: float = 30e-6,
-    t2_star_values_s: tuple[float, ...] = (6e-6, 12e-6, 25e-6),
+    t_g_s: Duration = 40e-9,
+    t1_s: Duration = 30e-6,
+    t2_star_values_s: tuple[Duration, ...] = (6e-6, 12e-6, 25e-6),
     lengths: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
     repeats: int = 20,
     pulse_shape: str = "cosine",
@@ -218,13 +237,13 @@ def fig4a_rb(
 
 def fig4b_tdm(
     rng, *,
-    t_g_s: float = 40e-9,
+    t_g_s: Duration = 40e-9,
     isolation_db: float = 30.0,
-    rise_time_s: float = 0.0,
+    rise_time_s: Offset = 0.0,
     levels: int = 2,
     pulse_shape: str = "cosine",
-    window_start_s: float = 0.0,
-    window_stop_s: float = 60e-9,
+    window_start_s: Offset = 0.0,
+    window_stop_s: Duration = 60e-9,
     window_points: int = 31,
     windows_ns: tuple[float, ...] | None = None,
     detection_floor: float | None = None,
@@ -235,13 +254,13 @@ def fig4b_tdm(
     pulse = qubitsim.calibrate_pi_pulse(t_g_s, pulse_shape, config)
     if windows_ns is None:
         windows_ns = np.linspace(window_start_s * 1e9, window_stop_s * 1e9, window_points)
+    windows_ns = [round(float(w_ns), 9) for w_ns in windows_ns]
+    p_es = qubitsim.tdm_sweep([w_ns * 1e-9 for w_ns in windows_ns], mux, pulse, config)
     columns = ["window_ns", "p_e", "one_minus_p_e"]
     if detection_floor is not None:
         columns.append("p_e_detected")
     rows = []
-    for w_ns in windows_ns:
-        w_ns = round(float(w_ns), 9)
-        p_e = qubitsim.tdm_experiment(w_ns * 1e-9, mux, pulse, config)
+    for w_ns, p_e in zip(windows_ns, p_es.tolist()):
         row = [w_ns, p_e, 1.0 - p_e]
         if detection_floor is not None:
             row.append(qubitsim.detected_population(p_e, detection_floor))
@@ -276,8 +295,8 @@ def methods_teff(
     chi_hz: float = -0.259e6,
     alpha_hz: float = -180e6,
     g_hz: float = 90e6,
-    t2_echo_on_s: float = 25e-6,
-    t2_echo_baseline_s: float = 35e-6,
+    t2_echo_on_s: Duration = 25e-6,
+    t2_echo_baseline_s: Duration = 35e-6,
     attenuation_db: float = 13.0,
     projection_attenuation_db: float = 20.0,
     switch_rate_hz: float = 1e6,
@@ -411,9 +430,13 @@ def list_scenarios() -> list[tuple[str, str]]:
 def _conforms(value, kind) -> bool:
     """Whether a JSON value matches a runner annotation. float is a number
     within float range, int a count >= 1, tuple[X, ...] a list of X, and
-    X | None also admits null; booleans are never numbers."""
+    X | None also admits null; booleans are never numbers. Annotated[X,
+    bound, ...] is an X that every bound admits."""
     if isinstance(kind, UnionType):
         return any(_conforms(value, k) for k in get_args(kind))
+    if get_origin(kind) is Annotated:
+        base, *bounds = get_args(kind)
+        return _conforms(value, base) and all(bound.admits(value) for bound in bounds)
     if get_origin(kind) is tuple:
         item = get_args(kind)[0]
         return isinstance(value, (list, tuple)) and all(_conforms(v, item) for v in value)
@@ -436,7 +459,7 @@ def merge_params(scenario: Scenario, overrides: Mapping) -> dict:
         if key not in params:
             raise ConfigError(f"unknown parameter {key!r} for scenario {scenario.name!r}")
         if not _conforms(value, scenario.types[key]):
-            kind = inspect.formatannotation(scenario.types[key])
+            kind = inspect.formatannotation(scenario.types[key]).replace("typing.", "")
             raise ConfigError(f"parameter {key!r} of {scenario.name!r} must be {kind}, got {value!r}")
         if scenario.types[key] is dict:
             chainmodel.MuxModel.from_dict(value)  # every dict parameter is a mux config

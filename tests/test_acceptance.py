@@ -93,7 +93,7 @@ def test_criterion_4_tdm_window_curve():
     pulse = qubitsim.calibrate_pi_pulse(T_G, "cosine")
     floor = mux.floor_amplitude()
     windows = np.linspace(0.0, 60e-9, 30)
-    p_e = np.array([qubitsim.tdm_experiment(float(w), mux, pulse) for w in windows])
+    p_e = qubitsim.tdm_sweep(windows, mux, pulse)
     analytic = np.array(
         [
             math.sin(qubitsim.windowed_rabi_angle(float(w), T_G, floor) / 2.0) ** 2

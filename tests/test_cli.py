@@ -152,8 +152,8 @@ class TestRun:
         "scenario, params",
         [
             ("fig3_coherence", {"v_full_on_v": 0.6}),
-            ("fig3f_slope", {"t2_echo_on_s": 0}),
-            ("fig3_coherence", {"t2_star_baseline_s": 0}),
+            ("fig3f_slope", {"t2_echo_on_s": 1e-320}),  # its rate overflows
+            ("fig3_coherence", {"attenuation_db": -5000}),
             ("fig3f_slope", {"attenuation_db": -5000}),
             ("scaling_capacity", {"per_channel_nominal_w": 1e-320}),
         ],
@@ -309,6 +309,18 @@ class TestParameterSpec:
             ("fig3f_slope", {"attenuation_db": "13"}),
             ("fig3f_slope", {"slope": float("nan")}),
             ("fig2_power", {"mux": {"isolation_db": "abc"}}),
+            ("fig3_coherence", {"t2_star_baseline_s": -1e-5}),
+            ("fig3_coherence", {"t2_star_baseline_s": 0}),
+            ("fig3_coherence", {"t1_s": 0.0}),
+            ("fig3f_slope", {"t2_echo_on_s": 0}),
+            ("fig3f_slope", {"t2_echo_on_s": -25e-6}),
+            ("methods_teff", {"t2_echo_baseline_s": 0}),
+            ("fig4a_rb", {**FAST_RB, "t_g_s": -40e-9}),
+            ("fig4a_rb", {**FAST_RB, "t2_star_values_s": [1e-5, -1e-5]}),
+            ("fig4a_rb", {**FAST_RB, "t2_star_values_s": [0.0]}),
+            ("fig4b_tdm", {**FAST_TDM, "rise_time_s": -1e-9}),
+            ("fig4b_tdm", {"window_start_s": -1e-9}),
+            ("fig4b_tdm", {"window_stop_s": 0.0}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):

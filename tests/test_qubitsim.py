@@ -83,6 +83,10 @@ class TestEvolve:
         with pytest.raises(IntegrationError):
             qs.evolve(qs.QubitState.ground(2), pulse, None, qs.SimConfig(dt=T_G / 200))
 
+    def test_nan_modulator_raises(self, pi_pulse):
+        with pytest.raises(IntegrationError, match="nan"):
+            qs.evolve(qs.QubitState.ground(2), pi_pulse, ConstantModulator(math.nan))
+
     def test_decay_lowers_excited_population(self, pi_pulse):
         noisy = qs.evolve(
             qs.QubitState.ground(2), pi_pulse, None, qs.SimConfig(t1=10e-6, t_phi=10e-6)
@@ -189,6 +193,68 @@ class TestTdmExperiment:
             qs.tdm_experiment(1e-6, self.MUX, pi_pulse)
 
 
+def gated_modulator(mux, window):
+    """The modulator tdm_sweep builds for one window centered on the pulse."""
+    mid = T_G / 2
+    events = [] if window == 0.0 else [(mid - window / 2, "RF1"), (mid + window / 2, "RF2")]
+    return cm.EnvelopeModulator(cm.GatingSchedule.from_mux(mux, events), "RF1", mux.rise_time)
+
+
+class TestTdmSweep:
+    MUX = cm.MuxModel(isolation_db=30.0, rise_time=0.0)
+    # 0, t_g and > t_g take 2,000 steps; 12.345 ns cuts the grid into
+    # segments of 692 + 618 + 692 steps, so the others are padded
+    WINDOWS = [0.0, 12.345e-9, T_G, 60e-9]
+
+    @pytest.mark.parametrize(
+        "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
+    )
+    def test_matches_per_window_evolve(self, levels, shape, rise_time):
+        config = qs.SimConfig(levels=levels)
+        pulse = qs.calibrate_pi_pulse(T_G, shape, config)
+        mux = cm.MuxModel(isolation_db=30.0, rise_time=rise_time)
+        modulators = [gated_modulator(mux, w) for w in self.WINDOWS]
+        steps = {qs._Grid(T_G, T_G / 2000, m.breakpoints).n_steps for m in modulators}
+        assert steps == {2000, 2002}
+        swept = qs.tdm_sweep(self.WINDOWS, mux, pulse, config)
+        alone = [
+            qs.evolve(qs.QubitState.ground(levels), pulse, m, config).population(1)
+            for m in modulators
+        ]
+        # measured gap: 0 (bit-identical) at both settings
+        assert np.max(np.abs(swept - alone)) <= 1e-15
+
+    def test_chunks_match_one_batch(self, pi_pulse, monkeypatch):
+        whole = qs.tdm_sweep(self.WINDOWS, self.MUX, pi_pulse)
+        monkeypatch.setattr(qs, "_SWEEP_CHUNK", 3)
+        assert np.array_equal(qs.tdm_sweep(self.WINDOWS, self.MUX, pi_pulse), whole)
+
+    def test_empty_sweep(self, pi_pulse):
+        assert qs.tdm_sweep([], self.MUX, pi_pulse).shape == (0,)
+
+    @pytest.mark.parametrize("bad", [-1e-9, math.nan, 1e-6])  # 1e-6 s is past the horizon
+    def test_every_window_checked_before_integration(self, pi_pulse, monkeypatch, bad):
+        def no_integration(*args, **kwargs):
+            raise AssertionError("integrated before the window check")
+
+        monkeypatch.setattr(qs, "_rk4", no_integration)
+        with pytest.raises(ConfigError, match="window"):
+            qs.tdm_sweep([10e-9, 20e-9, bad], self.MUX, pi_pulse)
+
+    def test_nan_member_names_its_window(self, pi_pulse, monkeypatch):
+        bad = 20e-9
+        gated = cm.EnvelopeModulator.__call__
+
+        def nan_for_bad_window(self, t):
+            if self.schedule.events and self.schedule.events[0][0] == T_G / 2 - bad / 2:
+                return np.full_like(t, math.nan)
+            return gated(self, t)
+
+        monkeypatch.setattr(cm.EnvelopeModulator, "__call__", nan_for_bad_window)
+        with pytest.raises(IntegrationError, match=rf"^window {bad!r} s: trace drifted to nan"):
+            qs.tdm_sweep([10e-9, bad, 30e-9], self.MUX, pi_pulse)
+
+
 class TestSynthTraces:
     TRUTH = CoherenceRecord(t1=30e-6, t2_star=25e-6, t2_echo=35e-6)
 
@@ -228,6 +294,24 @@ class TestQubitState:
     def test_trace_must_be_one(self):
         with pytest.raises(IntegrationError):
             qs.QubitState(np.eye(2, dtype=complex))
+
+    def test_nan_rejected(self):
+        with pytest.raises(IntegrationError):
+            qs.QubitState(np.full((2, 2), math.nan))
+
+    @pytest.mark.parametrize(
+        "rho",
+        [np.diag([1.1, -0.1]), np.array([[0.5, 0.6], [0.6, 0.5]]), np.diag([0.6, 0.5, -0.1])],
+    )
+    def test_negative_eigenvalue_rejected(self, rho):
+        # Hermitian with unit trace, but with eigenvalue -0.1
+        assert np.linalg.eigvalsh(rho)[0] == pytest.approx(-0.1)
+        with pytest.raises(IntegrationError, match="eigenvalue"):
+            qs.QubitState(rho)
+
+    def test_eigenvalue_within_tolerance_accepted(self):
+        qs.QubitState(np.diag([1.0 + 1e-7, -1e-7]))
+        qs.QubitState(np.array([[0.5, 0.5 + 1e-7], [0.5 + 1e-7, 0.5]]))
 
     def test_ground_state(self):
         state = qs.QubitState.ground(3)
