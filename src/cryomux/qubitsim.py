@@ -6,14 +6,19 @@ pure-dephasing channels is integrated with fixed-step RK4 on the vectorized
 density matrix; the step grid is aligned with any discontinuities of the
 gating modulator so the integrator never straddles a step.
 
-The one RK4 loop steps a batch of problems that share the pulse and the
-Liouvillian parts but each have their own modulator, as in a gating-window
-sweep. Every member keeps its own breakpoint-aligned grid; a member with
-fewer steps is padded at its end with zero-length, zero-drive steps, which
-leave it unchanged. Drive waveforms are evaluated a fixed block of steps at
-a time and sweeps are integrated a fixed chunk of windows at a time, so
-memory does not grow with the number of steps or windows. A single evolve
-or gate_channel call is a batch of one.
+States are stepped stage-wise by one RK4 loop, which steps a batch of
+problems that share the pulse and the Liouvillian parts but each have their
+own modulator, as in a gating-window sweep. Every member keeps its own
+breakpoint-aligned grid; a member with fewer steps is padded at its end with
+zero-length, zero-drive steps, which leave it unchanged. Drive waveforms are
+evaluated a fixed block of steps at a time and sweeps are integrated a fixed
+chunk of windows at a time, so memory does not grow with the number of steps
+or windows. A single evolve call is a batch of one.
+
+Gate channels act on all d*d basis states at once, so instead of stepping
+the identity they are products of the same RK4 step's propagators, built a
+block of steps at a time on the same grid and drive samples: this costs the
+arithmetic of stepping d*d columns without a Python-level loop per step.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -40,7 +45,7 @@ _TRACE_TOL = 1e-6
 _POSITIVITY_TOL = 1e-6
 _PULSE_SHAPES = ("cosine", "cosine_drag")
 _STAGES = np.array([0.0, 0.5, 1.0])  # RK4 stage times as fractions of a step
-_BLOCK_STEPS = 256  # steps whose drive waveforms are evaluated at once
+_BLOCK_STEPS = 256  # steps whose drive waveforms (and channel propagators) are built at once
 _SWEEP_CHUNK = 32  # most gating windows integrated in one batch
 
 
@@ -396,12 +401,44 @@ def gate_channel(
 ) -> np.ndarray:
     """Quantum channel of one pulse as a superoperator on vec(rho).
 
-    Integrates the propagator of the master equation (row-major vec, as in
-    evolve), so composing channels reproduces evolve() gate by gate. Useful
-    when the same gate is applied many times, e.g. in benchmarking sequences.
+    The channel (row-major vec, as in evolve) is the product of the RK4 step
+    propagators on evolve's grid and drive samples, so composing channels
+    reproduces evolve() gate by gate. RK4 is linear in the state, so step j
+    maps x to P_j x with
+        A2 = Lb + h/2 Lb La,  A3 = Lb + h/2 Lb A2,  A4 = Lc + h Lc A3,
+        P_j = I + h/6 (La + 2 A2 + 2 A3 + A4),
+    La, Lb and Lc being the Liouvillians at the step's start, midpoint and
+    end. The propagators of _BLOCK_STEPS steps are built at once and
+    multiplied pairwise, later steps on the left. Raises IntegrationError
+    unless every entry is finite and the channel preserves trace to within
+    _TRACE_TOL. Useful when the same gate is applied many times, e.g. in
+    benchmarking sequences.
     """
-    identity = np.eye(config.levels**2, dtype=complex)[None]
-    return _rk4(identity, pulse, config, [envelope_modulator], phase)[0]
+    dim2 = config.levels**2
+    breakpoints = getattr(envelope_modulator, "breakpoints", None)
+    grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), breakpoints)
+    l0, lx, ly, ln = _liouvillian_parts(config)
+    channel = np.eye(dim2, dtype=complex)
+    for j0 in range(0, grid.n_steps, _BLOCK_STEPS):
+        _, t_eval, h = grid.block(j0, j0 + _BLOCK_STEPS)
+        drive = _drive_waveforms(pulse, config, t_eval, envelope_modulator, phase)
+        wx, wy, wn = (w[..., None, None] for w in drive)
+        l_stages = l0 + wx * lx + wy * ly + wn * ln  # (n, 3, d*d, d*d)
+        l_a, l_b, l_c = l_stages[:, 0], l_stages[:, 1], l_stages[:, 2]
+        h = h[:, None, None]
+        a2 = l_b + 0.5 * h * (l_b @ l_a)
+        a3 = l_b + 0.5 * h * (l_b @ a2)
+        a4 = l_c + h * (l_c @ a3)
+        props = np.eye(dim2) + h / 6.0 * (l_a + 2.0 * a2 + 2.0 * a3 + a4)
+        while len(props) > 1:
+            paired = props[1::2] @ props[0:len(props) - 1:2]
+            props = np.concatenate([paired, props[-1:]]) if len(props) % 2 else paired
+        channel = props[0] @ channel
+    vec_identity = np.eye(config.levels).reshape(-1)
+    drift = float(np.abs(vec_identity @ channel - vec_identity).max())
+    if not (np.isfinite(channel).all() and drift <= _TRACE_TOL):
+        raise IntegrationError(f"gate channel is not finite and trace-preserving (drift {drift!r})")
+    return channel
 
 
 # ---------------------------------------------------------------------------

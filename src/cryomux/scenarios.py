@@ -96,7 +96,8 @@ class Above:
         return f"{'>=' if self.inclusive else '>'} {self.low:g}"
 
 
-Duration = Annotated[float, Above(0.0)]  # a time span (s)
+# a time span (s); a normal float, so its rate 1/x is finite
+Duration = Annotated[float, Above(sys.float_info.min, inclusive=True)]
 Offset = Annotated[float, Above(0.0, inclusive=True)]  # a time that may be zero (s)
 
 

@@ -152,7 +152,7 @@ class TestRun:
         "scenario, params",
         [
             ("fig3_coherence", {"v_full_on_v": 0.6}),
-            ("fig3f_slope", {"t2_echo_on_s": 1e-320}),  # its rate overflows
+            ("fig3f_slope", {"slope": 1e303}),  # its rate overflows
             ("fig3_coherence", {"attenuation_db": -5000}),
             ("fig3f_slope", {"attenuation_db": -5000}),
             ("scaling_capacity", {"per_channel_nominal_w": 1e-320}),
@@ -321,6 +321,9 @@ class TestParameterSpec:
             ("fig4b_tdm", {**FAST_TDM, "rise_time_s": -1e-9}),
             ("fig4b_tdm", {"window_start_s": -1e-9}),
             ("fig4b_tdm", {"window_stop_s": 0.0}),
+            # subnormal lifetimes, whose rates 1/x overflow
+            ("fig3_coherence", {"t2_star_baseline_s": 1e-320}),
+            ("fig3f_slope", {"t2_echo_on_s": 1e-320}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):

@@ -113,8 +113,9 @@ class TestEvolve:
     "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
 )
 def test_gate_channel_matches_evolve(levels, shape, rise_time):
-    """evolve and gate_channel share one RK4 kernel: the channel applied to
-    vec(rho0) is the evolved state, up to evolve's Hermitian projection."""
+    """gate_channel multiplies the RK4 step propagators of evolve's grid and
+    drive samples: the channel applied to vec(rho0) is the evolved state, up
+    to evolve's Hermitian projection and rounding."""
     config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
     pulse = qs.PulseSpec(shape, T_G, 2 * math.pi / T_G, drag_coefficient=1.0)
     sched = cm.GatingSchedule.from_mux(cm.MuxModel(), [(10e-9, "RF1"), (30e-9, "RF2")])
@@ -125,6 +126,44 @@ def test_gate_channel_matches_evolve(levels, shape, rise_time):
     channel = qs.gate_channel(pulse, config, phase=0.7, envelope_modulator=modulator)
     gap = np.max(np.abs(channel @ rho0.reshape(-1) - final.density_matrix.reshape(-1)))
     assert gap <= 1e-12
+
+
+class TestGateChannel:
+    CONFIG = dict(t1=30e-6, t_phi=20e-6)
+
+    @staticmethod
+    def pulse(shape):
+        return qs.PulseSpec(shape, T_G, 2 * math.pi / T_G, drag_coefficient=1.0)
+
+    @pytest.mark.parametrize(
+        "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
+    )
+    def test_matches_stage_wise_rk4(self, levels, shape, rise_time):
+        config = qs.SimConfig(levels=levels, **self.CONFIG)
+        # segments of 501 + 1000 + 501 steps: neither a multiple of the
+        # 256-step block nor a power of two, so the last block is ragged
+        events = [(10.001e-9, "RF1"), (29.999e-9, "RF2")]
+        sched = cm.GatingSchedule.from_mux(cm.MuxModel(), events)
+        modulator = cm.EnvelopeModulator(sched, "RF1", rise_time)
+        assert qs._Grid(T_G, T_G / 2000, modulator.breakpoints).n_steps == 2002
+        pulse = self.pulse(shape)
+        channel = qs.gate_channel(pulse, config, phase=0.7, envelope_modulator=modulator)
+        identity = np.eye(levels**2, dtype=complex)[None]
+        stage_wise = qs._rk4(identity, pulse, config, [modulator], 0.7)[0]
+        # measured gap: 4.9e-15 at 2 levels, 5.1e-15 at 3 levels
+        assert np.max(np.abs(channel - stage_wise)) <= 1e-13
+
+    @pytest.mark.parametrize("levels, shape, bound", [(2, "cosine", 1e-12), (3, "cosine_drag", 2e-7)])
+    def test_converges_to_finer_step(self, levels, shape, bound):
+        pulse = self.pulse(shape)
+        channel = qs.gate_channel(pulse, qs.SimConfig(levels=levels, **self.CONFIG), phase=0.7)
+        fine = qs.SimConfig(levels=levels, dt=T_G / 8000, **self.CONFIG)
+        # measured gap: 6.3e-13 at 2 levels, 1.0e-7 at 3 levels
+        assert np.max(np.abs(channel - qs.gate_channel(pulse, fine, phase=0.7))) <= bound
+
+    def test_nan_modulator_raises(self, pi_pulse):
+        with pytest.raises(IntegrationError, match="trace-preserving"):
+            qs.gate_channel(pi_pulse, envelope_modulator=ConstantModulator(math.nan))
 
 
 class TestCalibration:
