@@ -4,14 +4,9 @@ from .chainmodel import (
     CoolingBudget,
     EnvelopeModulator,
     GatingSchedule,
-    MuxDigitalState,
     MuxModel,
-    active_port,
     gating_envelope,
-    low_threshold_mux,
     per_channel_budget,
-    program_parallel,
-    program_serial,
     qubit_capacity,
 )
 from .fitkit import (
@@ -27,7 +22,6 @@ from .fitkit import (
 from .noisecalc import (
     CoherenceRecord,
     DriveCoupling,
-    NoisePath,
     TransmonParams,
     dephasing_from_occupancy,
     dephasing_vs_switching,

@@ -1,14 +1,11 @@
 """Behavioral model of the SP4T cryogenic RF multiplexer.
 
-Models the digital programming protocols (serial shift-register and
-parallel combinational modes), the port-gating transmission envelope with
-finite rise time, static/dynamic power dissipation, and a cooling-budget
-planner for channel-count estimates.
+Models the port-gating transmission envelope with finite rise time,
+static/dynamic power dissipation, and a cooling-budget planner for
+channel-count estimates.
 
 Conventions chosen here and kept throughout:
   * Ports are the strings "RF1".."RF4"; the control word is 2 bits (D1, D0).
-  * Serial words are clocked in D1-first: of the last two bits shifted into
-    the register, the earlier one is D1 and the later one is D0.
   * The default word-to-port map is (0,0)->RF1, (0,1)->RF2, (1,0)->RF3,
     (1,1)->RF4; only the first two assignments are fixed by the hardware,
     the rest is a documented convention.
@@ -16,12 +13,12 @@ Conventions chosen here and kept throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ModeViolationError, ProtocolError
+from .errors import ConfigError
 
 PORTS = ("RF1", "RF2", "RF3", "RF4")
 
@@ -69,7 +66,8 @@ class MuxModel:
     subthreshold_leak: static power below threshold (W), default 0
     dyn_coeff        : dynamic dissipation per switch event (J/Hz/V^2),
                        parallel mode (full RF-switch gate charge)
-    dyn_coeff_serial : same with only the digital logic toggling
+    dyn_coeff_serial : same with only the digital logic toggling (a config
+                       field; dynamic_power uses dyn_coeff)
     isolation_db     : worst-case port-to-port isolation (positive dB)
     insertion_loss_db: through-path loss (positive dB)
     rise_time        : 10-90% switching rise/fall time (s)
@@ -100,31 +98,6 @@ class MuxModel:
             raise ConfigError("serial-only switching must dissipate less than parallel")
         _check_port_map(self.port_map)
 
-    @classmethod
-    def from_anchor(
-        cls,
-        v_threshold: float,
-        anchor_v: float,
-        anchor_power: float,
-        esd_static: float = 0.0,
-        **kwargs,
-    ) -> "MuxModel":
-        """Anchor the cubic so total static power hits anchor_power at anchor_v.
-
-        Used for the projected low-threshold device variant, where the
-        published 30 nW at 0.3 V presumes a redesign rather than the
-        measured curve.
-        """
-        if anchor_v <= v_threshold:
-            raise ConfigError("anchor voltage must lie above threshold")
-        coeff = (anchor_power - esd_static) / (anchor_v - v_threshold) ** 3
-        return cls(
-            v_threshold=v_threshold,
-            static_coeff=coeff,
-            esd_static=esd_static,
-            **kwargs,
-        )
-
     def static_power(self, v_dd: float) -> float:
         """Static dissipation (W): leakage below threshold, cubic above."""
         if v_dd < 0:
@@ -134,17 +107,11 @@ class MuxModel:
         over = v_dd - self.v_threshold
         return self.subthreshold_leak + self.esd_static + self.static_coeff * over**3
 
-    def dynamic_power(self, switch_rate: float, v_dd: float, mode: str = "parallel") -> float:
-        """Switching dissipation (W): coeff * v_dd^2 * rate."""
+    def dynamic_power(self, switch_rate: float, v_dd: float) -> float:
+        """Switching dissipation (W): dyn_coeff * v_dd^2 * rate."""
         if switch_rate < 0:
             raise ConfigError("switch_rate must be >= 0")
-        if mode == "parallel":
-            coeff = self.dyn_coeff
-        elif mode == "serial_digital_only":
-            coeff = self.dyn_coeff_serial
-        else:
-            raise ConfigError(f"unknown switching mode {mode!r}")
-        return coeff * v_dd * v_dd * switch_rate
+        return self.dyn_coeff * v_dd * v_dd * switch_rate
 
     def floor_amplitude(self) -> float:
         """Leakage amplitude to an unselected port, 10^(-isolation/20)."""
@@ -179,127 +146,6 @@ class MuxModel:
         return cls(**kwargs)
 
 
-def low_threshold_mux(**kwargs) -> MuxModel:
-    """Projected low-threshold device: 30 nW total static at 0.3 V bias."""
-    return MuxModel.from_anchor(
-        v_threshold=0.2, anchor_v=0.3, anchor_power=30e-9, esd_static=0.0, **kwargs
-    )
-
-
-# ---------------------------------------------------------------------------
-# Digital programming state machine
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class MuxDigitalState:
-    """Digital state of the programming interface (pure value semantics).
-
-    mode is derived from PS: high selects serial programming through the
-    shift register, low selects combinational parallel control.
-    """
-
-    ps: int
-    le: int = 0
-    shift_register: tuple[int, int] = (0, 0)
-    latched_word: tuple[int, int] = (0, 0)
-    selected_port: str = "RF1"
-    port_map: Mapping[tuple[int, int], str] = field(
-        default_factory=lambda: dict(DEFAULT_PORT_MAP)
-    )
-
-    def __post_init__(self):
-        _check_port_map(self.port_map)
-
-    @property
-    def mode(self) -> str:
-        return "serial" if self.ps else "parallel"
-
-    @classmethod
-    def serial(cls, port_map: Mapping | None = None) -> "MuxDigitalState":
-        pm = dict(port_map) if port_map is not None else dict(DEFAULT_PORT_MAP)
-        return cls(ps=1, selected_port=pm[(0, 0)], port_map=pm)
-
-    @classmethod
-    def parallel(cls, port_map: Mapping | None = None) -> "MuxDigitalState":
-        pm = dict(port_map) if port_map is not None else dict(DEFAULT_PORT_MAP)
-        return cls(ps=0, selected_port=pm[(0, 0)], port_map=pm)
-
-
-def _as_bits(stream: Sequence[int], name: str) -> tuple[int, ...]:
-    bits = tuple(int(b) for b in stream)
-    if any(b not in (0, 1) for b in bits):
-        raise ProtocolError(f"{name} must contain only bits")
-    return bits
-
-
-def program_serial(
-    state: MuxDigitalState,
-    clk_edges: Sequence[int],
-    serin: Sequence[int],
-    le_pulse: int | None = None,
-) -> MuxDigitalState:
-    """Clock a serial bit stream into the shift register.
-
-    clk_edges and serin are equal-length slot sequences: a 1 in clk_edges
-    marks a rising clock edge at that slot, shifting the serin bit of the
-    same slot into the register. le_pulse, when given, is the slot index
-    after which the latch-enable line pulses high, committing the register
-    contents to the latched word and updating the selected port (-1 latches
-    before any clocking, len(clk_edges) after the final slot).
-    """
-    if state.mode != "serial":
-        raise ModeViolationError("serial programming requires PS high")
-    clk = _as_bits(clk_edges, "clk_edges")
-    dat = _as_bits(serin, "serin")
-    if len(clk) != len(dat):
-        raise ProtocolError(
-            f"stream length mismatch: {len(clk)} clock slots vs {len(dat)} data bits"
-        )
-    if le_pulse is not None and not (-1 <= le_pulse <= len(clk)):
-        raise ProtocolError("le_pulse index outside the stream")
-
-    reg = state.shift_register
-    word = state.latched_word
-    port = state.selected_port
-
-    if le_pulse == -1:
-        word = reg
-        port = state.port_map[word]
-    for slot, (edge, bit) in enumerate(zip(clk, dat)):
-        if edge:
-            reg = (reg[1], bit)
-        if le_pulse == slot:
-            word = reg
-            port = state.port_map[word]
-    return replace(state, shift_register=reg, latched_word=word, selected_port=port, le=0)
-
-
-def program_parallel(state: MuxDigitalState, d1: int, d0: int, le: int = 1) -> MuxDigitalState:
-    """Drive the parallel control lines (combinational, no clock).
-
-    With LE high the selected port follows (D1, D0) immediately; with LE
-    low the chip is deselected and the stored port is held.
-    """
-    if state.mode != "parallel":
-        raise ModeViolationError("parallel programming requires PS low")
-    d1, d0, le = int(d1), int(d0), int(le)
-    if le:
-        port = state.port_map[(d1, d0)]
-        return replace(state, selected_port=port, latched_word=(d1, d0), le=1)
-    return replace(state, le=0)
-
-
-def active_port(state: MuxDigitalState, le_low_policy: str = "hold") -> str | None:
-    """RF-wise active port. With LE low in parallel mode, the default
-    policy holds the last selected port; 'all_off' reports no active port."""
-    if state.mode == "parallel" and not state.le:
-        if le_low_policy == "all_off":
-            return None
-        if le_low_policy != "hold":
-            raise ConfigError(f"unknown le_low_policy {le_low_policy!r}")
-    return state.selected_port
-
-
 # ---------------------------------------------------------------------------
 # Port gating envelope
 # ---------------------------------------------------------------------------
@@ -330,22 +176,6 @@ class GatingSchedule:
     @classmethod
     def from_mux(cls, mux: MuxModel, events: Sequence[tuple[float, str]]) -> "GatingSchedule":
         return cls(events=tuple(events), floor_amplitude=mux.floor_amplitude())
-
-    def to_dict(self) -> dict:
-        return {
-            "events": [[t, port] for t, port in self.events],
-            "floor_amplitude": self.floor_amplitude,
-        }
-
-    @classmethod
-    def from_dict(cls, cfg: Mapping) -> "GatingSchedule":
-        unknown = set(cfg) - {"events", "floor_amplitude"}
-        if unknown:
-            raise ConfigError(f"unknown GatingSchedule keys {sorted(unknown)}")
-        return cls(
-            events=tuple((float(t), str(port)) for t, port in cfg.get("events", ())),
-            floor_amplitude=float(cfg["floor_amplitude"]),
-        )
 
 
 def _knot_levels(schedule: GatingSchedule, target_port: str):

@@ -6,8 +6,8 @@ Verbs:
     validate <file>  check a config without running it
 
 Exit codes: 0 success, 2 unknown scenario, 3 schema violation (including
-unparsable or empty files), 4 downstream simulation errors and failures to
-write the outputs.
+unparsable or empty files), 4 downstream simulation errors, allocations the
+host cannot satisfy and failures to write the outputs.
 """
 from __future__ import annotations
 
@@ -144,7 +144,7 @@ def main(argv=None) -> int:
     except _SchemaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_SCHEMA
-    except (CryomuxError, OSError) as exc:
+    except (CryomuxError, OSError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 

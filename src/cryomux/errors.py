@@ -15,14 +15,6 @@ class ConfigError(CryomuxError, ValueError):
     Also a ValueError, so callers that catch the built-in keep working."""
 
 
-class ProtocolError(CryomuxError):
-    """Digital programming protocol violated (stream lengths, framing)."""
-
-
-class ModeViolationError(ProtocolError):
-    """Operation issued in the wrong serial/parallel programming mode."""
-
-
 class SingularityError(CryomuxError):
     """A closed-form expression was evaluated at a singular point."""
 

@@ -10,9 +10,8 @@ double exponential.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -38,18 +37,6 @@ class FitResult:
     converged: bool
     iterations: int
     status: str
-    cost_history: list[float] = field(default_factory=list)
-
-    def to_json(self, path: str | Path) -> None:
-        payload = {
-            "parameters": self.parameters,
-            "standard_errors": self.standard_errors,
-            "residual_norm": self.residual_norm,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "status": self.status,
-        }
-        Path(path).write_text(json.dumps(payload, indent=2) + "\n")
 
 
 @dataclass(frozen=True)
@@ -130,7 +117,6 @@ def least_squares(
 
     r = np.asarray(model(x), dtype=float) - y
     cost = float(r @ r)
-    history = [cost]
     cost_floor = 1e-20 * max(1.0, float(y @ y))
     lam = 1e-10  # near Gauss-Newton start; grows quickly on rejection
     status = "iteration_limit"
@@ -169,7 +155,6 @@ def least_squares(
             if cost_new <= cost:
                 improvement = cost - cost_new
                 x, r, cost = x_new, r_new, cost_new
-                history.append(cost)
                 lam = max(lam / 10.0, 1e-14)
                 accepted = True
                 if cost <= cost_floor:
@@ -208,7 +193,6 @@ def least_squares(
         converged=converged,
         iterations=iterations,
         status=status,
-        cost_history=history,
     )
 
 

@@ -106,47 +106,6 @@ class CoherenceRecord:
         if self.t2_star > 2 * self.t1 or self.t2_echo > 2 * self.t1:
             raise ConfigError("t2 may not exceed 2*t1")
 
-    @property
-    def echo_rate(self) -> float:
-        """Decoherence rate 1/t2_echo (1/s)."""
-        return 1.0 / self.t2_echo
-
-
-@dataclass(frozen=True)
-class NoisePath:
-    """Attenuated noise path between a hot source and the resonator.
-
-    The source occupancy and temperature are linked through the
-    Bose-Einstein distribution at the path's reference frequency.
-    """
-
-    attenuation_db: float
-    frequency_hz: float
-    source_occupancy: float
-    source_temperature: float
-
-    def __post_init__(self):
-        if self.attenuation_db < 0:
-            raise ConfigError("attenuation_db must be >= 0")
-        if self.source_occupancy < 0 or self.source_temperature < 0:
-            raise ConfigError("occupancy and temperature must be >= 0")
-        n_check = temperature_to_occupancy(self.source_temperature, self.frequency_hz)
-        if not math.isclose(n_check, self.source_occupancy, rel_tol=1e-6, abs_tol=1e-12):
-            raise ConfigError("occupancy and temperature are not Bose-Einstein consistent")
-
-    @classmethod
-    def from_occupancy(cls, n: float, frequency_hz: float, attenuation_db: float):
-        return cls(
-            attenuation_db=attenuation_db,
-            frequency_hz=frequency_hz,
-            source_occupancy=n,
-            source_temperature=occupancy_to_temperature(n, frequency_hz),
-        )
-
-    def occupancy_at_load(self) -> float:
-        """Occupancy reaching the cold end of the attenuation chain."""
-        return propagate_attenuation(self.source_occupancy, self.attenuation_db, "toward_qubit")
-
 
 def excess_rate(t_on: float, t_baseline: float) -> float:
     """Decoherence rate added on top of a baseline: 1/t_on - 1/t_baseline."""

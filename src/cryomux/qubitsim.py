@@ -105,12 +105,13 @@ class SimConfig:
                 raise ConfigError(f"{name} must be positive when set")
 
     @classmethod
-    def from_coherence(cls, noise: CoherenceRecord, levels: int = 2, dt: float | None = None):
-        """Derive channel rates from measured times: 1/t_phi = 1/t2* - 1/(2 t1)."""
+    def from_coherence(cls, noise: CoherenceRecord):
+        """Derive 2-level channel rates from measured times:
+        1/t_phi = 1/t2* - 1/(2 t1)."""
         t1 = noise.t1 if math.isfinite(noise.t1) else None
         gamma_phi = 1.0 / noise.t2_star - 1.0 / (2.0 * noise.t1)
         t_phi = 1.0 / gamma_phi if gamma_phi > 0 else None
-        return cls(levels=levels, dt=dt, t1=t1, t_phi=t_phi)
+        return cls(t1=t1, t_phi=t_phi)
 
 
 @dataclass
@@ -139,13 +140,14 @@ class QubitState:
     def population(self, level: int) -> float:
         return float(self.density_matrix[level, level].real)
 
-    def validate(self, trace_tol: float = 1e-9, herm_tol: float = 1e-12) -> None:
-        """Raise IntegrationError unless rho has unit trace, is Hermitian and
-        has no eigenvalue below -_POSITIVITY_TOL; NaN fails every check."""
+    def validate(self) -> None:
+        """Raise IntegrationError unless rho has unit trace (to 1e-9), is
+        Hermitian (to 1e-12) and has no eigenvalue below -_POSITIVITY_TOL;
+        NaN fails every check."""
         rho = self.density_matrix
-        if not abs(np.trace(rho).real - 1.0) <= trace_tol:
+        if not abs(np.trace(rho).real - 1.0) <= 1e-9:
             raise IntegrationError("density matrix trace drifted from 1")
-        if not np.max(np.abs(rho - rho.conj().T)) <= herm_tol:
+        if not np.max(np.abs(rho - rho.conj().T)) <= 1e-12:
             raise IntegrationError("density matrix is not Hermitian")
         # rho + tol*I is positive definite iff every pivot of its Cholesky
         # elimination is positive; unlike a LAPACK eigensolver, this pages in
@@ -527,7 +529,7 @@ def tdm_experiment(
     return float(tdm_sweep([window], mux, pulse, config, horizon)[0])
 
 
-def detected_population(p_e: float, detection_floor: float = 1e-2) -> float:
+def detected_population(p_e: float, detection_floor: float) -> float:
     """Population as the measurement chain would report it.
 
     Values below the readout detection floor are indistinguishable from the

@@ -164,7 +164,7 @@ def run_rb(
         raise ConfigError("lengths must be >= 1 and strictly increasing")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    config = SimConfig(levels=2) if noise is None else SimConfig.from_coherence(noise, levels=2)
+    config = SimConfig() if noise is None else SimConfig.from_coherence(noise)
     table = build_clifford_table()
     channels = generator_channels(pulse, config)
     cliffords = np.array([sequence_unitary(seq, channels) for seq in CLIFFORD_DECOMPOSITIONS])
@@ -248,21 +248,19 @@ def coherence_limited_fidelity(
     t2_star: float,
     t2_star_baseline: float,
     c0_extra: float = 0.0,
-    k1: float | None = None,
+    *,
+    k1: float,
 ) -> float:
     """Gate fidelity predicted from coherence times.
 
     fidelity = 1 - c0 - k1 / t_phi_mux, where c0 = t_g / (3 t1) + c0_extra
     collects relaxation plus any calibration floor, and 1/t_phi_mux is the
-    dephasing added relative to the baseline. k1 defaults to 0.433 * t_g / 3,
-    the fitted value for the Lorentzian photon-shot-noise spectrum; pass
+    dephasing added relative to the baseline. k1 is the dephasing scale (s):
     t_g / 3 for white (Markovian) dephasing. A t2_star above baseline makes
     the added-dephasing term vanish.
     """
     if min(t_g, t1, t2_star, t2_star_baseline) <= 0:
         raise ConfigError("times must be positive")
-    if k1 is None:
-        k1 = 0.433 * t_g / 3.0
     inv_mux = 1.0 / t2_star - 1.0 / t2_star_baseline
     t_phi_mux = 1.0 / inv_mux if inv_mux > 0 else math.inf
     return 1.0 - (t_g / (3.0 * t1) + c0_extra) - k1 / t_phi_mux

@@ -1,4 +1,4 @@
-"""Multiplexer state machine, gating envelope, power and capacity models."""
+"""Multiplexer gating envelope, power, capacity and config models."""
 import math
 
 import numpy as np
@@ -6,99 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryomux import chainmodel as cm
-from cryomux.errors import ConfigError, ModeViolationError, ProtocolError
-
-
-class TestSerialProgramming:
-    def test_clock_word_and_latch_selects_rf3(self):
-        # RF3 is word (1, 0); D1 is clocked first
-        state = cm.MuxDigitalState.serial()
-        state = cm.program_serial(state, clk_edges=[1, 1], serin=[1, 0], le_pulse=1)
-        assert state.selected_port == "RF3"
-        assert state.latched_word == (1, 0)
-
-    def test_no_latch_leaves_port_unchanged(self):
-        state = cm.MuxDigitalState.serial()
-        before = state.selected_port
-        state = cm.program_serial(state, [1, 1], [1, 1], le_pulse=None)
-        assert state.shift_register == (1, 1)
-        assert state.selected_port == before
-
-    def test_two_words_one_latch_between(self):
-        # word A (RF2), latch, word B (RF4): port must reflect word A only
-        state = cm.MuxDigitalState.serial()
-        state = cm.program_serial(
-            state, [1, 1, 1, 1], [0, 1, 1, 1], le_pulse=1
-        )
-        assert state.selected_port == "RF2"
-        assert state.shift_register == (1, 1)
-
-    def test_slots_without_clock_edge_do_not_shift(self):
-        state = cm.MuxDigitalState.serial()
-        state = cm.program_serial(state, [1, 0, 1], [1, 1, 0], le_pulse=2)
-        # only slots 0 and 2 shift: register ends (1, 0)
-        assert state.selected_port == "RF3"
-
-    def test_mismatched_streams_raise(self):
-        state = cm.MuxDigitalState.serial()
-        with pytest.raises(ProtocolError):
-            cm.program_serial(state, [1, 1, 1], [1, 0])
-
-    def test_le_pulse_in_parallel_mode_raises(self):
-        state = cm.MuxDigitalState.parallel()
-        with pytest.raises(ModeViolationError):
-            cm.program_serial(state, [1, 1], [1, 0], le_pulse=1)
-
-    @settings(max_examples=50, derandomize=True)
-    @given(
-        bits=st.lists(st.integers(0, 1), min_size=2, max_size=16),
-        le_at=st.integers(-1, 16),
-    )
-    def test_replay_determinism(self, bits, le_at):
-        le = min(le_at, len(bits))
-        clk = [1] * len(bits)
-        first = cm.program_serial(cm.MuxDigitalState.serial(), clk, bits, le)
-        second = cm.program_serial(cm.MuxDigitalState.serial(), clk, bits, le)
-        assert first == second
-
-
-class TestParallelProgramming:
-    @pytest.mark.parametrize(
-        "d1,d0,port", [(0, 0, "RF1"), (0, 1, "RF2"), (1, 0, "RF3"), (1, 1, "RF4")]
-    )
-    def test_word_to_port(self, d1, d0, port):
-        state = cm.program_parallel(cm.MuxDigitalState.parallel(), d1, d0, le=1)
-        assert state.selected_port == port
-
-    def test_le_low_holds_port(self):
-        state = cm.program_parallel(cm.MuxDigitalState.parallel(), 0, 1, le=1)
-        state = cm.program_parallel(state, 1, 1, le=0)
-        assert state.selected_port == "RF2"
-        assert cm.active_port(state) == "RF2"
-        assert cm.active_port(state, le_low_policy="all_off") is None
-
-    def test_wrong_mode_raises(self):
-        with pytest.raises(ModeViolationError):
-            cm.program_parallel(cm.MuxDigitalState.serial(), 0, 0, le=1)
-
-    @settings(max_examples=50, derandomize=True)
-    @given(ops=st.lists(st.tuples(st.integers(0, 1), st.integers(0, 1), st.integers(0, 1)), max_size=20))
-    def test_latency_property(self, ops):
-        # with LE high the port follows the word immediately; with LE low it
-        # never changes
-        state = cm.MuxDigitalState.parallel()
-        for d1, d0, le in ops:
-            before = state.selected_port
-            state = cm.program_parallel(state, d1, d0, le)
-            if le:
-                assert state.selected_port == state.port_map[(d1, d0)]
-            else:
-                assert state.selected_port == before
-
-    def test_custom_port_map_must_be_bijection(self):
-        bad = {(0, 0): "RF1", (0, 1): "RF1", (1, 0): "RF3", (1, 1): "RF4"}
-        with pytest.raises(ConfigError):
-            cm.MuxDigitalState.parallel(port_map=bad)
+from cryomux.errors import ConfigError
 
 
 class TestStaticPower:
@@ -125,11 +33,6 @@ class TestStaticPower:
         powers = [mux.static_power(float(v)) for v in grid]
         assert all(b >= a for a, b in zip(powers, powers[1:]))
 
-    def test_low_threshold_variant_anchor(self):
-        mux = cm.low_threshold_mux()
-        assert mux.static_power(0.3) == pytest.approx(30e-9, rel=1e-12)
-        assert cm.MuxModel().static_power(0.3) == 0.0  # measured curve: still off
-
 
 class TestDynamicPower:
     def test_operating_point(self):
@@ -139,11 +42,9 @@ class TestDynamicPower:
     def test_low_voltage_projection(self):
         assert cm.MuxModel().dynamic_power(1e6, 0.3) == pytest.approx(90e-9, rel=1e-12)
 
-    def test_serial_digital_only_fraction(self):
+    def test_serial_coefficient_fraction(self):
         mux = cm.MuxModel()
-        full = mux.dynamic_power(2e6, 0.7, mode="parallel")
-        digital = mux.dynamic_power(2e6, 0.7, mode="serial_digital_only")
-        assert digital / full == pytest.approx(0.26, rel=1e-12)
+        assert mux.dyn_coeff_serial / mux.dyn_coeff == pytest.approx(0.26, rel=1e-12)
 
     @settings(max_examples=40, derandomize=True)
     @given(
@@ -278,15 +179,7 @@ class TestMuxModelConfig:
         with pytest.raises(ConfigError):
             cm.MuxModel(dyn_coeff=1e-12, dyn_coeff_serial=2e-12)
 
-    def test_anchor_constructor(self):
-        mux = cm.MuxModel.from_anchor(
-            v_threshold=0.6, anchor_v=0.7, anchor_power=0.60e-6, esd_static=0.37e-6
-        )
-        assert mux.static_coeff == pytest.approx(2.3e-4, rel=1e-10)
-
-    def test_gating_schedule_dict_roundtrip(self):
-        sched = cm.GatingSchedule.from_mux(
-            cm.MuxModel(), [(1e-9, "RF1"), (5e-9, "RF2")]
-        )
-        clone = cm.GatingSchedule.from_dict(sched.to_dict())
-        assert clone == sched
+    def test_custom_port_map_must_be_bijection(self):
+        bad = {(0, 0): "RF1", (0, 1): "RF1", (1, 0): "RF3", (1, 1): "RF4"}
+        with pytest.raises(ConfigError):
+            cm.MuxModel(port_map=bad)

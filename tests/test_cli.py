@@ -156,6 +156,8 @@ class TestRun:
             ("fig3_coherence", {"attenuation_db": -5000}),
             ("fig3f_slope", {"attenuation_db": -5000}),
             ("scaling_capacity", {"per_channel_nominal_w": 1e-320}),
+            # a 7 PiB sweep array: the allocation fails before memory is used
+            ("fig2_power", {"v_points": 10**15}),
         ],
     )
     def test_failing_run_exits_4_with_one_error_line(self, tmp_path, capsys, scenario, params):

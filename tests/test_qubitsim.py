@@ -188,8 +188,8 @@ class TestCalibration:
             qs.calibrate_pi_pulse(T_G, "cosine")
 
     def test_detection_floor(self):
-        assert qs.detected_population(0.3) == 0.3
-        assert qs.detected_population(1e-4) == 1e-2
+        assert qs.detected_population(0.3, detection_floor=1e-2) == 0.3
+        assert qs.detected_population(1e-4, detection_floor=1e-2) == 1e-2
         assert qs.detected_population(2e-3, detection_floor=1e-3) == 2e-3
 
 

@@ -144,7 +144,7 @@ class TestRunRb:
         lengths, repeats, seed = [1, 5, 20, 64], 6, 9
         noise = CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6)
         table = rb.build_clifford_table()
-        channels = rb.generator_channels(pi_pulse, qs.SimConfig.from_coherence(noise, levels=2))
+        channels = rb.generator_channels(pi_pulse, qs.SimConfig.from_coherence(noise))
         streams = np.random.SeedSequence(seed).spawn(len(lengths) * repeats)
         expected = np.empty((len(lengths), repeats))
         for i, m in enumerate(lengths):
@@ -233,40 +233,42 @@ class TestFitRb:
 
 
 class TestCoherenceLimitedFidelity:
+    # the Lorentzian photon-shot-noise scale fitted for a 40 ns gate
+    K1 = 0.433 * 40e-9 / 3
+
     def test_baseline_coherence_removes_mux_term(self):
-        f = rb.coherence_limited_fidelity(40e-9, 30e-6, 25e-6, 25e-6)
+        f = rb.coherence_limited_fidelity(40e-9, 30e-6, 25e-6, 25e-6, k1=self.K1)
         assert f == pytest.approx(1 - 40e-9 / (3 * 30e-6), rel=1e-12)
 
     def test_calibration_plateau(self):
         c0_extra = 0.9993 - 1 + 40e-9 / (3 * 30e-6)
         f = rb.coherence_limited_fidelity(
-            40e-9, 30e-6, 25e-6, 25e-6, c0_extra=-c0_extra
+            40e-9, 30e-6, 25e-6, 25e-6, c0_extra=-c0_extra, k1=self.K1
         )
         # c0_extra tuned so the saturated fidelity sits at the plateau
         assert f == pytest.approx(0.9993, abs=1e-9)
 
     def test_added_dephasing_penalty(self):
-        base = rb.coherence_limited_fidelity(40e-9, 30e-6, 40e-6, 40e-6)
-        lowered = rb.coherence_limited_fidelity(40e-9, 30e-6, 10e-6, 40e-6)
+        base = rb.coherence_limited_fidelity(40e-9, 30e-6, 40e-6, 40e-6, k1=self.K1)
+        lowered = rb.coherence_limited_fidelity(40e-9, 30e-6, 10e-6, 40e-6, k1=self.K1)
         penalty = base - lowered
-        k1 = 0.433 * 40e-9 / 3
-        assert penalty == pytest.approx(k1 * (1 / 10e-6 - 1 / 40e-6), rel=1e-9)
+        assert penalty == pytest.approx(self.K1 * (1 / 10e-6 - 1 / 40e-6), rel=1e-9)
         assert penalty == pytest.approx(4.33e-4, rel=2e-3)
 
     def test_monotone_in_coherence_and_gate_time(self):
         f = [
-            rb.coherence_limited_fidelity(40e-9, 30e-6, t2, 40e-6)
+            rb.coherence_limited_fidelity(40e-9, 30e-6, t2, 40e-6, k1=self.K1)
             for t2 in (40e-6, 30e-6, 20e-6, 10e-6, 5e-6)
         ]
         assert all(b <= a for a, b in zip(f, f[1:]))
         g = [
-            rb.coherence_limited_fidelity(tg, 30e-6, 20e-6, 40e-6)
+            rb.coherence_limited_fidelity(tg, 30e-6, 20e-6, 40e-6, k1=0.433 * tg / 3)
             for tg in (20e-9, 40e-9, 80e-9)
         ]
         assert all(b <= a for a, b in zip(g, g[1:]))
 
     def test_above_baseline_is_a_valid_limit(self):
-        f = rb.coherence_limited_fidelity(40e-9, 30e-6, 50e-6, 40e-6)
+        f = rb.coherence_limited_fidelity(40e-9, 30e-6, 50e-6, 40e-6, k1=self.K1)
         assert f == pytest.approx(1 - 40e-9 / (3 * 30e-6), rel=1e-12)
 
 
