@@ -13,6 +13,7 @@ Conventions chosen here and kept throughout:
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -88,11 +89,11 @@ class MuxModel:
     )
 
     def __post_init__(self):
-        if self.v_threshold <= 0:
+        if not self.v_threshold > 0:
             raise ConfigError("v_threshold must be positive")
-        if self.isolation_db < 0 or self.insertion_loss_db < 0:
+        if not (self.isolation_db >= 0 and self.insertion_loss_db >= 0):
             raise ConfigError("isolation and insertion loss must be >= 0 dB")
-        if self.rise_time < 0:
+        if not self.rise_time >= 0:
             raise ConfigError("rise_time must be >= 0")
         if not self.dyn_coeff_serial < self.dyn_coeff:
             raise ConfigError("serial-only switching must dissipate less than parallel")
@@ -125,7 +126,7 @@ class MuxModel:
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "MuxModel":
         """Build from a JSON-style mapping with unit-suffixed keys; a malformed
-        entry raises ConfigError."""
+        entry, including a non-finite number, raises ConfigError."""
         if not isinstance(cfg, Mapping):
             raise ConfigError(f"MuxModel config must be a mapping, got {cfg!r}")
         words = {f"{d1}{d0}": (d1, d0) for d1, d0 in DEFAULT_PORT_MAP}
@@ -139,8 +140,11 @@ class MuxModel:
                 kwargs["port_map"] = {words[word]: port for word, port in value.items()}
             elif key not in _MUX_JSON_KEYS:
                 raise ConfigError(f"unknown MuxModel key {key!r}")
-            elif isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ConfigError(f"MuxModel key {key!r} must be a number, got {value!r}")
+            elif isinstance(value, bool) or not (
+                # NaN fails the comparison; ints compare exactly, so huge ones fail too
+                isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+            ):
+                raise ConfigError(f"MuxModel key {key!r} must be a finite number, got {value!r}")
             else:
                 kwargs[_MUX_JSON_KEYS[key]] = float(value)
         return cls(**kwargs)

@@ -20,6 +20,8 @@ import numpy as np
 from .errors import BoundsError, ConfigError, DegenerateDataError, FitError, SingularJacobianError
 
 _MAX_LAMBDA = 1e12
+_FTOL = 1e-10  # converged once an accepted step improves the cost by less than this fraction
+_GTOL = 1e-12  # converged once every scaled gradient component is below this
 
 
 @dataclass
@@ -75,14 +77,12 @@ def least_squares(
     names: Sequence[str] | None = None,
     sigma: Sequence[float] | np.ndarray | None = None,
     max_iter: int = 200,
-    ftol: float = 1e-10,
-    gtol: float = 1e-12,
 ) -> FitResult:
     """Minimize ||(model(x) - data) / sigma||^2 with a damped Gauss-Newton loop.
 
     Steps solve (J^T J + lam diag(J^T J)) dx = -J^T r and are clipped into
     the bounds; lam shrinks on acceptance and grows on rejection. Converges
-    on relative residual change < ftol or gradient norm < gtol. sigma is an
+    on relative residual change < _FTOL or scaled gradient < _GTOL. sigma is an
     optional per-point uncertainty used as inverse weights.
     """
     y = np.asarray(data, dtype=float)
@@ -134,7 +134,7 @@ def least_squares(
         grad = jac.T @ r
         col_norms = np.sqrt((jac * jac).sum(axis=0))
         scaled_grad = np.abs(grad) / np.maximum(col_norms * math.sqrt(cost), 1e-300)
-        if np.max(scaled_grad) < gtol:
+        if np.max(scaled_grad) < _GTOL:
             status, converged = "gradient", True
             break
         jtj = jac.T @ jac
@@ -159,7 +159,7 @@ def least_squares(
                 accepted = True
                 if cost <= cost_floor:
                     status, converged = "residual_floor", True
-                elif improvement <= ftol * max(cost, 1e-300):
+                elif improvement <= _FTOL * max(cost, 1e-300):
                     status, converged = "residual", True
                 break
             lam *= 10.0

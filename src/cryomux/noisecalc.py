@@ -101,7 +101,7 @@ class CoherenceRecord:
     t2_echo: float
 
     def __post_init__(self):
-        if self.t1 <= 0 or self.t2_star <= 0 or self.t2_echo <= 0:
+        if not (self.t1 > 0 and self.t2_star > 0 and self.t2_echo > 0):
             raise ConfigError("coherence times must be positive")
         if self.t2_star > 2 * self.t1 or self.t2_echo > 2 * self.t1:
             raise ConfigError("t2 may not exceed 2*t1")

@@ -7,8 +7,8 @@ density matrix; the step grid is aligned with any discontinuities of the
 gating modulator so the integrator never straddles a step.
 
 States are stepped stage-wise by one RK4 loop, which steps a batch of
-problems that share the pulse and the Liouvillian parts but each have their
-own modulator, as in a gating-window sweep. Every member keeps its own
+density matrices that share the pulse and the Liouvillian parts but each have
+their own modulator, as in a gating-window sweep. Every member keeps its own
 breakpoint-aligned grid; a member with fewer steps is padded at its end with
 zero-length, zero-drive steps, which leave it unchanged. Drive waveforms are
 evaluated a fixed block of steps at a time and sweeps are integrated a fixed
@@ -51,7 +51,7 @@ _SWEEP_CHUNK = 32  # most gating windows integrated in one batch
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """Drive pulse definition.
+    """Drive pulse definition, resonant with the qubit.
 
     shape            : "cosine" (raised-cosine envelope, zero at both ends)
                        or "cosine_drag" (adds first-order leakage corrections)
@@ -59,49 +59,46 @@ class PulseSpec:
     amplitude        : peak Rabi rate (rad/s)
     drag_coefficient : dimensionless scale of the derivative quadrature,
                        -1/anharmonicity convention at 1.0
-    carrier_detuning : drive minus qubit frequency (rad/s)
     """
 
     shape: str
     t_g: float
     amplitude: float
     drag_coefficient: float = 0.0
-    carrier_detuning: float = 0.0
 
     def __post_init__(self):
         if self.shape not in _PULSE_SHAPES:
             raise ConfigError(f"unknown pulse shape {self.shape!r}")
-        if self.t_g <= 0:
+        if not self.t_g > 0:
             raise ConfigError("t_g must be positive")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise ConfigError("amplitude must be >= 0")
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Simulator configuration.
+    """Simulator configuration; 3-level runs shift level 2 by
+    DEFAULT_ANHARMONICITY.
 
-    levels        : 2 or 3
-    dt            : integrator step (s); None derives t_g/2000 per pulse
-    t1            : relaxation time (s) or None for no relaxation
-    t_phi         : pure dephasing time (s) or None
-    anharmonicity : level-2 shift for 3-level runs (rad/s, signed)
+    levels : 2 or 3
+    dt     : integrator step (s); None derives t_g/2000 per pulse
+    t1     : relaxation time (s) or None for no relaxation
+    t_phi  : pure dephasing time (s) or None
     """
 
     levels: int = 2
     dt: float | None = None
     t1: float | None = None
     t_phi: float | None = None
-    anharmonicity: float = DEFAULT_ANHARMONICITY
 
     def __post_init__(self):
         if self.levels not in (2, 3):
             raise ConfigError("levels must be 2 or 3")
-        if self.dt is not None and self.dt <= 0:
+        if self.dt is not None and not self.dt > 0:
             raise ConfigError("dt must be positive")
         for name in ("t1", "t_phi"):
             val = getattr(self, name)
-            if val is not None and val <= 0:
+            if val is not None and not val > 0:
                 raise ConfigError(f"{name} must be positive when set")
 
     @classmethod
@@ -186,7 +183,7 @@ def _liouvillian_parts(config: SimConfig):
     """Static Liouvillian plus the three drive generators.
 
     L(t) = L0 + wx(t) Lx + wy(t) Ly + wn(t) Ln, where Ln couples to the
-    excitation-number operator (detuning terms).
+    excitation-number operator (the DRAG detuning term).
     """
     levels = config.levels
     a = _lowering(levels)
@@ -195,7 +192,7 @@ def _liouvillian_parts(config: SimConfig):
     hy = 1j * (a.conj().T - a) / 2.0
     h0 = np.zeros((levels, levels), dtype=complex)
     if levels == 3:
-        h0[2, 2] = config.anharmonicity
+        h0[2, 2] = DEFAULT_ANHARMONICITY
     l0 = _hamiltonian_superop(h0)
     if config.t1 is not None:
         l0 = l0 + _dissipator_superop(a / math.sqrt(config.t1))
@@ -204,7 +201,7 @@ def _liouvillian_parts(config: SimConfig):
     return l0, _hamiltonian_superop(hx), _hamiltonian_superop(hy), _hamiltonian_superop(nmat)
 
 
-def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator, phase: float):
+def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
     """In-phase, quadrature and number-operator coefficients at times t.
 
     The raised-cosine envelope is zero outside [0, t_g]. DRAG corrections
@@ -217,25 +214,18 @@ def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator, phase: f
     env = np.where(inside, 0.5 * (1.0 - np.cos(TWO_PI * t / t_g)), 0.0)
     mod = np.ones_like(env) if modulator is None else np.asarray(modulator(t), dtype=float)
     wx = pulse.amplitude * env * mod
-    wn = np.full_like(wx, -pulse.carrier_detuning)
     drag_active = (
         pulse.shape == "cosine_drag"
         and pulse.drag_coefficient != 0.0
         and config.levels == 3
     )
-    if drag_active:
-        lam = pulse.drag_coefficient
-        alpha = config.anharmonicity
-        denv = np.where(inside, 0.5 * (TWO_PI / t_g) * np.sin(TWO_PI * t / t_g), 0.0)
-        wy = -lam * pulse.amplitude * denv * mod / alpha
-        wn = wn + (0.5 - lam) * wx * wx / alpha
-    else:
-        wy = np.zeros_like(wx)
-    if phase != 0.0:
-        wx, wy = (
-            wx * math.cos(phase) - wy * math.sin(phase),
-            wx * math.sin(phase) + wy * math.cos(phase),
-        )
+    if not drag_active:
+        return wx, np.zeros_like(wx), np.zeros_like(wx)
+    lam = pulse.drag_coefficient
+    alpha = DEFAULT_ANHARMONICITY
+    denv = np.where(inside, 0.5 * (TWO_PI / t_g) * np.sin(TWO_PI * t / t_g), 0.0)
+    wy = -lam * pulse.amplitude * denv * mod / alpha
+    wn = (0.5 - lam) * wx * wx / alpha
     return wx, wy, wn
 
 
@@ -281,16 +271,20 @@ class _Grid:
         return stencil[:, 2], np.minimum(stencil, self.last[seg][:, None]), dt[:, 0]
 
 
-def _rk4(x: np.ndarray, pulse: PulseSpec, config: SimConfig, modulators, phase, step_hook=None):
-    """Step a batch x of shape (B, d*d, k), member b driven through
-    modulators[b], through [0, t_g] in one loop.
+def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory=None):
+    """Integrate each density matrix rho0[b] through [0, t_g] under
+    modulators[b], all in one RK4 loop, and return the final QubitStates.
 
     Drive waveforms are evaluated _BLOCK_STEPS steps at a time into buffers
     reused by every block. A member whose grid ends early takes zero-length,
-    zero-drive steps, which leave it unchanged. step_hook(x, t), when given,
-    sees x after every step, with t the members' step end times, and returns
-    the array to continue from.
+    zero-drive steps, which leave it unchanged. After every step each member
+    is projected onto Hermitian matrices and its trace checked; trajectory,
+    when a list, receives member 0's (time, rho) after each step. An
+    IntegrationError from the trace check or the final state's validation
+    starts with the member's label.
     """
+    dim = config.levels
+    diagonal = np.arange(dim) * (dim + 1)
     dt_target = _resolve_dt(pulse, config)
     grids = [_Grid(pulse.t_g, dt_target, getattr(m, "breakpoints", None)) for m in modulators]
     n_max = max(grid.n_steps for grid in grids)
@@ -302,6 +296,7 @@ def _rk4(x: np.ndarray, pulse: PulseSpec, config: SimConfig, modulators, phase, 
     wx, wy, wn = drive
     # the Liouvillians at each step's start, midpoint and end, built in place
     l_stages, term = (np.empty((len(grids), 3, *l0.shape), dtype=complex) for _ in range(2))
+    x = np.asarray(rho0, dtype=complex).reshape(len(grids), dim * dim, 1)
     for j0 in range(0, n_max, _BLOCK_STEPS):
         for buffer in (t_end, dt, drive):
             buffer.fill(0.0)
@@ -309,7 +304,7 @@ def _rk4(x: np.ndarray, pulse: PulseSpec, config: SimConfig, modulators, phase, 
             t_end_b, t_eval, dt_b = grid.block(j0, j0 + shape[0])
             n = len(dt_b)
             t_end[:n, b], dt[:n, b, 0, 0] = t_end_b, dt_b
-            drive[:, :n, b, :, 0, 0] = _drive_waveforms(pulse, config, t_eval, modulator, phase)
+            drive[:, :n, b, :, 0, 0] = _drive_waveforms(pulse, config, t_eval, modulator)
         np.multiply(0.5, dt, out=half_dt)
         np.divide(dt, 6.0, out=sixth_dt)
         for i in range(min(_BLOCK_STEPS, n_max - j0)):
@@ -322,38 +317,18 @@ def _rk4(x: np.ndarray, pulse: PulseSpec, config: SimConfig, modulators, phase, 
             k3 = l_b @ (x + half_dt[i] * k2)
             k4 = l_c @ (x + dt[i] * k3)
             x = x + sixth_dt[i] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            if step_hook is not None:
-                x = step_hook(x, t_end[i])
-    return x
-
-
-def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, phase=0.0, trajectory=None):
-    """Integrate each density matrix rho0[b] under modulators[b] and return
-    the final QubitStates.
-
-    After every step each member is projected onto Hermitian matrices and
-    its trace checked; trajectory, when a list, receives member 0's
-    (time, rho) after each step. An IntegrationError from the trace check
-    or the final state's validation starts with the member's label.
-    """
-    dim = config.levels
-    diagonal = np.arange(dim) * (dim + 1)
-
-    def project(x, t):
-        rho = x.reshape(-1, dim, dim)
-        x = (0.5 * (rho + rho.conj().swapaxes(1, 2))).reshape(x.shape)
-        trace = x[:, diagonal, 0].real.sum(axis=1)
-        drift = np.abs(trace - 1.0)
-        if not drift.max() <= _TRACE_TOL:  # max propagates NaN
-            b = np.flatnonzero(~(drift <= _TRACE_TOL))[0]
-            drifted = float(trace[b])
-            raise IntegrationError(f"{labels[b]}trace drifted to {drifted!r} during integration")
-        if trajectory is not None:
-            trajectory.append((t[0], x[0].reshape(dim, dim).copy()))
-        return x
-
-    x = np.asarray(rho0, dtype=complex).reshape(len(modulators), dim * dim, 1)
-    x = _rk4(x, pulse, config, modulators, phase, project)
+            rho = x.reshape(-1, dim, dim)
+            x = (0.5 * (rho + rho.conj().swapaxes(1, 2))).reshape(x.shape)
+            trace = x[:, diagonal, 0].real.sum(axis=1)
+            drift = np.abs(trace - 1.0)
+            if not drift.max() <= _TRACE_TOL:  # max propagates NaN
+                b = np.flatnonzero(~(drift <= _TRACE_TOL))[0]
+                drifted = float(trace[b])
+                raise IntegrationError(
+                    f"{labels[b]}trace drifted to {drifted!r} during integration"
+                )
+            if trajectory is not None:
+                trajectory.append((t_end[i, 0], x[0].reshape(dim, dim).copy()))
     finals = []
     for label, rho in zip(labels, x.reshape(-1, dim, dim)):
         try:
@@ -369,15 +344,13 @@ def evolve(
     envelope_modulator: Callable | None = None,
     config: SimConfig = SimConfig(),
     *,
-    phase: float = 0.0,
     return_trajectory: bool = False,
 ):
     """Integrate the master equation over the pulse window [0, t_g].
 
     envelope_modulator, when given, multiplies the drive amplitude by a
     value in [0, 1] at each time (a `breakpoints` attribute on it marks
-    discontinuities for grid alignment). phase rotates the drive IQ pair,
-    giving gates about axes other than x.
+    discontinuities for grid alignment).
 
     Returns the final QubitState, or (state, times, trajectory) with
     per-step density matrices when return_trajectory is set.
@@ -386,7 +359,7 @@ def evolve(
         raise ConfigError("state dimension does not match config.levels")
     trajectory = [(0.0, state.density_matrix)] if return_trajectory else None
     (final,) = _evolve_batch(
-        state.density_matrix[None], pulse, config, [envelope_modulator], [""], phase, trajectory
+        state.density_matrix[None], pulse, config, [envelope_modulator], [""], trajectory
     )
     if return_trajectory:
         times, traj = zip(*trajectory)
@@ -399,10 +372,10 @@ def gate_channel(
     config: SimConfig = SimConfig(),
     *,
     phase: float = 0.0,
-    envelope_modulator: Callable | None = None,
 ) -> np.ndarray:
-    """Quantum channel of one pulse as a superoperator on vec(rho).
+    """Quantum channel of one ungated pulse as a superoperator on vec(rho).
 
+    phase rotates the drive IQ pair, giving gates about axes other than x.
     The channel (row-major vec, as in evolve) is the product of the RK4 step
     propagators on evolve's grid and drive samples, so composing channels
     reproduces evolve() gate by gate. RK4 is linear in the state, so step j
@@ -417,14 +390,18 @@ def gate_channel(
     benchmarking sequences.
     """
     dim2 = config.levels**2
-    breakpoints = getattr(envelope_modulator, "breakpoints", None)
-    grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), breakpoints)
+    grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), None)
     l0, lx, ly, ln = _liouvillian_parts(config)
     channel = np.eye(dim2, dtype=complex)
     for j0 in range(0, grid.n_steps, _BLOCK_STEPS):
         _, t_eval, h = grid.block(j0, j0 + _BLOCK_STEPS)
-        drive = _drive_waveforms(pulse, config, t_eval, envelope_modulator, phase)
-        wx, wy, wn = (w[..., None, None] for w in drive)
+        wx, wy, wn = _drive_waveforms(pulse, config, t_eval, None)
+        if phase != 0.0:
+            wx, wy = (
+                wx * math.cos(phase) - wy * math.sin(phase),
+                wx * math.sin(phase) + wy * math.cos(phase),
+            )
+        wx, wy, wn = (w[..., None, None] for w in (wx, wy, wn))
         l_stages = l0 + wx * lx + wy * ly + wn * ln  # (n, 3, d*d, d*d)
         l_a, l_b, l_c = l_stages[:, 0], l_stages[:, 1], l_stages[:, 2]
         h = h[:, None, None]
@@ -451,19 +428,17 @@ def calibrate_pi_pulse(
     t_g: float,
     shape: str = "cosine",
     config: SimConfig | None = None,
-    drag_coefficient: float | None = None,
 ) -> PulseSpec:
     """Find the amplitude driving a full ground-to-excited flip.
 
     The amplitude is the analytic pi / integral of the unit envelope
-    (2*pi/t_g for the raised cosine). One decay-free 2-level simulation with
-    the full window open, at config's step, checks that it flips the qubit
-    to within 1e-6.
+    (2*pi/t_g for the raised cosine); cosine_drag pulses get a unit DRAG
+    coefficient. One decay-free 2-level simulation with the full window
+    open, at config's step, checks that it flips the qubit to within 1e-6.
     """
-    if t_g <= 0:
+    if not t_g > 0:
         raise ConfigError("t_g must be positive")
-    if drag_coefficient is None:
-        drag_coefficient = 1.0 if shape == "cosine_drag" else 0.0
+    drag_coefficient = 1.0 if shape == "cosine_drag" else 0.0
     pulse = PulseSpec(shape, t_g, TWO_PI / t_g, drag_coefficient)
     cal_config = SimConfig(levels=2, dt=(config or SimConfig()).dt)
     infidelity = 1.0 - evolve(QubitState.ground(2), pulse, None, cal_config).population(1)
@@ -477,22 +452,20 @@ def tdm_sweep(
     mux,
     pulse: PulseSpec,
     config: SimConfig = SimConfig(),
-    horizon: float | None = None,
 ) -> np.ndarray:
     """Excited-state population after gating the pulse through each window.
 
     Window w opens the target port RF1 for w seconds centered on the pulse
     (idle routing to RF2), with the leakage floor set by the multiplexer
     isolation and transitions following its rise time. Every window is
-    checked against [0, horizon] before any is integrated; the windows are
-    then integrated together, in chunks of at most _SWEEP_CHUNK. Returns
-    p_e per window.
+    checked against the simulation horizon [0, 4 t_g] before any is
+    integrated; the windows are then integrated together, in chunks of at
+    most _SWEEP_CHUNK. Returns p_e per window.
     """
     from .chainmodel import EnvelopeModulator, GatingSchedule
 
     windows = [float(w) for w in windows]
-    if horizon is None:
-        horizon = 4.0 * pulse.t_g
+    horizon = 4.0 * pulse.t_g
     for w in windows:
         if not w >= 0:
             raise ConfigError(f"window must be >= 0, got {w!r}")
@@ -522,11 +495,10 @@ def tdm_experiment(
     mux,
     pulse: PulseSpec,
     config: SimConfig = SimConfig(),
-    horizon: float | None = None,
 ) -> float:
     """Excited-state population after gating the pulse through one window:
     the one-window tdm_sweep."""
-    return float(tdm_sweep([window], mux, pulse, config, horizon)[0])
+    return float(tdm_sweep([window], mux, pulse, config)[0])
 
 
 def detected_population(p_e: float, detection_floor: float) -> float:

@@ -197,24 +197,21 @@ class RbResult:
     r_clifford: float
     r_g: float
     f_1q: float
-    d: int
     p_stderr: float
     f_1q_stderr: float
     fit: FitResult
 
 
-def error_rates_from_decay(
-    p: float, d: int = 2, mean_generator_count: float = MEAN_GENERATOR_COUNT
-) -> tuple[float, float, float]:
+def error_rates_from_decay(p: float) -> tuple[float, float, float]:
     """Map the decay parameter to (r_clifford, r_g, f_1q).
 
-    r_clifford = (1-p)(d-1)/d; the per-gate error divides by the average
-    generator count of the decomposition; f_1q = 1 - r_g.
+    r_clifford = (1-p)(d-1)/d = (1-p)/2 for a qubit (d = 2); the per-gate
+    error divides by MEAN_GENERATOR_COUNT; f_1q = 1 - r_g.
     """
     if not 0.0 < p <= 1.0:
         raise FitError(f"decay rate p = {p!r} outside (0, 1]")
-    r_clifford = (1.0 - p) * (d - 1) / d
-    r_g = r_clifford / mean_generator_count
+    r_clifford = (1.0 - p) / 2.0
+    r_g = r_clifford / MEAN_GENERATOR_COUNT
     return r_clifford, r_g, 1.0 - r_g
 
 
@@ -224,10 +221,9 @@ def fit_rb(lengths, fidelities) -> RbResult:
     if not result.converged:
         raise FitError(f"benchmarking decay fit did not converge: {result.status}")
     p = result.parameters["p"]
-    d = 2
-    r_clifford, r_g, f_1q = error_rates_from_decay(p, d)
+    r_clifford, r_g, f_1q = error_rates_from_decay(p)
     p_stderr = result.standard_errors["p"] if result.standard_errors else float("nan")
-    scale = (d - 1) / d / MEAN_GENERATOR_COUNT
+    scale = 0.5 / MEAN_GENERATOR_COUNT  # |d f_1q / d p|
     return RbResult(
         a=result.parameters["a"],
         b=result.parameters["b"],
@@ -235,7 +231,6 @@ def fit_rb(lengths, fidelities) -> RbResult:
         r_clifford=r_clifford,
         r_g=r_g,
         f_1q=f_1q,
-        d=d,
         p_stderr=p_stderr,
         f_1q_stderr=p_stderr * scale,
         fit=result,

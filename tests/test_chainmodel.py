@@ -169,11 +169,19 @@ class TestMuxModelConfig:
             {"port_map": ["RF1", "RF2", "RF3", "RF4"]},
             {"port_map": {"0x": "RF1", "01": "RF2", "10": "RF3", "11": "RF4"}},
             {"port_map": {"00": 1, "01": "RF2", "10": "RF3", "11": "RF4"}},
+            {"v_threshold_v": math.nan},
+            {"isolation_db": math.inf},
+            {"rise_time_s": 10**400},
         ],
     )
     def test_malformed_config_rejected(self, cfg):
         with pytest.raises(ConfigError):
             cm.MuxModel.from_dict(cfg)
+
+    @pytest.mark.parametrize("name", ["v_threshold", "isolation_db", "insertion_loss_db", "rise_time"])
+    def test_nan_field_rejected(self, name):
+        with pytest.raises(ConfigError):
+            cm.MuxModel(**{name: math.nan})
 
     def test_serial_coefficient_must_undercut_parallel(self):
         with pytest.raises(ConfigError):

@@ -326,6 +326,10 @@ class TestParameterSpec:
             # subnormal lifetimes, whose rates 1/x overflow
             ("fig3_coherence", {"t2_star_baseline_s": 1e-320}),
             ("fig3f_slope", {"t2_echo_on_s": 1e-320}),
+            # mux numbers that are not finite floats
+            ("fig2_power", {"mux": {"v_threshold_v": float("nan")}}),
+            ("fig2_power", {"mux": {"isolation_db": float("inf")}}),
+            ("fig2_power", {"mux": {"rise_time_s": 10**400}}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryomux import noisecalc
-from cryomux.errors import SingularityError
+from cryomux.errors import ConfigError, SingularityError
 
 H = 6.62607015e-34
 KB = 1.380649e-23
@@ -202,6 +202,19 @@ class TestRecords:
     def test_coherence_record_physicality(self):
         with pytest.raises(ValueError):
             noisecalc.CoherenceRecord(t1=10e-6, t2_star=25e-6, t2_echo=10e-6)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            (math.nan, 25e-6, 25e-6),
+            (30e-6, math.nan, 25e-6),
+            (30e-6, 25e-6, math.nan),
+            (math.nan, math.nan, math.nan),
+        ],
+    )
+    def test_coherence_record_rejects_nan(self, times):
+        with pytest.raises(ConfigError):
+            noisecalc.CoherenceRecord(*times)
 
     def test_transmon_params_hz_conversion(self):
         assert DEVICE.kappa_r == pytest.approx(2 * math.pi * 0.697e6)

@@ -109,23 +109,15 @@ class TestEvolve:
         assert leak_drag < leak_plain / 1e3
 
 
-@pytest.mark.parametrize(
-    "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
-)
-def test_gate_channel_matches_evolve(levels, shape, rise_time):
-    """gate_channel multiplies the RK4 step propagators of evolve's grid and
-    drive samples: the channel applied to vec(rho0) is the evolved state, up
-    to evolve's Hermitian projection and rounding."""
-    config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
-    pulse = qs.PulseSpec(shape, T_G, 2 * math.pi / T_G, drag_coefficient=1.0)
-    sched = cm.GatingSchedule.from_mux(cm.MuxModel(), [(10e-9, "RF1"), (30e-9, "RF2")])
-    modulator = cm.EnvelopeModulator(sched, "RF1", rise_time)
-    rho0 = np.zeros((levels, levels), dtype=complex)
-    rho0[:2, :2] = [[0.7, 0.2 - 0.1j], [0.2 + 0.1j, 0.3]]
-    final = qs.evolve(qs.QubitState(rho0), pulse, modulator, config, phase=0.7)
-    channel = qs.gate_channel(pulse, config, phase=0.7, envelope_modulator=modulator)
-    gap = np.max(np.abs(channel @ rho0.reshape(-1) - final.density_matrix.reshape(-1)))
-    assert gap <= 1e-12
+def probe_states(levels):
+    """levels**2 density matrices whose vecs span the operator space: |j><j|
+    and the pure states of (|j> + |k>)/sqrt2 and (|j> + i|k>)/sqrt2, j < k."""
+    eye = np.eye(levels)
+    kets = list(eye)
+    for j in range(levels):
+        for k in range(j + 1, levels):
+            kets += [(eye[j] + eye[k]) / math.sqrt(2), (eye[j] + 1j * eye[k]) / math.sqrt(2)]
+    return np.array([np.outer(ket, ket.conj()) for ket in kets])
 
 
 class TestGateChannel:
@@ -135,23 +127,41 @@ class TestGateChannel:
     def pulse(shape):
         return qs.PulseSpec(shape, T_G, 2 * math.pi / T_G, drag_coefficient=1.0)
 
-    @pytest.mark.parametrize(
-        "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
-    )
-    def test_matches_stage_wise_rk4(self, levels, shape, rise_time):
-        config = qs.SimConfig(levels=levels, **self.CONFIG)
-        # segments of 501 + 1000 + 501 steps: neither a multiple of the
-        # 256-step block nor a power of two, so the last block is ragged
-        events = [(10.001e-9, "RF1"), (29.999e-9, "RF2")]
-        sched = cm.GatingSchedule.from_mux(cm.MuxModel(), events)
-        modulator = cm.EnvelopeModulator(sched, "RF1", rise_time)
-        assert qs._Grid(T_G, T_G / 2000, modulator.breakpoints).n_steps == 2002
+    # T_G/2002.5 gives 2,003 steps: 7 full 256-step blocks and a ragged,
+    # odd-length last one
+    @pytest.mark.parametrize("dt", [None, T_G / 2002.5], ids=["default_grid", "ragged_grid"])
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_matches_evolve_batch(self, levels, shape, dt):
+        """gate_channel multiplies the RK4 step propagators of evolve's grid
+        and drive samples: applied to an informationally complete set of
+        states it gives their stage-wise evolution, up to the Hermitian
+        projection and rounding."""
+        config = qs.SimConfig(levels=levels, dt=dt, **self.CONFIG)
         pulse = self.pulse(shape)
-        channel = qs.gate_channel(pulse, config, phase=0.7, envelope_modulator=modulator)
-        identity = np.eye(levels**2, dtype=complex)[None]
-        stage_wise = qs._rk4(identity, pulse, config, [modulator], 0.7)[0]
-        # measured gap: 4.9e-15 at 2 levels, 5.1e-15 at 3 levels
-        assert np.max(np.abs(channel - stage_wise)) <= 1e-13
+        if dt is not None:
+            assert qs._Grid(T_G, dt, None).n_steps == 2003
+        states = probe_states(levels)
+        vecs = states.reshape(len(states), -1)
+        assert np.linalg.matrix_rank(vecs) == levels**2
+        finals = qs._evolve_batch(states, pulse, config, [None] * len(states), [""] * len(states))
+        evolved = np.array([final.density_matrix.reshape(-1) for final in finals])
+        channel = qs.gate_channel(pulse, config)
+        # measured gap: 1.9e-15 (default grid) and 2.1e-15 (ragged) at 2
+        # levels, 1.02e-14 and 3.9e-15 at 3 levels
+        assert np.max(np.abs(vecs @ channel.T - evolved)) <= 1e-13
+
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_phase_is_a_frame_rotation(self, levels, shape):
+        """A drive phase phi rotates the frame: G(phi) = Z(-phi) G(0) Z(-phi)^+
+        with Z(phi) = U kron U* and U = diag(exp(-i phi k))."""
+        config = qs.SimConfig(levels=levels, **self.CONFIG)
+        pulse = self.pulse(shape)
+        phase = 0.7
+        u = np.diag(np.exp(1j * phase * np.arange(levels)))  # U(-phase)
+        z = np.kron(u, u.conj())
+        rotated = z @ qs.gate_channel(pulse, config) @ z.conj().T
+        # measured gap: 4.1e-15 at 2 levels, 1.0e-14 at 3 levels
+        assert np.max(np.abs(qs.gate_channel(pulse, config, phase=phase) - rotated)) <= 1e-13
 
     @pytest.mark.parametrize("levels, shape, bound", [(2, "cosine", 1e-12), (3, "cosine_drag", 2e-7)])
     def test_converges_to_finer_step(self, levels, shape, bound):
@@ -161,9 +171,48 @@ class TestGateChannel:
         # measured gap: 6.3e-13 at 2 levels, 1.0e-7 at 3 levels
         assert np.max(np.abs(channel - qs.gate_channel(pulse, fine, phase=0.7))) <= bound
 
-    def test_nan_modulator_raises(self, pi_pulse):
+    def test_nan_modulator_raises(self, pi_pulse, monkeypatch):
+        drive = qs._drive_waveforms
+
+        def nan_modulated(pulse, config, t, modulator):
+            return drive(pulse, config, t, ConstantModulator(math.nan))
+
+        monkeypatch.setattr(qs, "_drive_waveforms", nan_modulated)
         with pytest.raises(IntegrationError, match="trace-preserving"):
-            qs.gate_channel(pi_pulse, envelope_modulator=ConstantModulator(math.nan))
+            qs.gate_channel(pi_pulse)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("t_g, amplitude", [(math.nan, 1.0), (T_G, math.nan)])
+    def test_pulse_spec_rejects_nan(self, t_g, amplitude):
+        with pytest.raises(ConfigError):
+            qs.PulseSpec("cosine", t_g, amplitude)
+
+    @pytest.mark.parametrize("field", ["dt", "t1", "t_phi"])
+    def test_sim_config_rejects_nan(self, field):
+        with pytest.raises(ConfigError):
+            qs.SimConfig(**{field: math.nan})
+
+    def test_infinite_t1_is_legal(self):
+        assert qs.SimConfig(t1=math.inf).t1 == math.inf
+
+
+class TestFromCoherence:
+    def test_infinite_t1_means_no_relaxation(self):
+        config = qs.SimConfig.from_coherence(CoherenceRecord(math.inf, 6e-6, 6e-6))
+        assert config.t1 is None
+        assert config.t_phi == pytest.approx(6e-6, rel=1e-15)
+
+    def test_t2_star_at_twice_t1_means_no_dephasing(self):
+        config = qs.SimConfig.from_coherence(CoherenceRecord(30e-6, 60e-6, 60e-6))
+        assert config.t1 == 30e-6
+        assert config.t_phi is None
+
+    def test_pure_dephasing_rate(self):
+        config = qs.SimConfig.from_coherence(CoherenceRecord(30e-6, 6e-6, 6e-6))
+        assert config.t1 == 30e-6
+        assert 1.0 / config.t_phi == pytest.approx(1.0 / 6e-6 - 1.0 / 60e-6, rel=1e-12)
+        assert (config.levels, config.dt) == (2, None)
 
 
 class TestCalibration:
@@ -175,12 +224,15 @@ class TestCalibration:
         assert slow.amplitude == pytest.approx(pi_pulse.amplitude / 2, rel=1e-9)
 
     def test_zero_drag_reduces_to_cosine(self, pi_pulse):
-        drag0 = qs.calibrate_pi_pulse(T_G, "cosine_drag", drag_coefficient=0.0)
-        assert drag0.amplitude == pytest.approx(pi_pulse.amplitude, rel=1e-12)
+        # calibration is 2-level, where the DRAG corrections are inert
+        drag = qs.calibrate_pi_pulse(T_G, "cosine_drag")
+        assert drag.drag_coefficient == 1.0
+        assert drag.amplitude == pytest.approx(pi_pulse.amplitude, rel=1e-12)
 
     def test_invalid_duration(self):
-        with pytest.raises(ConfigError):
-            qs.calibrate_pi_pulse(0.0)
+        for t_g in (0.0, math.nan):
+            with pytest.raises(ConfigError):
+                qs.calibrate_pi_pulse(t_g)
 
     def test_missed_flip_raises(self, monkeypatch):
         monkeypatch.setattr(qs, "evolve", lambda state, *args, **kwargs: state)
@@ -276,7 +328,7 @@ class TestTdmSweep:
         def no_integration(*args, **kwargs):
             raise AssertionError("integrated before the window check")
 
-        monkeypatch.setattr(qs, "_rk4", no_integration)
+        monkeypatch.setattr(qs, "_evolve_batch", no_integration)
         with pytest.raises(ConfigError, match="window"):
             qs.tdm_sweep([10e-9, 20e-9, bad], self.MUX, pi_pulse)
 

@@ -191,7 +191,6 @@ class TestFitRb:
         assert result.r_clifford == pytest.approx(5e-4, rel=1e-4)
         assert result.r_g == pytest.approx(2.667e-4, rel=1e-3)
         assert result.f_1q == pytest.approx(0.99973, abs=1e-5)
-        assert result.d == 2
 
     def test_result_invariants(self):
         m = np.array([1, 5, 20, 80, 300], dtype=float)
