@@ -89,6 +89,9 @@ class MuxModel:
     )
 
     def __post_init__(self):
+        for name in _MUX_JSON_KEYS.values():
+            if not abs(getattr(self, name)) <= sys.float_info.max:
+                raise ConfigError(f"{name} must be a finite number")
         if not self.v_threshold > 0:
             raise ConfigError("v_threshold must be positive")
         if not (self.isolation_db >= 0 and self.insertion_loss_db >= 0):

@@ -19,6 +19,9 @@ Gate channels act on all d*d basis states at once, so instead of stepping
 the identity they are products of the same RK4 step's propagators, built a
 block of steps at a time on the same grid and drive samples: this costs the
 arithmetic of stepping d*d columns without a Python-level loop per step.
+The master equation preserves Hermiticity, so in an orthonormal Hermitian
+operator basis every Liouvillian and propagator is real: channels are built
+in float64 there and mapped back to vec(rho) once.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -367,6 +370,25 @@ def evolve(
     return final
 
 
+def _hermitian_basis(levels: int) -> np.ndarray:
+    """Unitary T whose row a is vec(B_a)* for the orthonormal Hermitian
+    basis E_jj, (E_jk + E_kj)/sqrt2 and i(E_kj - E_jk)/sqrt2 (j < k), in that
+    order, so that E_00 comes first.
+
+    T vec(rho) holds the coordinates Tr(B_a rho), which are real for a
+    Hermitian rho, and a Hermiticity-preserving superoperator S has the real
+    form T S T^+ (at d = 2, the Pauli-transfer matrix up to an orthogonal
+    change of basis).
+    """
+    eye = np.eye(levels)
+    basis = [np.outer(eye[j], eye[j]) for j in range(levels)]
+    for j in range(levels):
+        for k in range(j + 1, levels):
+            e_jk = np.outer(eye[j], eye[k])
+            basis += [(e_jk + e_jk.T) / math.sqrt(2.0), 1j * (e_jk.T - e_jk) / math.sqrt(2.0)]
+    return np.array([b.reshape(-1) for b in basis]).conj()
+
+
 def gate_channel(
     pulse: PulseSpec,
     config: SimConfig = SimConfig(),
@@ -383,16 +405,19 @@ def gate_channel(
         A2 = Lb + h/2 Lb La,  A3 = Lb + h/2 Lb A2,  A4 = Lc + h Lc A3,
         P_j = I + h/6 (La + 2 A2 + 2 A3 + A4),
     La, Lb and Lc being the Liouvillians at the step's start, midpoint and
-    end. The propagators of _BLOCK_STEPS steps are built at once and
-    multiplied pairwise, later steps on the left. Raises IntegrationError
-    unless every entry is finite and the channel preserves trace to within
-    _TRACE_TOL. Useful when the same gate is applied many times, e.g. in
-    benchmarking sequences.
+    end. Every Liouvillian part preserves Hermiticity, so the propagators
+    are built in float64 in the Hermitian basis of _hermitian_basis, where
+    each part is real: _BLOCK_STEPS steps at a time, multiplied pairwise,
+    later steps on the left. The real product R is returned as T^+ R T.
+    Raises IntegrationError unless every entry is finite and the channel
+    preserves trace to within _TRACE_TOL. Useful when the same gate is
+    applied many times, e.g. in benchmarking sequences.
     """
     dim2 = config.levels**2
     grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), None)
-    l0, lx, ly, ln = _liouvillian_parts(config)
-    channel = np.eye(dim2, dtype=complex)
+    basis = _hermitian_basis(config.levels)
+    l0, lx, ly, ln = ((basis @ part @ basis.conj().T).real for part in _liouvillian_parts(config))
+    channel = np.eye(dim2)
     for j0 in range(0, grid.n_steps, _BLOCK_STEPS):
         _, t_eval, h = grid.block(j0, j0 + _BLOCK_STEPS)
         wx, wy, wn = _drive_waveforms(pulse, config, t_eval, None)
@@ -413,6 +438,7 @@ def gate_channel(
             paired = props[1::2] @ props[0:len(props) - 1:2]
             props = np.concatenate([paired, props[-1:]]) if len(props) % 2 else paired
         channel = props[0] @ channel
+    channel = basis.conj().T @ channel @ basis
     vec_identity = np.eye(config.levels).reshape(-1)
     drift = float(np.abs(vec_identity @ channel - vec_identity).max())
     if not (np.isfinite(channel).all() and drift <= _TRACE_TOL):

@@ -6,8 +6,10 @@ gates in total, MEAN_GENERATOR_COUNT = 1.875 per Clifford) and verified by
 the test suite rather than asserted. A run integrates each generator's
 channel once from the pulse simulator and composes the 24 Clifford channels;
 by linearity a sequence's survival is their product applied to the ground
-state, and all repeats of one length advance together as one batched
-product.
+state. The channels act on real coordinates in a Hermitian operator basis,
+and every sequence of every length advances in one loop over Clifford
+positions: at each position the sequences still running take one batched
+step, and a length's sequences take their recovery element when they end.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ import numpy as np
 from .errors import ConfigError, FitError
 from .fitkit import FitResult, fit_rb_decay
 from .noisecalc import CoherenceRecord
-from .qubitsim import PulseSpec, SimConfig, gate_channel
+from .qubitsim import PulseSpec, SimConfig, _hermitian_basis, gate_channel
 
 # Log-spaced ladder up to 1000 Cliffords (the published lengths are not
 # listed; this is a documented choice).
@@ -156,6 +158,8 @@ def run_rb(
     presets use 20. Each (length, repeat) draws its m Cliffords from its own
     random stream of the master seed, so results are reproducible regardless
     of execution order; the recovery element inverts their ideal product.
+    Survival is computed on the real coordinates of _hermitian_basis, one
+    loop of max(lengths) positions advancing every running sequence.
     """
     if pulse is None:
         raise ConfigError("a calibrated pulse is required")
@@ -167,24 +171,37 @@ def run_rb(
     config = SimConfig() if noise is None else SimConfig.from_coherence(noise)
     table = build_clifford_table()
     channels = generator_channels(pulse, config)
-    cliffords = np.array([sequence_unitary(seq, channels) for seq in CLIFFORD_DECOMPOSITIONS])
+    # each Clifford channel in the real Hermitian basis, whose first element
+    # is |0><0|: the ground state is e_0, and a state's survival is its
+    # coordinate 0
+    basis = _hermitian_basis(config.levels)
+    cliffords = np.array([
+        (basis @ sequence_unitary(seq, channels) @ basis.conj().T).real
+        for seq in CLIFFORD_DECOMPOSITIONS
+    ])
     streams = np.random.SeedSequence(seed).spawn(len(lengths) * repeats)
-    survivals = np.empty((len(lengths), repeats))
-    for i, m in enumerate(lengths):
-        steps = np.array([
-            np.random.default_rng(stream).integers(0, len(cliffords), size=m)
-            for stream in streams[i * repeats : (i + 1) * repeats]
-        ])
-        # (repeats, d^2) states from vec(|0><0|); net is each ideal product
-        # so far, whose inverse is the recovery element
-        states = cliffords[steps[:, 0], :, 0]
-        net = steps[:, 0]
-        for step in steps[:, 1:].T:
-            states = np.einsum("rij,rj->ri", cliffords[step], states)
-            net = table.composition[net, step]
-        states = np.einsum("rij,rj->ri", cliffords[table.inverses[net]], states)
-        survivals[i] = states[:, 0].real
-    return np.asarray(lengths, dtype=float), survivals.mean(axis=1)
+    # one row of Clifford indices per sequence, rows ordered by length, so
+    # the sequences still running at any position are a suffix of the rows
+    steps = np.zeros((len(streams), max(lengths, default=0)), dtype=np.int8)
+    for row, stream in enumerate(streams):
+        m = lengths[row // repeats]
+        steps[row, :m] = np.random.default_rng(stream).integers(0, len(cliffords), size=m)
+    # states and net (each ideal product so far, whose inverse is the
+    # recovery element) hold only the running sequences; those of the
+    # shortest running length come first and are dropped when it ends
+    states = np.zeros((len(streams), len(basis)))
+    states[:, 0] = 1.0  # the ground state
+    net = np.zeros(len(streams), dtype=np.int8)  # the identity
+    survivals = []
+    for k in range(steps.shape[1]):
+        step = steps[len(streams) - len(states):, k]
+        states = np.einsum("rij,rj->ri", cliffords[step], states)
+        net = table.composition[net, step]
+        if k + 1 == lengths[len(survivals)]:
+            recovery = cliffords[table.inverses[net[:repeats]], 0]
+            survivals.append(np.einsum("rj,rj->r", recovery, states[:repeats]).mean())
+            states, net = states[repeats:], net[repeats:]
+    return np.asarray(lengths, dtype=float), np.array(survivals)
 
 
 @dataclass(frozen=True)

@@ -82,23 +82,24 @@ def config_hash(name: str, params: Mapping, seed: int) -> str:
 
 
 @dataclass(frozen=True)
-class Above:
-    """Annotated metadata bounding a parameter from below: value > low, or
-    value >= low when inclusive."""
+class Within:
+    """Annotated metadata bounding a parameter: low <= value <= high."""
 
     low: float
-    inclusive: bool = False
+    high: float = math.inf
 
     def admits(self, value) -> bool:
-        return value >= self.low if self.inclusive else value > self.low
+        return self.low <= value <= self.high
 
     def __repr__(self) -> str:
-        return f"{'>=' if self.inclusive else '>'} {self.low:g}"
+        return f">= {self.low:g}" + (f", <= {self.high:g}" if self.high < math.inf else "")
 
 
 # a time span (s); a normal float, so its rate 1/x is finite
-Duration = Annotated[float, Above(sys.float_info.min, inclusive=True)]
-Offset = Annotated[float, Above(0.0, inclusive=True)]  # a time that may be zero (s)
+Duration = Annotated[float, Within(sys.float_info.min)]
+Offset = Annotated[float, Within(0.0)]  # a time that may be zero (s)
+# a loss (dB) whose amplitude 10^(-x/20) is a normal float: at most 6153 dB
+Attenuation = Annotated[float, Within(0.0, math.floor(-20.0 * math.log10(sys.float_info.min)))]
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +240,7 @@ def fig4a_rb(
 def fig4b_tdm(
     rng, *,
     t_g_s: Duration = 40e-9,
-    isolation_db: float = 30.0,
+    isolation_db: Attenuation = 30.0,
     rise_time_s: Offset = 0.0,
     levels: int = 2,
     pulse_shape: str = "cosine",

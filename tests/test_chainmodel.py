@@ -178,10 +178,24 @@ class TestMuxModelConfig:
         with pytest.raises(ConfigError):
             cm.MuxModel.from_dict(cfg)
 
-    @pytest.mark.parametrize("name", ["v_threshold", "isolation_db", "insertion_loss_db", "rise_time"])
+    # static_coeff, esd_static and subthreshold_leak have no range check of
+    # their own: a NaN there made static_power return NaN
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "v_threshold", "isolation_db", "insertion_loss_db", "rise_time", "static_coeff",
+            "esd_static", "subthreshold_leak", "dyn_coeff", "dyn_coeff_serial",
+        ],
+    )
     def test_nan_field_rejected(self, name):
         with pytest.raises(ConfigError):
             cm.MuxModel(**{name: math.nan})
+
+    @pytest.mark.parametrize("value", [math.inf, -math.inf])
+    @pytest.mark.parametrize("name", sorted(cm._MUX_JSON_KEYS.values()))
+    def test_infinite_field_rejected(self, name, value):
+        with pytest.raises(ConfigError, match="finite"):
+            cm.MuxModel(**{name: value})
 
     def test_serial_coefficient_must_undercut_parallel(self):
         with pytest.raises(ConfigError):

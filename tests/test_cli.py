@@ -330,6 +330,9 @@ class TestParameterSpec:
             ("fig2_power", {"mux": {"v_threshold_v": float("nan")}}),
             ("fig2_power", {"mux": {"isolation_db": float("inf")}}),
             ("fig2_power", {"mux": {"rise_time_s": 10**400}}),
+            # isolation outside [0, 6153] dB, where the floor amplitude is normal
+            ("fig4b_tdm", {"window_points": 2, "isolation_db": -5}),
+            ("fig4b_tdm", {"window_points": 2, "isolation_db": 7000}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):
@@ -339,6 +342,12 @@ class TestParameterSpec:
         assert run_cli(verb, cfg, *flags) == 3
         assert_one_error_line(capsys)
         assert not out_dir.exists()
+
+    def test_isolation_bound_is_inclusive(self, tmp_path):
+        cfg = write_config(
+            tmp_path, {"scenario": "fig4b_tdm", "params": {**FAST_TDM, "isolation_db": 6153}}
+        )
+        assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 0
 
     def test_defaults_match_their_annotations(self):
         for scenario in REGISTRY.values():

@@ -112,6 +112,10 @@ class TestSequences:
         with pytest.raises(ConfigError):
             rb.run_rb(lengths, 2, None, pi_pulse)
 
+    def test_empty_lengths_give_an_empty_curve(self, pi_pulse):
+        lengths, survival = rb.run_rb([], 2, None, pi_pulse)
+        assert lengths.shape == survival.shape == (0,)
+
     def test_noise_free_execution_returns_to_ground(self, pi_pulse):
         lengths, survival = rb.run_rb([1, 5, 20], 4, None, pi_pulse, seed=11)
         assert np.all(survival >= 1 - 1e-9)
