@@ -4,17 +4,13 @@ Models the port-gating transmission envelope with finite rise time,
 static/dynamic power dissipation, and a cooling-budget planner for
 channel-count estimates.
 
-Conventions chosen here and kept throughout:
-  * Ports are the strings "RF1".."RF4"; the control word is 2 bits (D1, D0).
-  * The default word-to-port map is (0,0)->RF1, (0,1)->RF2, (1,0)->RF3,
-    (1,1)->RF4; only the first two assignments are fixed by the hardware,
-    the rest is a documented convention.
+Ports are the strings "RF1".."RF4".
 """
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -23,22 +19,13 @@ from .errors import ConfigError
 
 PORTS = ("RF1", "RF2", "RF3", "RF4")
 
-DEFAULT_PORT_MAP: dict[tuple[int, int], str] = {
-    (0, 0): "RF1",
-    (0, 1): "RF2",
-    (1, 0): "RF3",
-    (1, 1): "RF4",
-}
-
-# JSON key (unit-suffixed) of each numeric MuxModel field; the port map is
-# keyed "port_map", with words written as "00".."11".
+# JSON key (unit-suffixed) of each MuxModel field
 _MUX_JSON_KEYS = {
     "v_threshold_v": "v_threshold",
     "static_coeff_w_per_v3": "static_coeff",
     "esd_static_w": "esd_static",
     "subthreshold_leak_w": "subthreshold_leak",
     "dyn_coeff_j_per_hz_v2": "dyn_coeff",
-    "dyn_coeff_serial_j_per_hz_v2": "dyn_coeff_serial",
     "isolation_db": "isolation_db",
     "insertion_loss_db": "insertion_loss_db",
     "rise_time_s": "rise_time",
@@ -46,13 +33,6 @@ _MUX_JSON_KEYS = {
 
 # 10-90% rise time of a first-order response is ln(9) time constants.
 _RISE_TO_TAU = 1.0 / math.log(9.0)
-
-
-def _check_port_map(port_map: Mapping[tuple[int, int], str]) -> None:
-    if set(port_map.keys()) != set(DEFAULT_PORT_MAP.keys()):
-        raise ConfigError("port_map must assign all four 2-bit words")
-    if sorted(port_map.values()) != sorted(PORTS):
-        raise ConfigError("port_map must be a bijection onto RF1..RF4")
 
 
 @dataclass(frozen=True)
@@ -67,12 +47,9 @@ class MuxModel:
     subthreshold_leak: static power below threshold (W), default 0
     dyn_coeff        : dynamic dissipation per switch event (J/Hz/V^2),
                        parallel mode (full RF-switch gate charge)
-    dyn_coeff_serial : same with only the digital logic toggling (a config
-                       field; dynamic_power uses dyn_coeff)
     isolation_db     : worst-case port-to-port isolation (positive dB)
     insertion_loss_db: through-path loss (positive dB)
     rise_time        : 10-90% switching rise/fall time (s)
-    port_map         : (D1, D0) -> RF port assignment
     """
 
     v_threshold: float = 0.6
@@ -80,13 +57,9 @@ class MuxModel:
     esd_static: float = 0.37e-6
     subthreshold_leak: float = 0.0
     dyn_coeff: float = 1.0e-12
-    dyn_coeff_serial: float = 0.26e-12
     isolation_db: float = 30.0
     insertion_loss_db: float = 2.3
     rise_time: float = 2.6e-9
-    port_map: Mapping[tuple[int, int], str] = field(
-        default_factory=lambda: dict(DEFAULT_PORT_MAP)
-    )
 
     def __post_init__(self):
         for name in _MUX_JSON_KEYS.values():
@@ -98,9 +71,6 @@ class MuxModel:
             raise ConfigError("isolation and insertion loss must be >= 0 dB")
         if not self.rise_time >= 0:
             raise ConfigError("rise_time must be >= 0")
-        if not self.dyn_coeff_serial < self.dyn_coeff:
-            raise ConfigError("serial-only switching must dissipate less than parallel")
-        _check_port_map(self.port_map)
 
     def static_power(self, v_dd: float) -> float:
         """Static dissipation (W): leakage below threshold, cubic above."""
@@ -122,9 +92,7 @@ class MuxModel:
         return 10.0 ** (-self.isolation_db / 20.0)
 
     def to_dict(self) -> dict:
-        out = {key: getattr(self, name) for key, name in _MUX_JSON_KEYS.items()}
-        out["port_map"] = {f"{d1}{d0}": port for (d1, d0), port in self.port_map.items()}
-        return out
+        return {key: getattr(self, name) for key, name in _MUX_JSON_KEYS.items()}
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "MuxModel":
@@ -132,16 +100,9 @@ class MuxModel:
         entry, including a non-finite number, raises ConfigError."""
         if not isinstance(cfg, Mapping):
             raise ConfigError(f"MuxModel config must be a mapping, got {cfg!r}")
-        words = {f"{d1}{d0}": (d1, d0) for d1, d0 in DEFAULT_PORT_MAP}
         kwargs = {}
         for key, value in cfg.items():
-            if key == "port_map":
-                if not isinstance(value, Mapping) or not all(
-                    word in words and isinstance(port, str) for word, port in value.items()
-                ):
-                    raise ConfigError(f"port_map must map words '00'..'11' to ports, got {value!r}")
-                kwargs["port_map"] = {words[word]: port for word, port in value.items()}
-            elif key not in _MUX_JSON_KEYS:
+            if key not in _MUX_JSON_KEYS:
                 raise ConfigError(f"unknown MuxModel key {key!r}")
             elif isinstance(value, bool) or not (
                 # NaN fails the comparison; ints compare exactly, so huge ones fail too

@@ -2,26 +2,27 @@
 
 Works in the rotating frame of the drive carrier under the rotating-wave
 approximation, for 2 or 3 levels. The master equation with relaxation and
-pure-dephasing channels is integrated with fixed-step RK4 on the vectorized
-density matrix; the step grid is aligned with any discontinuities of the
-gating modulator so the integrator never straddles a step.
+pure-dephasing channels is integrated with fixed-step RK4; the step grid is
+aligned with any discontinuities of the gating modulator so the integrator
+never straddles a step.
 
-States are stepped stage-wise by one RK4 loop, which steps a batch of
-density matrices that share the pulse and the Liouvillian parts but each have
-their own modulator, as in a gating-window sweep. Every member keeps its own
-breakpoint-aligned grid; a member with fewer steps is padded at its end with
-zero-length, zero-drive steps, which leave it unchanged. Drive waveforms are
-evaluated a fixed block of steps at a time and sweeps are integrated a fixed
-chunk of windows at a time, so memory does not grow with the number of steps
-or windows. A single evolve call is a batch of one.
-
-Gate channels act on all d*d basis states at once, so instead of stepping
-the identity they are products of the same RK4 step's propagators, built a
-block of steps at a time on the same grid and drive samples: this costs the
-arithmetic of stepping d*d columns without a Python-level loop per step.
 The master equation preserves Hermiticity, so in an orthonormal Hermitian
-operator basis every Liouvillian and propagator is real: channels are built
-in float64 there and mapped back to vec(rho) once.
+operator basis every Liouvillian, propagator and density matrix is real.
+States and gate channels are both integrated in float64 there, through one
+RK4 step-propagator formula on the Liouvillian parts mapped into that basis,
+and mapped back to row-major vec(rho) at the end (trajectories at each
+recorded step).
+
+States are stepped by one loop over a batch of density matrices that share
+the pulse but each have their own modulator, as in a gating-window sweep.
+Every member keeps its own breakpoint-aligned grid; a member with fewer
+steps is padded at its end with zero-length, zero-drive steps, which leave
+it unchanged. Drive waveforms are evaluated a fixed block of steps at a time
+and sweeps are integrated a fixed chunk of windows at a time, so memory does
+not grow with the number of steps or windows. A single evolve call is a
+batch of one. Gate channels act on all d*d basis states at once, so they
+are products of the same step propagators, built a block of steps at a time
+without a Python-level loop per step.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -274,55 +275,91 @@ class _Grid:
         return stencil[:, 2], np.minimum(stencil, self.last[seg][:, None]), dt[:, 0]
 
 
+def _hermitian_basis(levels: int) -> np.ndarray:
+    """Unitary T whose row a is vec(B_a)* for the orthonormal Hermitian
+    basis E_jj, (E_jk + E_kj)/sqrt2 and i(E_kj - E_jk)/sqrt2 (j < k), in that
+    order, so that E_00 comes first.
+
+    T vec(rho) holds the coordinates Tr(B_a rho), which are real for a
+    Hermitian rho, and a Hermiticity-preserving superoperator S has the real
+    form T S T^+ (at d = 2, the Pauli-transfer matrix up to an orthogonal
+    change of basis).
+    """
+    eye = np.eye(levels)
+    basis = [np.outer(eye[j], eye[j]) for j in range(levels)]
+    for j in range(levels):
+        for k in range(j + 1, levels):
+            e_jk = np.outer(eye[j], eye[k])
+            basis += [(e_jk + e_jk.T) / math.sqrt(2.0), 1j * (e_jk.T - e_jk) / math.sqrt(2.0)]
+    return np.array([b.reshape(-1) for b in basis]).conj()
+
+
+def _real_liouvillian_parts(config: SimConfig):
+    """L0, Lx, Ly and Ln of _liouvillian_parts in the Hermitian basis of
+    _hermitian_basis. Each preserves Hermiticity, so T L T^+ is real and only
+    rounding is dropped with its imaginary part."""
+    basis = _hermitian_basis(config.levels)
+    return [(basis @ part @ basis.conj().T).real for part in _liouvillian_parts(config)]
+
+
+def _rk4_propagators(l_stages: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Propagators of RK4 steps of lengths h (...) under the Liouvillians
+    l_stages (..., 3, D, D) at each step's start, midpoint and end.
+
+    RK4 is linear in the state, so a step maps x to P x with
+        A2 = Lb + h/2 Lb La,  A3 = Lb + h/2 Lb A2,  A4 = Lc + h Lc A3,
+        P = I + h/6 (La + 2 A2 + 2 A3 + A4),
+    La, Lb and Lc being the stage Liouvillians. A zero-length step gives I.
+    """
+    l_a, l_b, l_c = l_stages[..., 0, :, :], l_stages[..., 1, :, :], l_stages[..., 2, :, :]
+    h = h[..., None, None]
+    a2 = l_b + 0.5 * h * (l_b @ l_a)
+    a3 = l_b + 0.5 * h * (l_b @ a2)
+    a4 = l_c + h * (l_c @ a3)
+    return np.eye(l_a.shape[-1]) + h / 6.0 * (l_a + 2.0 * a2 + 2.0 * a3 + a4)
+
+
 def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory=None):
     """Integrate each density matrix rho0[b] through [0, t_g] under
     modulators[b], all in one RK4 loop, and return the final QubitStates.
 
+    States are real coordinates in the Hermitian basis, so they stay
+    Hermitian; each step applies every member's _rk4_propagators matrix.
     Drive waveforms are evaluated _BLOCK_STEPS steps at a time into buffers
     reused by every block. A member whose grid ends early takes zero-length,
-    zero-drive steps, which leave it unchanged. After every step each member
-    is projected onto Hermitian matrices and its trace checked; trajectory,
-    when a list, receives member 0's (time, rho) after each step. An
-    IntegrationError from the trace check or the final state's validation
-    starts with the member's label.
+    zero-drive steps, which leave it unchanged. After every step each
+    member's trace, the sum of its first d coordinates, is checked;
+    trajectory, when a list, receives member 0's (time, rho) after each
+    step. An IntegrationError from the trace check or the final state's
+    validation starts with the member's label.
     """
     dim = config.levels
-    diagonal = np.arange(dim) * (dim + 1)
+    basis = _hermitian_basis(dim)
     dt_target = _resolve_dt(pulse, config)
     grids = [_Grid(pulse.t_g, dt_target, getattr(m, "breakpoints", None)) for m in modulators]
     n_max = max(grid.n_steps for grid in grids)
-    l0, lx, ly, ln = _liouvillian_parts(config)
+    l0, lx, ly, ln = _real_liouvillian_parts(config)
     shape = (min(_BLOCK_STEPS, n_max), len(grids))  # (step, member)
-    t_end = np.empty(shape)
-    dt, half_dt, sixth_dt = (np.empty((*shape, 1, 1)) for _ in range(3))
+    t_end, dt = np.empty(shape), np.empty(shape)
     drive = np.empty((3, *shape, 3, 1, 1))  # wx, wy, wn at each RK4 stage
     wx, wy, wn = drive
     # the Liouvillians at each step's start, midpoint and end, built in place
-    l_stages, term = (np.empty((len(grids), 3, *l0.shape), dtype=complex) for _ in range(2))
-    x = np.asarray(rho0, dtype=complex).reshape(len(grids), dim * dim, 1)
+    l_stages, term = (np.empty((len(grids), 3, *l0.shape)) for _ in range(2))
+    x = (np.asarray(rho0).reshape(len(grids), dim * dim) @ basis.T).real[..., None]
     for j0 in range(0, n_max, _BLOCK_STEPS):
         for buffer in (t_end, dt, drive):
             buffer.fill(0.0)
         for b, (grid, modulator) in enumerate(zip(grids, modulators)):
             t_end_b, t_eval, dt_b = grid.block(j0, j0 + shape[0])
             n = len(dt_b)
-            t_end[:n, b], dt[:n, b, 0, 0] = t_end_b, dt_b
+            t_end[:n, b], dt[:n, b] = t_end_b, dt_b
             drive[:, :n, b, :, 0, 0] = _drive_waveforms(pulse, config, t_eval, modulator)
-        np.multiply(0.5, dt, out=half_dt)
-        np.divide(dt, 6.0, out=sixth_dt)
         for i in range(min(_BLOCK_STEPS, n_max - j0)):
             np.add(l0, np.multiply(wx[i], lx, out=l_stages), out=l_stages)
             l_stages += np.multiply(wy[i], ly, out=term)
             l_stages += np.multiply(wn[i], ln, out=term)
-            l_a, l_b, l_c = l_stages[:, 0], l_stages[:, 1], l_stages[:, 2]
-            k1 = l_a @ x
-            k2 = l_b @ (x + half_dt[i] * k1)
-            k3 = l_b @ (x + half_dt[i] * k2)
-            k4 = l_c @ (x + dt[i] * k3)
-            x = x + sixth_dt[i] * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            rho = x.reshape(-1, dim, dim)
-            x = (0.5 * (rho + rho.conj().swapaxes(1, 2))).reshape(x.shape)
-            trace = x[:, diagonal, 0].real.sum(axis=1)
+            x = _rk4_propagators(l_stages, dt[i]) @ x
+            trace = x[:, :dim, 0].sum(axis=1)
             drift = np.abs(trace - 1.0)
             if not drift.max() <= _TRACE_TOL:  # max propagates NaN
                 b = np.flatnonzero(~(drift <= _TRACE_TOL))[0]
@@ -331,9 +368,9 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
                     f"{labels[b]}trace drifted to {drifted!r} during integration"
                 )
             if trajectory is not None:
-                trajectory.append((t_end[i, 0], x[0].reshape(dim, dim).copy()))
+                trajectory.append((t_end[i, 0], (x[0, :, 0] @ basis.conj()).reshape(dim, dim)))
     finals = []
-    for label, rho in zip(labels, x.reshape(-1, dim, dim)):
+    for label, rho in zip(labels, (x[..., 0] @ basis.conj()).reshape(-1, dim, dim)):
         try:
             finals.append(QubitState(rho))
         except IntegrationError as exc:
@@ -370,25 +407,6 @@ def evolve(
     return final
 
 
-def _hermitian_basis(levels: int) -> np.ndarray:
-    """Unitary T whose row a is vec(B_a)* for the orthonormal Hermitian
-    basis E_jj, (E_jk + E_kj)/sqrt2 and i(E_kj - E_jk)/sqrt2 (j < k), in that
-    order, so that E_00 comes first.
-
-    T vec(rho) holds the coordinates Tr(B_a rho), which are real for a
-    Hermitian rho, and a Hermiticity-preserving superoperator S has the real
-    form T S T^+ (at d = 2, the Pauli-transfer matrix up to an orthogonal
-    change of basis).
-    """
-    eye = np.eye(levels)
-    basis = [np.outer(eye[j], eye[j]) for j in range(levels)]
-    for j in range(levels):
-        for k in range(j + 1, levels):
-            e_jk = np.outer(eye[j], eye[k])
-            basis += [(e_jk + e_jk.T) / math.sqrt(2.0), 1j * (e_jk.T - e_jk) / math.sqrt(2.0)]
-    return np.array([b.reshape(-1) for b in basis]).conj()
-
-
 def gate_channel(
     pulse: PulseSpec,
     config: SimConfig = SimConfig(),
@@ -398,26 +416,19 @@ def gate_channel(
     """Quantum channel of one ungated pulse as a superoperator on vec(rho).
 
     phase rotates the drive IQ pair, giving gates about axes other than x.
-    The channel (row-major vec, as in evolve) is the product of the RK4 step
-    propagators on evolve's grid and drive samples, so composing channels
-    reproduces evolve() gate by gate. RK4 is linear in the state, so step j
-    maps x to P_j x with
-        A2 = Lb + h/2 Lb La,  A3 = Lb + h/2 Lb A2,  A4 = Lc + h Lc A3,
-        P_j = I + h/6 (La + 2 A2 + 2 A3 + A4),
-    La, Lb and Lc being the Liouvillians at the step's start, midpoint and
-    end. Every Liouvillian part preserves Hermiticity, so the propagators
-    are built in float64 in the Hermitian basis of _hermitian_basis, where
-    each part is real: _BLOCK_STEPS steps at a time, multiplied pairwise,
-    later steps on the left. The real product R is returned as T^+ R T.
-    Raises IntegrationError unless every entry is finite and the channel
-    preserves trace to within _TRACE_TOL. Useful when the same gate is
-    applied many times, e.g. in benchmarking sequences.
+    The channel (row-major vec, as in evolve) is the product of the
+    _rk4_propagators of evolve's grid and drive samples, so composing
+    channels reproduces evolve() gate by gate. The propagators are built in
+    float64 on the real Liouvillian parts, _BLOCK_STEPS steps at a time, and
+    multiplied pairwise, later steps on the left. The real product R is
+    returned as T^+ R T. Raises IntegrationError unless every entry is
+    finite and the channel preserves trace to within _TRACE_TOL. Useful when
+    the same gate is applied many times, e.g. in benchmarking sequences.
     """
-    dim2 = config.levels**2
     grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), None)
     basis = _hermitian_basis(config.levels)
-    l0, lx, ly, ln = ((basis @ part @ basis.conj().T).real for part in _liouvillian_parts(config))
-    channel = np.eye(dim2)
+    l0, lx, ly, ln = _real_liouvillian_parts(config)
+    channel = np.eye(config.levels**2)
     for j0 in range(0, grid.n_steps, _BLOCK_STEPS):
         _, t_eval, h = grid.block(j0, j0 + _BLOCK_STEPS)
         wx, wy, wn = _drive_waveforms(pulse, config, t_eval, None)
@@ -427,13 +438,10 @@ def gate_channel(
                 wx * math.sin(phase) + wy * math.cos(phase),
             )
         wx, wy, wn = (w[..., None, None] for w in (wx, wy, wn))
+        # bound to a local first: passing the sum straight in made a 3-level
+        # channel take 21-29 ms instead of 14 ms on a 2-vCPU host
         l_stages = l0 + wx * lx + wy * ly + wn * ln  # (n, 3, d*d, d*d)
-        l_a, l_b, l_c = l_stages[:, 0], l_stages[:, 1], l_stages[:, 2]
-        h = h[:, None, None]
-        a2 = l_b + 0.5 * h * (l_b @ l_a)
-        a3 = l_b + 0.5 * h * (l_b @ a2)
-        a4 = l_c + h * (l_c @ a3)
-        props = np.eye(dim2) + h / 6.0 * (l_a + 2.0 * a2 + 2.0 * a3 + a4)
+        props = _rk4_propagators(l_stages, h)
         while len(props) > 1:
             paired = props[1::2] @ props[0:len(props) - 1:2]
             props = np.concatenate([paired, props[-1:]]) if len(props) % 2 else paired

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import UnionType
-from typing import Annotated, Callable, Mapping, get_args, get_origin
+from typing import Annotated, Callable, Literal, Mapping, get_args, get_origin
 
 import numpy as np
 
@@ -97,7 +97,8 @@ class Within:
 
 # a time span (s); a normal float, so its rate 1/x is finite
 Duration = Annotated[float, Within(sys.float_info.min)]
-Offset = Annotated[float, Within(0.0)]  # a time that may be zero (s)
+Offset = Annotated[float, Within(0.0)]  # a time that may be zero
+PulseShape = Literal["cosine", "cosine_drag"]
 # a loss (dB) whose amplitude 10^(-x/20) is a normal float: at most 6153 dB
 Attenuation = Annotated[float, Within(0.0, math.floor(-20.0 * math.log10(sys.float_info.min)))]
 
@@ -206,7 +207,7 @@ def fig4a_rb(
     t2_star_values_s: tuple[Duration, ...] = (6e-6, 12e-6, 25e-6),
     lengths: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
     repeats: int = 20,
-    pulse_shape: str = "cosine",
+    pulse_shape: PulseShape = "cosine",
 ) -> list[Table]:
     """Simulated randomized benchmarking fidelity versus 1/T2*"""
     seed_root = int(rng.integers(0, 2**63 - 1))
@@ -242,12 +243,12 @@ def fig4b_tdm(
     t_g_s: Duration = 40e-9,
     isolation_db: Attenuation = 30.0,
     rise_time_s: Offset = 0.0,
-    levels: int = 2,
-    pulse_shape: str = "cosine",
+    levels: Annotated[int, Within(2, 3)] = 2,
+    pulse_shape: PulseShape = "cosine",
     window_start_s: Offset = 0.0,
     window_stop_s: Duration = 60e-9,
     window_points: int = 31,
-    windows_ns: tuple[float, ...] | None = None,
+    windows_ns: tuple[Offset, ...] | None = None,
     detection_floor: float | None = None,
 ) -> list[Table]:
     """Excited-state population versus gating window around the pi pulse"""
@@ -433,9 +434,12 @@ def _conforms(value, kind) -> bool:
     """Whether a JSON value matches a runner annotation. float is a number
     within float range, int a count >= 1, tuple[X, ...] a list of X, and
     X | None also admits null; booleans are never numbers. Annotated[X,
-    bound, ...] is an X that every bound admits."""
+    bound, ...] is an X that every bound admits, and Literal[...] one of its
+    values, of the same type."""
     if isinstance(kind, UnionType):
         return any(_conforms(value, k) for k in get_args(kind))
+    if get_origin(kind) is Literal:
+        return any(type(value) is type(choice) and value == choice for choice in get_args(kind))
     if get_origin(kind) is Annotated:
         base, *bounds = get_args(kind)
         return _conforms(value, base) and all(bound.admits(value) for bound in bounds)

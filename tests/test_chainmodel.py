@@ -42,10 +42,6 @@ class TestDynamicPower:
     def test_low_voltage_projection(self):
         assert cm.MuxModel().dynamic_power(1e6, 0.3) == pytest.approx(90e-9, rel=1e-12)
 
-    def test_serial_coefficient_fraction(self):
-        mux = cm.MuxModel()
-        assert mux.dyn_coeff_serial / mux.dyn_coeff == pytest.approx(0.26, rel=1e-12)
-
     @settings(max_examples=40, derandomize=True)
     @given(
         rate=st.floats(min_value=1.0, max_value=1e8),
@@ -184,7 +180,7 @@ class TestMuxModelConfig:
         "name",
         [
             "v_threshold", "isolation_db", "insertion_loss_db", "rise_time", "static_coeff",
-            "esd_static", "subthreshold_leak", "dyn_coeff", "dyn_coeff_serial",
+            "esd_static", "subthreshold_leak", "dyn_coeff",
         ],
     )
     def test_nan_field_rejected(self, name):
@@ -196,12 +192,3 @@ class TestMuxModelConfig:
     def test_infinite_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match="finite"):
             cm.MuxModel(**{name: value})
-
-    def test_serial_coefficient_must_undercut_parallel(self):
-        with pytest.raises(ConfigError):
-            cm.MuxModel(dyn_coeff=1e-12, dyn_coeff_serial=2e-12)
-
-    def test_custom_port_map_must_be_bijection(self):
-        bad = {(0, 0): "RF1", (0, 1): "RF1", (1, 0): "RF3", (1, 1): "RF4"}
-        with pytest.raises(ConfigError):
-            cm.MuxModel(port_map=bad)

@@ -333,6 +333,14 @@ class TestParameterSpec:
             # isolation outside [0, 6153] dB, where the floor amplitude is normal
             ("fig4b_tdm", {"window_points": 2, "isolation_db": -5}),
             ("fig4b_tdm", {"window_points": 2, "isolation_db": 7000}),
+            # levels, pulse shapes and windows the simulator cannot run
+            ("fig4b_tdm", {**FAST_TDM, "levels": 5}),
+            ("fig4b_tdm", {**FAST_TDM, "pulse_shape": "square"}),
+            ("fig4a_rb", {**FAST_RB, "pulse_shape": "square"}),
+            ("fig4b_tdm", {"windows_ns": [-5]}),
+            # the retired word-to-port map and serial switching coefficient
+            ("fig2_power", {"mux": {"port_map": {"00": "RF2", "01": "RF1", "10": "RF3", "11": "RF4"}}}),
+            ("fig2_power", {"mux": {"dyn_coeff_serial_j_per_hz_v2": 0.26e-12}}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):
@@ -412,3 +420,21 @@ def test_golden_outputs(scenario, tmp_path):
         golden = GOLDEN_DIR / path.name
         assert golden.exists(), f"missing golden file {golden.name}"
         assert path.read_bytes() == golden.read_bytes(), f"{path.name} drifted"
+
+
+def test_three_level_tdm_golden(tmp_path):
+    """The shipped 3-level DRAG config with a finite rise time, against a
+    golden made before the integrator moved to real Hermitian coordinates:
+    the text cells and windows match exactly, every number to 1e-9
+    relative."""
+    cfg = str(CONFIG_DIR / "fig4b_tdm_3level.json")
+    assert run_cli("run", cfg, "--out-dir", str(tmp_path)) == 0
+    got = (tmp_path / "fig4b_tdm_tdm_window_sweep.csv").read_text().splitlines()
+    want = (GOLDEN_DIR / "fig4b_tdm_3level_tdm_window_sweep.csv").read_text().splitlines()
+    assert got[:2] == want[:2] and len(got) == len(want)
+    for got_row, want_row in zip(got[2:], want[2:]):
+        got_cells, want_cells = got_row.split(","), want_row.split(",")
+        assert got_cells[0] == want_cells[0]
+        assert [float(c) for c in got_cells[1:]] == pytest.approx(
+            [float(c) for c in want_cells[1:]], rel=1e-9, abs=0.0
+        )

@@ -134,8 +134,7 @@ class TestGateChannel:
     def test_matches_evolve_batch(self, levels, shape, dt):
         """gate_channel multiplies the RK4 step propagators of evolve's grid
         and drive samples: applied to an informationally complete set of
-        states it gives their stage-wise evolution, up to the Hermitian
-        projection and rounding."""
+        states it gives their step-by-step evolution, up to rounding."""
         config = qs.SimConfig(levels=levels, dt=dt, **self.CONFIG)
         pulse = self.pulse(shape)
         if dt is not None:
@@ -146,8 +145,8 @@ class TestGateChannel:
         finals = qs._evolve_batch(states, pulse, config, [None] * len(states), [""] * len(states))
         evolved = np.array([final.density_matrix.reshape(-1) for final in finals])
         channel = qs.gate_channel(pulse, config)
-        # measured gap: 1.9e-15 (default grid) and 2.1e-15 (ragged) at 2
-        # levels, 1.02e-14 and 3.9e-15 at 3 levels
+        # measured gap: 5.6e-15 (default grid) and 8.5e-15 (ragged) at 2
+        # levels, 1.55e-14 and 1.58e-14 at 3 levels
         assert np.max(np.abs(vecs @ channel.T - evolved)) <= 1e-13
 
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
@@ -197,8 +196,8 @@ class TestGateChannel:
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_liouvillian_parts_are_real_in_hermitian_basis(self, levels):
-        """gate_channel keeps only the real part of T L T^+ for each of L0,
-        Lx, Ly and Ln; what it discards is rounding."""
+        """_real_liouvillian_parts keeps only the real part of T L T^+ for
+        each of L0, Lx, Ly and Ln; what it discards is rounding."""
         basis = qs._hermitian_basis(levels)
         for part in qs._liouvillian_parts(qs.SimConfig(levels=levels, **self.CONFIG)):
             discarded = np.max(np.abs((basis @ part @ basis.conj().T).imag))
