@@ -1,8 +1,8 @@
 """Nonlinear least-squares core and the coherence-analysis fit models.
 
 The solver is a damped Gauss-Newton (Levenberg-Marquardt style) loop:
-deterministic for fixed inputs, analytic Jacobians for every shipped model,
-central finite differences as the fallback for user models. Shipped models:
+deterministic for fixed inputs, with the model's Jacobian supplied by the
+caller (every shipped model has an analytic one). Shipped models:
 single-exponential decay (T1/echo), exponentially damped cosine (Ramsey),
 power-law benchmarking decay A*p^m + B, and the quasiparticle-tunnelling
 double exponential.
@@ -54,26 +54,13 @@ class QpModelParams:
             raise ConfigError("quasiparticle model parameters must be >= 0")
 
 
-def _finite_difference_jacobian(model: Callable, x: np.ndarray) -> np.ndarray:
-    base = np.asarray(model(x), dtype=float)
-    jac = np.empty((base.size, x.size))
-    for j in range(x.size):
-        # step scales with the parameter itself; exact zeros fall back to an
-        # absolute step and recover scale once the parameter moves
-        step = 1e-6 * abs(x[j]) if x[j] != 0.0 else 1e-6
-        xp, xm = x.copy(), x.copy()
-        xp[j] += step
-        xm[j] -= step
-        jac[:, j] = (np.asarray(model(xp)) - np.asarray(model(xm))) / (2.0 * step)
-    return jac
-
-
 def least_squares(
     model: Callable[[np.ndarray], np.ndarray],
     data: Sequence[float] | np.ndarray,
     initial: Sequence[float] | np.ndarray,
     bounds: Sequence[tuple[float, float]] | None = None,
-    jacobian: Callable[[np.ndarray], np.ndarray] | None = None,
+    *,
+    jacobian: Callable[[np.ndarray], np.ndarray],
     names: Sequence[str] | None = None,
     sigma: Sequence[float] | np.ndarray | None = None,
     max_iter: int = 200,
@@ -82,7 +69,8 @@ def least_squares(
 
     Steps solve (J^T J + lam diag(J^T J)) dx = -J^T r and are clipped into
     the bounds; lam shrinks on acceptance and grows on rejection. Converges
-    on relative residual change < _FTOL or scaled gradient < _GTOL. sigma is an
+    on relative residual change < _FTOL or scaled gradient < _GTOL. jacobian
+    maps x to the (len(data), len(x)) derivative of model(x). sigma is an
     optional per-point uncertainty used as inverse weights.
     """
     y = np.asarray(data, dtype=float)
@@ -105,15 +93,12 @@ def least_squares(
         if np.any(x < lo) or np.any(x > hi):
             raise BoundsError("initial guess violates the parameter bounds")
     raw_model = model
-    raw_jac = jacobian if jacobian is not None else (
-        lambda p: _finite_difference_jacobian(raw_model, p)
-    )
     if weights is None:
-        jac_fn = raw_jac
+        jac_fn = jacobian
     else:
         y = y * weights
         model = lambda p: np.asarray(raw_model(p), dtype=float) * weights
-        jac_fn = lambda p: np.asarray(raw_jac(p), dtype=float) * weights[:, None]
+        jac_fn = lambda p: np.asarray(jacobian(p), dtype=float) * weights[:, None]
 
     r = np.asarray(model(x), dtype=float) - y
     cost = float(r @ r)

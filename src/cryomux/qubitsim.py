@@ -8,21 +8,24 @@ never straddles a step.
 
 The master equation preserves Hermiticity, so in an orthonormal Hermitian
 operator basis every Liouvillian, propagator and density matrix is real.
-States and gate channels are both integrated in float64 there, through one
-RK4 step-propagator formula on the Liouvillian parts mapped into that basis,
-and mapped back to row-major vec(rho) at the end (trajectories at each
-recorded step).
+States and gate channels are both integrated in float64 there, on the
+Liouvillian parts mapped into that basis, and mapped back to row-major
+vec(rho) at the end (trajectories at each recorded step).
 
 States are stepped by one loop over a batch of density matrices that share
 the pulse but each have their own modulator, as in a gating-window sweep.
-Every member keeps its own breakpoint-aligned grid; a member with fewer
-steps is padded at its end with zero-length, zero-drive steps, which leave
-it unchanged. Drive waveforms are evaluated a fixed block of steps at a time
-and sweeps are integrated a fixed chunk of windows at a time, so memory does
-not grow with the number of steps or windows. A single evolve call is a
-batch of one. Gate channels act on all d*d basis states at once, so they
-are products of the same step propagators, built a block of steps at a time
-without a Python-level loop per step.
+Each RK4 stage is applied to the state vectors themselves: the Liouvillian
+is a weighted sum of four fixed parts, so one matrix product of the batch
+with the stacked parts serves every member, and each member's drive weights
+complete it. Every member keeps its own breakpoint-aligned grid; a member
+with fewer steps is padded at its end with zero-length, zero-drive steps,
+which leave it unchanged. Drive weights are evaluated a fixed block of steps
+at a time and sweeps are integrated a fixed chunk of windows at a time, so
+memory does not grow with the number of steps or windows. A single evolve
+call is a batch of one. Gate channels act on all d*d basis states at once,
+so they are products of the RK4 step propagators of the same grid and drive
+samples, built a block of steps at a time without a Python-level loop per
+step.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -324,42 +327,56 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
     modulators[b], all in one RK4 loop, and return the final QubitStates.
 
     States are real coordinates in the Hermitian basis, so they stay
-    Hermitian; each step applies every member's _rk4_propagators matrix.
-    Drive waveforms are evaluated _BLOCK_STEPS steps at a time into buffers
-    reused by every block. A member whose grid ends early takes zero-length,
-    zero-drive steps, which leave it unchanged. After every step each
-    member's trace, the sum of its first d coordinates, is checked;
-    trajectory, when a list, receives member 0's (time, rho) after each
-    step. An IntegrationError from the trace check or the final state's
-    validation starts with the member's label.
+    Hermitian. Each RK4 stage is applied to the state vectors themselves:
+    L(t) x = sum_p w_p(t) L_p x, so one product of the states with the
+    stacked parts L0, Lx, Ly and Ln serves every member, and each member's
+    weights (1, wx, wy, wn) at that stage complete it; no member forms a
+    step propagator, which would cost d*d times more. The weights are
+    evaluated _BLOCK_STEPS steps at a time into a buffer reused by every
+    block. A member whose grid ends early takes zero-length, zero-drive
+    steps, which leave it unchanged. After every step each member's trace,
+    the sum of its first d coordinates, is checked; trajectory, when a
+    list, receives member 0's (time, rho) after each step. An
+    IntegrationError from the trace check or the final state's validation
+    starts with the member's label.
     """
     dim = config.levels
     basis = _hermitian_basis(dim)
     dt_target = _resolve_dt(pulse, config)
     grids = [_Grid(pulse.t_g, dt_target, getattr(m, "breakpoints", None)) for m in modulators]
     n_max = max(grid.n_steps for grid in grids)
-    l0, lx, ly, ln = _real_liouvillian_parts(config)
-    shape = (min(_BLOCK_STEPS, n_max), len(grids))  # (step, member)
-    t_end, dt = np.empty(shape), np.empty(shape)
-    drive = np.empty((3, *shape, 3, 1, 1))  # wx, wy, wn at each RK4 stage
-    wx, wy, wn = drive
-    # the Liouvillians at each step's start, midpoint and end, built in place
-    l_stages, term = (np.empty((len(grids), 3, *l0.shape)) for _ in range(2))
-    x = (np.asarray(rho0).reshape(len(grids), dim * dim) @ basis.T).real[..., None]
+    parts_t = np.concatenate(_real_liouvillian_parts(config)).T  # (D, 4D)
+    n_members, n_parts = len(grids), 4
+    shape = (min(_BLOCK_STEPS, n_max), n_members)  # (step, member)
+    t_end, dt = np.empty(shape), np.empty((*shape, 1))
+    # weights[i, s, b, 0] of L0, Lx, Ly and Ln at RK4 stage s of member b's step i
+    weights = np.empty((shape[0], 3, n_members, 1, n_parts))
+    trace_row = (np.arange(dim * dim) < dim).astype(float)  # sums the first d coordinates
+
+    def stage(w, y):  # sum_p w[b, 0, p] L_p y[b] for every member b
+        return (w @ (y @ parts_t).reshape(n_members, n_parts, -1))[:, 0]
+
+    x = (np.asarray(rho0).reshape(n_members, dim * dim) @ basis.T).real
     for j0 in range(0, n_max, _BLOCK_STEPS):
-        for buffer in (t_end, dt, drive):
+        for buffer in (t_end, dt, weights):
             buffer.fill(0.0)
+        weights[..., 0] = 1.0
         for b, (grid, modulator) in enumerate(zip(grids, modulators)):
             t_end_b, t_eval, dt_b = grid.block(j0, j0 + shape[0])
             n = len(dt_b)
-            t_end[:n, b], dt[:n, b] = t_end_b, dt_b
-            drive[:, :n, b, :, 0, 0] = _drive_waveforms(pulse, config, t_eval, modulator)
+            t_end[:n, b], dt[:n, b, 0] = t_end_b, dt_b
+            for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
+                weights[:n, :, b, 0, p] = w
         for i in range(min(_BLOCK_STEPS, n_max - j0)):
-            np.add(l0, np.multiply(wx[i], lx, out=l_stages), out=l_stages)
-            l_stages += np.multiply(wy[i], ly, out=term)
-            l_stages += np.multiply(wn[i], ln, out=term)
-            x = _rk4_propagators(l_stages, dt[i]) @ x
-            trace = x[:, :dim, 0].sum(axis=1)
+            w_a, w_b, w_c = weights[i]
+            h = dt[i]
+            half_h = 0.5 * h
+            k1 = stage(w_a, x)
+            k2 = stage(w_b, x + half_h * k1)
+            k3 = stage(w_b, x + half_h * k2)
+            k4 = stage(w_c, x + h * k3)
+            x = x + h / 6.0 * (k1 + k4 + 2.0 * (k2 + k3))
+            trace = x @ trace_row
             drift = np.abs(trace - 1.0)
             if not drift.max() <= _TRACE_TOL:  # max propagates NaN
                 b = np.flatnonzero(~(drift <= _TRACE_TOL))[0]
@@ -368,9 +385,9 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
                     f"{labels[b]}trace drifted to {drifted!r} during integration"
                 )
             if trajectory is not None:
-                trajectory.append((t_end[i, 0], (x[0, :, 0] @ basis.conj()).reshape(dim, dim)))
+                trajectory.append((t_end[i, 0], (x[0] @ basis.conj()).reshape(dim, dim)))
     finals = []
-    for label, rho in zip(labels, (x[..., 0] @ basis.conj()).reshape(-1, dim, dim)):
+    for label, rho in zip(labels, (x @ basis.conj()).reshape(-1, dim, dim)):
         try:
             finals.append(QubitState(rho))
         except IntegrationError as exc:
@@ -418,12 +435,13 @@ def gate_channel(
     phase rotates the drive IQ pair, giving gates about axes other than x.
     The channel (row-major vec, as in evolve) is the product of the
     _rk4_propagators of evolve's grid and drive samples, so composing
-    channels reproduces evolve() gate by gate. The propagators are built in
-    float64 on the real Liouvillian parts, _BLOCK_STEPS steps at a time, and
-    multiplied pairwise, later steps on the left. The real product R is
-    returned as T^+ R T. Raises IntegrationError unless every entry is
-    finite and the channel preserves trace to within _TRACE_TOL. Useful when
-    the same gate is applied many times, e.g. in benchmarking sequences.
+    channels reproduces evolve() gate by gate, up to rounding. The
+    propagators are built in float64 on the real Liouvillian parts,
+    _BLOCK_STEPS steps at a time, and multiplied pairwise, later steps on
+    the left. The real product R is returned as T^+ R T. Raises
+    IntegrationError unless every entry is finite and the channel preserves
+    trace to within _TRACE_TOL. Useful when the same gate is applied many
+    times, e.g. in benchmarking sequences.
     """
     grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), None)
     basis = _hermitian_basis(config.levels)

@@ -101,6 +101,12 @@ Offset = Annotated[float, Within(0.0)]  # a time that may be zero
 PulseShape = Literal["cosine", "cosine_drag"]
 # a loss (dB) whose amplitude 10^(-x/20) is a normal float: at most 6153 dB
 Attenuation = Annotated[float, Within(0.0, math.floor(-20.0 * math.log10(sys.float_info.min)))]
+# counts are bounded so that no single one can make a run last hours: a
+# closed-form sweep point costs microseconds, a gating window milliseconds
+Points = Annotated[int, Within(1, 10_000)]
+# 1 to 20 RB sequence lengths (a bound on a tuple bounds its number of
+# items), each at most 10,000; paper scale is 10 lengths up to 1,000
+SequenceLengths = Annotated[tuple[Annotated[int, Within(1, 10_000)], ...], Within(1, 20)]
 
 
 # ---------------------------------------------------------------------------
@@ -112,10 +118,10 @@ def fig2_power(
     rng, *,
     v_start_v: float = 0.0,
     v_stop_v: float = 0.9,
-    v_points: int = 91,
+    v_points: Points = 91,
     dynamic_v_dd_v: tuple[float, ...] = (0.7, 0.9),
     rate_stop_hz: float = 10e6,
-    rate_points: int = 21,
+    rate_points: Points = 21,
     mux: dict = {},
 ) -> list[Table]:
     """Static and dynamic power dissipation sweeps of the multiplexer"""
@@ -145,7 +151,7 @@ def fig3_coherence(
     v_full_on_v: float = 0.7,
     v_start_v: float = 0.0,
     v_stop_v: float = 0.9,
-    v_points: int = 46,
+    v_points: Points = 46,
     mux: dict = {},
 ) -> list[Table]:
     """Qubit coherence versus multiplexer bias from the occupancy model"""
@@ -178,7 +184,7 @@ def fig3f_slope(
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
     attenuation_db: float = 13.0,
     rate_stop_hz: float = 1e6,
-    rate_points: int = 21,
+    rate_points: Points = 21,
 ) -> list[Table]:
     """Dephasing rate and occupancy versus multiplexer switching rate"""
     device = noisecalc.TransmonParams.default()
@@ -205,8 +211,8 @@ def fig4a_rb(
     t_g_s: Duration = 40e-9,
     t1_s: Duration = 30e-6,
     t2_star_values_s: tuple[Duration, ...] = (6e-6, 12e-6, 25e-6),
-    lengths: tuple[int, ...] = (2, 4, 8, 16, 32, 64, 128, 256),
-    repeats: int = 20,
+    lengths: SequenceLengths = (2, 4, 8, 16, 32, 64, 128, 256),
+    repeats: Annotated[int, Within(1, 1_000)] = 20,
     pulse_shape: PulseShape = "cosine",
 ) -> list[Table]:
     """Simulated randomized benchmarking fidelity versus 1/T2*"""
@@ -247,7 +253,7 @@ def fig4b_tdm(
     pulse_shape: PulseShape = "cosine",
     window_start_s: Offset = 0.0,
     window_stop_s: Duration = 60e-9,
-    window_points: int = 31,
+    window_points: Annotated[int, Within(1, 1_000)] = 31,
     windows_ns: tuple[Offset, ...] | None = None,
     detection_floor: float | None = None,
 ) -> list[Table]:
@@ -434,15 +440,18 @@ def _conforms(value, kind) -> bool:
     """Whether a JSON value matches a runner annotation. float is a number
     within float range, int a count >= 1, tuple[X, ...] a list of X, and
     X | None also admits null; booleans are never numbers. Annotated[X,
-    bound, ...] is an X that every bound admits, and Literal[...] one of its
-    values, of the same type."""
+    bound, ...] is an X that every bound admits (for a tuple X, its number
+    of items), and Literal[...] one of its values, of the same type."""
     if isinstance(kind, UnionType):
         return any(_conforms(value, k) for k in get_args(kind))
     if get_origin(kind) is Literal:
         return any(type(value) is type(choice) and value == choice for choice in get_args(kind))
     if get_origin(kind) is Annotated:
         base, *bounds = get_args(kind)
-        return _conforms(value, base) and all(bound.admits(value) for bound in bounds)
+        if not _conforms(value, base):
+            return False
+        size = len(value) if get_origin(base) is tuple else value
+        return all(bound.admits(size) for bound in bounds)
     if get_origin(kind) is tuple:
         item = get_args(kind)[0]
         return isinstance(value, (list, tuple)) and all(_conforms(v, item) for v in value)

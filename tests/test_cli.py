@@ -4,11 +4,13 @@ import subprocess
 import sys
 import tempfile
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cryomux import rbengine
 from cryomux.cli import main
 from cryomux.scenarios import REGISTRY, merge_params
 
@@ -156,8 +158,6 @@ class TestRun:
             ("fig3_coherence", {"attenuation_db": -5000}),
             ("fig3f_slope", {"attenuation_db": -5000}),
             ("scaling_capacity", {"per_channel_nominal_w": 1e-320}),
-            # a 7 PiB sweep array: the allocation fails before memory is used
-            ("fig2_power", {"v_points": 10**15}),
         ],
     )
     def test_failing_run_exits_4_with_one_error_line(self, tmp_path, capsys, scenario, params):
@@ -167,6 +167,17 @@ class TestRun:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert run_cli("run", cfg, "--out-dir", str(out_dir)) == 4
+        assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
+    def test_memory_error_exits_4_with_one_error_line(self, tmp_path, capsys, monkeypatch):
+        def out_of_memory(*args, **kwargs):
+            raise MemoryError("Unable to allocate 7.11 PiB for an array")
+
+        monkeypatch.setitem(REGISTRY, "fig2_power", replace(REGISTRY["fig2_power"], runner=out_of_memory))
+        cfg = write_config(tmp_path, {"scenario": "fig2_power"})
+        out_dir = tmp_path / "out"
+        assert run_cli("run", cfg, "--out-dir", str(out_dir)) == 4
         assert_one_error_line(capsys)
         assert not out_dir.exists()
 
@@ -350,6 +361,53 @@ class TestParameterSpec:
         assert run_cli(verb, cfg, *flags) == 3
         assert_one_error_line(capsys)
         assert not out_dir.exists()
+
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("fig2_power", {"v_points": 10_001}),
+            ("fig2_power", {"rate_points": 10**12}),
+            ("fig3_coherence", {"v_points": 10**12}),
+            ("fig3f_slope", {"rate_points": 10_001}),
+            ("fig4b_tdm", {"window_points": 1_001}),
+            ("fig4a_rb", {"repeats": 1_001}),
+            ("fig4a_rb", {"repeats": 10**12}),
+            ("fig4a_rb", {"lengths": [2, 10_001]}),
+            ("fig4a_rb", {"lengths": list(range(1, 22))}),
+            ("fig4a_rb", {"lengths": []}),
+        ],
+    )
+    def test_count_over_its_bound_exits_3_before_any_work(
+        self, tmp_path, capsys, monkeypatch, verb, scenario, params
+    ):
+        """The scenario runner, which sizes every array and loop from the
+        counts, is never reached."""
+
+        def never_run(*args, **kwargs):
+            raise AssertionError("the scenario ran before its counts were checked")
+
+        monkeypatch.setitem(REGISTRY, scenario, replace(REGISTRY[scenario], runner=never_run))
+        cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+        out_dir = tmp_path / "out"
+        flags = ("--out-dir", str(out_dir)) if verb == "run" else ()
+        assert run_cli(verb, cfg, *flags) == 3
+        assert_one_error_line(capsys)
+        assert not out_dir.exists()
+
+    def test_count_bounds_are_inclusive_and_admit_paper_scale(self):
+        at_bounds = {
+            "fig2_power": {"v_points": 10_000, "rate_points": 10_000},
+            "fig3_coherence": {"v_points": 10_000},
+            "fig3f_slope": {"rate_points": 10_000},
+            "fig4b_tdm": {"window_points": 1_000},
+            "fig4a_rb": {"lengths": list(range(9_981, 10_001)), "repeats": 1_000},
+        }
+        for scenario, params in at_bounds.items():
+            merged = merge_params(REGISTRY[scenario], params)
+            assert {key: merged[key] for key in params} == params
+        paper = {"lengths": list(rbengine.DEFAULT_SEQUENCE_LENGTHS), "repeats": 80}
+        assert merge_params(REGISTRY["fig4a_rb"], paper)["repeats"] == 80
 
     def test_isolation_bound_is_inclusive(self, tmp_path):
         cfg = write_config(
