@@ -17,10 +17,13 @@ the pulse but each have their own modulator, as in a gating-window sweep.
 Each RK4 stage is applied to the state vectors themselves: the Liouvillian
 is a weighted sum of four fixed parts, so one matrix product of the batch
 with the stacked parts serves every member, and each member's drive weights
-complete it. Every member keeps its own breakpoint-aligned grid; a member
-with fewer steps is padded at its end with zero-length, zero-drive steps,
-which leave it unchanged. Drive weights are evaluated a fixed block of steps
-at a time and sweeps are integrated a fixed chunk of windows at a time, so
+complete it. Those weights are stored already scaled by half the member's
+step, so the step length costs no arithmetic inside the step loop. Every
+member keeps its own breakpoint-aligned grid; a member with fewer steps is
+padded at its end with zero-length steps, whose weights are all zero, which
+leave it unchanged. Drive weights are evaluated a fixed block of steps at a
+time, every member's trace is recorded after each step and checked once the
+block ends, and sweeps are integrated a fixed chunk of windows at a time, so
 memory does not grow with the number of steps or windows. A single evolve
 call is a batch of one. Gate channels act on all d*d basis states at once,
 so they are products of the RK4 step propagators of the same grid and drive
@@ -174,16 +177,24 @@ def _lowering(levels: int) -> np.ndarray:
     return a
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two d x d matrices as one broadcast product, without
+    np.kron's general-shape overhead; every entry is the same single
+    multiplication, so the result is bit-identical."""
+    d = len(a)
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(d * d, d * d)
+
+
 def _hamiltonian_superop(h: np.ndarray) -> np.ndarray:
     # row-major vec convention: vec(A rho B) = (A kron B^T) vec(rho)
     eye = np.eye(h.shape[0])
-    return -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    return -1j * (_kron(h, eye) - _kron(eye, h.T))
 
 
 def _dissipator_superop(c: np.ndarray) -> np.ndarray:
     eye = np.eye(c.shape[0])
     cdc = c.conj().T @ c
-    return np.kron(c, c.conj()) - 0.5 * (np.kron(cdc, eye) + np.kron(eye, cdc.T))
+    return _kron(c, c.conj()) - 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
 
 
 def _liouvillian_parts(config: SimConfig):
@@ -330,15 +341,25 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
     Hermitian. Each RK4 stage is applied to the state vectors themselves:
     L(t) x = sum_p w_p(t) L_p x, so one product of the states with the
     stacked parts L0, Lx, Ly and Ln serves every member, and each member's
-    weights (1, wx, wy, wn) at that stage complete it; no member forms a
-    step propagator, which would cost d*d times more. The weights are
-    evaluated _BLOCK_STEPS steps at a time into a buffer reused by every
-    block. A member whose grid ends early takes zero-length, zero-drive
-    steps, which leave it unchanged. After every step each member's trace,
-    the sum of its first d coordinates, is checked; trajectory, when a
-    list, receives member 0's (time, rho) after each step. An
-    IntegrationError from the trace check or the final state's validation
-    starts with the member's label.
+    weights at that stage complete it; no member forms a step propagator,
+    which would cost d*d times more. The weights are evaluated _BLOCK_STEPS
+    steps at a time into a buffer reused by every block, already multiplied
+    by half the member's step h: (h/2)(1, wx, wy, wn). Stage s then yields
+    a_s = (h/2) k_s, and a step is
+        x <- x + (a1 + a4 + 2 (a2 + a3)) / 3
+    with stage inputs x, x + a1, x + a2 and x + 2 a3. A member whose grid
+    ends early takes zero-length steps with all-zero weights, which leave it
+    unchanged.
+
+    After every step each member's trace, the sum of its first d
+    coordinates, is recorded; once the block ends, every recorded trace is
+    checked, and the first drift in step order (the lowest member within a
+    step) raises IntegrationError. An unstable member can overflow before
+    its block ends, so the block runs with numpy's overflow and
+    invalid-value warnings off; the check still fails on its inf or NaN
+    trace. trajectory, when a list, receives member 0's (time, rho) after
+    each step. An IntegrationError from the trace check or the final
+    state's validation starts with the member's label.
     """
     dim = config.levels
     basis = _hermitian_basis(dim)
@@ -348,8 +369,9 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
     parts_t = np.concatenate(_real_liouvillian_parts(config)).T  # (D, 4D)
     n_members, n_parts = len(grids), 4
     shape = (min(_BLOCK_STEPS, n_max), n_members)  # (step, member)
-    t_end, dt = np.empty(shape), np.empty((*shape, 1))
-    # weights[i, s, b, 0] of L0, Lx, Ly and Ln at RK4 stage s of member b's step i
+    t_end, traces = np.empty(shape), np.empty(shape)
+    # weights[i, s, b, 0] of L0, Lx, Ly and Ln at RK4 stage s of member b's
+    # step i, times half that step's length
     weights = np.empty((shape[0], 3, n_members, 1, n_parts))
     trace_row = (np.arange(dim * dim) < dim).astype(float)  # sums the first d coordinates
 
@@ -358,34 +380,35 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
 
     x = (np.asarray(rho0).reshape(n_members, dim * dim) @ basis.T).real
     for j0 in range(0, n_max, _BLOCK_STEPS):
-        for buffer in (t_end, dt, weights):
-            buffer.fill(0.0)
-        weights[..., 0] = 1.0
+        n_block = min(_BLOCK_STEPS, n_max - j0)
+        t_end.fill(0.0)
+        weights.fill(0.0)
         for b, (grid, modulator) in enumerate(zip(grids, modulators)):
-            t_end_b, t_eval, dt_b = grid.block(j0, j0 + shape[0])
+            t_end_b, t_eval, dt_b = grid.block(j0, j0 + n_block)
             n = len(dt_b)
-            t_end[:n, b], dt[:n, b, 0] = t_end_b, dt_b
+            t_end[:n, b] = t_end_b
+            half_h = 0.5 * dt_b[:, None]
+            weights[:n, :, b, 0, 0] = half_h
             for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
-                weights[:n, :, b, 0, p] = w
-        for i in range(min(_BLOCK_STEPS, n_max - j0)):
-            w_a, w_b, w_c = weights[i]
-            h = dt[i]
-            half_h = 0.5 * h
-            k1 = stage(w_a, x)
-            k2 = stage(w_b, x + half_h * k1)
-            k3 = stage(w_b, x + half_h * k2)
-            k4 = stage(w_c, x + h * k3)
-            x = x + h / 6.0 * (k1 + k4 + 2.0 * (k2 + k3))
-            trace = x @ trace_row
-            drift = np.abs(trace - 1.0)
+                weights[:n, :, b, 0, p] = half_h * w
+        # an unstable member may overflow before the block's check below
+        with np.errstate(over="ignore", invalid="ignore"):
+            for i in range(n_block):
+                w_a, w_b, w_c = weights[i]
+                a1 = stage(w_a, x)  # a_s = h/2 k_s
+                a2 = stage(w_b, x + a1)
+                a3 = stage(w_b, x + a2)
+                a4 = stage(w_c, x + 2.0 * a3)
+                x = x + (a1 + a4 + 2.0 * (a2 + a3)) / 3.0
+                np.matmul(x, trace_row, out=traces[i])
+                if trajectory is not None:
+                    trajectory.append((t_end[i, 0], (x[0] @ basis.conj()).reshape(dim, dim)))
+            drift = np.abs(traces[:n_block] - 1.0)
             if not drift.max() <= _TRACE_TOL:  # max propagates NaN
-                b = np.flatnonzero(~(drift <= _TRACE_TOL))[0]
-                drifted = float(trace[b])
+                i, b = np.argwhere(~(drift <= _TRACE_TOL))[0]  # first in step order
                 raise IntegrationError(
-                    f"{labels[b]}trace drifted to {drifted!r} during integration"
+                    f"{labels[b]}trace drifted to {float(traces[i, b])!r} during integration"
                 )
-            if trajectory is not None:
-                trajectory.append((t_end[i, 0], (x[0] @ basis.conj()).reshape(dim, dim)))
     finals = []
     for label, rho in zip(labels, (x @ basis.conj()).reshape(-1, dim, dim)):
         try:

@@ -18,7 +18,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 from types import UnionType
-from typing import Annotated, Callable, Literal, Mapping, get_args, get_origin
+from typing import Annotated, Callable, Literal, Mapping, Union, get_args, get_origin
 
 import numpy as np
 
@@ -210,7 +210,7 @@ def fig4a_rb(
     rng, *,
     t_g_s: Duration = 40e-9,
     t1_s: Duration = 30e-6,
-    t2_star_values_s: tuple[Duration, ...] = (6e-6, 12e-6, 25e-6),
+    t2_star_values_s: Annotated[tuple[Duration, ...], Within(0, 20)] = (6e-6, 12e-6, 25e-6),
     lengths: SequenceLengths = (2, 4, 8, 16, 32, 64, 128, 256),
     repeats: Annotated[int, Within(1, 1_000)] = 20,
     pulse_shape: PulseShape = "cosine",
@@ -254,7 +254,7 @@ def fig4b_tdm(
     window_start_s: Offset = 0.0,
     window_stop_s: Duration = 60e-9,
     window_points: Annotated[int, Within(1, 1_000)] = 31,
-    windows_ns: tuple[Offset, ...] | None = None,
+    windows_ns: Annotated[tuple[Offset, ...], Within(0, 1_000)] | None = None,
     detection_floor: float | None = None,
 ) -> list[Table]:
     """Excited-state population versus gating window around the pi pulse"""
@@ -442,7 +442,7 @@ def _conforms(value, kind) -> bool:
     X | None also admits null; booleans are never numbers. Annotated[X,
     bound, ...] is an X that every bound admits (for a tuple X, its number
     of items), and Literal[...] one of its values, of the same type."""
-    if isinstance(kind, UnionType):
+    if get_origin(kind) in (Union, UnionType):  # Annotated[...] | None is a typing.Union
         return any(_conforms(value, k) for k in get_args(kind))
     if get_origin(kind) is Literal:
         return any(type(value) is type(choice) and value == choice for choice in get_args(kind))

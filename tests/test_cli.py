@@ -371,6 +371,8 @@ class TestParameterSpec:
             ("fig3_coherence", {"v_points": 10**12}),
             ("fig3f_slope", {"rate_points": 10_001}),
             ("fig4b_tdm", {"window_points": 1_001}),
+            ("fig4b_tdm", {"windows_ns": [10] * 1_001}),
+            ("fig4a_rb", {"t2_star_values_s": [1e-5] * 21}),
             ("fig4a_rb", {"repeats": 1_001}),
             ("fig4a_rb", {"repeats": 10**12}),
             ("fig4a_rb", {"lengths": [2, 10_001]}),
@@ -400,12 +402,18 @@ class TestParameterSpec:
             "fig2_power": {"v_points": 10_000, "rate_points": 10_000},
             "fig3_coherence": {"v_points": 10_000},
             "fig3f_slope": {"rate_points": 10_000},
-            "fig4b_tdm": {"window_points": 1_000},
-            "fig4a_rb": {"lengths": list(range(9_981, 10_001)), "repeats": 1_000},
+            "fig4b_tdm": {"window_points": 1_000, "windows_ns": [10] * 1_000},
+            "fig4a_rb": {
+                "lengths": list(range(9_981, 10_001)),
+                "repeats": 1_000,
+                "t2_star_values_s": [1e-5] * 20,
+            },
         }
         for scenario, params in at_bounds.items():
             merged = merge_params(REGISTRY[scenario], params)
             assert {key: merged[key] for key in params} == params
+        for scenario, key in (("fig4b_tdm", "windows_ns"), ("fig4a_rb", "t2_star_values_s")):
+            assert merge_params(REGISTRY[scenario], {key: []})[key] == []  # no items is no work
         paper = {"lengths": list(rbengine.DEFAULT_SEQUENCE_LENGTHS), "repeats": 80}
         assert merge_params(REGISTRY["fig4a_rb"], paper)["repeats"] == 80
 

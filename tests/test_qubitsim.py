@@ -1,5 +1,6 @@
 """Pulse simulator: analytic Rabi anchors, integrator invariants, gating."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -24,6 +25,18 @@ class ConstantModulator:
 
     def __call__(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
+
+
+class NanFrom:
+    """Full drive before t0 and NaN from t0 on."""
+
+    breakpoints = ()
+
+    def __init__(self, t0):
+        self.t0 = t0
+
+    def __call__(self, t):
+        return np.where(np.asarray(t) < self.t0, 1.0, math.nan)
 
 
 class TestEvolve:
@@ -371,6 +384,30 @@ class TestTdmSweep:
         monkeypatch.setattr(cm.EnvelopeModulator, "__call__", nan_for_bad_window)
         with pytest.raises(IntegrationError, match=rf"^window {bad!r} s: trace drifted to nan"):
             qs.tdm_sweep([10e-9, bad, 30e-9], self.MUX, pi_pulse)
+
+    # fractions of T_G from which members a, b and c see a NaN drive; all
+    # NaN steps fall in the sixth 256-step block of 2,000
+    @pytest.mark.parametrize(
+        "nan_from, label", [((None, 0.75, None), "b: "), ((None, 0.76, 0.75), "c: ")]
+    )
+    def test_first_drifted_step_names_its_member(self, pi_pulse, nan_from, label):
+        """Traces are checked once per block; the error names the member
+        that drifted at the earliest step, not the lowest-numbered one."""
+        modulators = [None if f is None else NanFrom(f * T_G) for f in nan_from]
+        rho0 = np.broadcast_to(qs.QubitState.ground(2).density_matrix, (3, 2, 2))
+        with pytest.raises(IntegrationError, match=rf"^{label}trace drifted to nan"):
+            qs._evolve_batch(rho0, pi_pulse, qs.SimConfig(), modulators, ["a: ", "b: ", "c: "])
+
+    def test_unstable_sweep_names_its_first_window(self):
+        """A drive hundreds of times past the resolvable rate overflows
+        every window within the one block of 200 steps; the sweep still
+        ends in IntegrationError naming the first window, and no overflow
+        warning escapes."""
+        pulse = qs.PulseSpec("cosine", T_G, 800 * 2 * math.pi / T_G)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(IntegrationError, match=rf"^window {T_G!r} s: trace drifted to"):
+                qs.tdm_sweep([T_G, 50e-9], self.MUX, pulse, qs.SimConfig(dt=T_G / 200))
 
 
 class TestSynthTraces:
