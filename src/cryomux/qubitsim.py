@@ -15,20 +15,22 @@ vec(rho) at the end (trajectories at each recorded step).
 States are stepped by one loop over a batch of density matrices that share
 the pulse but each have their own modulator, as in a gating-window sweep.
 Each RK4 stage is applied to the state vectors themselves: the Liouvillian
-is a weighted sum of four fixed parts, so one matrix product of the batch
-with the stacked parts serves every member, and each member's drive weights
-complete it. Those weights are stored already scaled by half the member's
-step, so the step length costs no arithmetic inside the step loop. Every
-member keeps its own breakpoint-aligned grid; a member with fewer steps is
-padded at its end with zero-length steps, whose weights are all zero, which
-leave it unchanged. Drive weights are evaluated a fixed block of steps at a
-time, every member's trace is recorded after each step and checked once the
-block ends, and sweeps are integrated a fixed chunk of windows at a time, so
-memory does not grow with the number of steps or windows. A single evolve
-call is a batch of one. Gate channels act on all d*d basis states at once,
-so they are products of the RK4 step propagators of the same grid and drive
-samples, built a block of steps at a time without a Python-level loop per
-step.
+is a weighted sum of four fixed parts, so at each step one matrix product of
+every member's drive weights with the stacked parts assembles each member's
+three stage Liouvillians, and every stage is then one batched matrix-vector
+product. No member's arithmetic depends on the other members, so a member
+gives the same bits alone as in any batch. The weights are stored already
+scaled by half the member's step, so the step length costs no arithmetic
+inside the step loop. Every member keeps its own breakpoint-aligned grid; a
+member with fewer steps is padded at its end with zero-length steps, whose
+weights are all zero, which leave it unchanged. Drive weights are evaluated
+a fixed block of steps at a time, every member's trace is recorded after
+each step and checked once the block ends, and sweeps are integrated a fixed
+chunk of windows at a time, so memory does not grow with the number of steps
+or windows. A single evolve call is a batch of one. Gate channels act on all
+d*d basis states at once, so they are products of the RK4 step propagators
+of the same grid and drive samples, built a block of steps at a time without
+a Python-level loop per step.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -338,14 +340,19 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
     modulators[b], all in one RK4 loop, and return the final QubitStates.
 
     States are real coordinates in the Hermitian basis, so they stay
-    Hermitian. Each RK4 stage is applied to the state vectors themselves:
-    L(t) x = sum_p w_p(t) L_p x, so one product of the states with the
-    stacked parts L0, Lx, Ly and Ln serves every member, and each member's
-    weights at that stage complete it; no member forms a step propagator,
-    which would cost d*d times more. The weights are evaluated _BLOCK_STEPS
+    Hermitian; each member's are a row x[b, 0]. Each RK4 stage is applied to
+    the state vectors themselves. The weights are evaluated _BLOCK_STEPS
     steps at a time into a buffer reused by every block, already multiplied
-    by half the member's step h: (h/2)(1, wx, wy, wn). Stage s then yields
-    a_s = (h/2) k_s, and a step is
+    by half the member's step h: (h/2)(1, wx, wy, wn). At each step one
+    product of those weights with the stacked, flattened parts L0^T, Lx^T,
+    Ly^T and Ln^T fills a reused buffer with every member's stage operators
+    (h/2) L^T at the step's start, midpoint and end; stage s is then one
+    batched row-times-matrix product, a_s = x_s @ (h/2) L^T = (h/2) k_s.
+    Assembling and applying the operators costs 16 D^2 multiply-adds per
+    member and step (D = d*d), as many as applying the four parts at each of
+    the four stages. No member forms a step propagator, which would cost
+    d*d times more, and no member's arithmetic depends on its batch.
+    A step is
         x <- x + (a1 + a4 + 2 (a2 + a3)) / 3
     with stage inputs x, x + a1, x + a2 and x + 2 a3. A member whose grid
     ends early takes zero-length steps with all-zero weights, which leave it
@@ -366,19 +373,20 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
     dt_target = _resolve_dt(pulse, config)
     grids = [_Grid(pulse.t_g, dt_target, getattr(m, "breakpoints", None)) for m in modulators]
     n_max = max(grid.n_steps for grid in grids)
-    parts_t = np.concatenate(_real_liouvillian_parts(config)).T  # (D, 4D)
-    n_members, n_parts = len(grids), 4
+    # row p is L_p^T flattened, so weights @ parts_flat gives sum_p w_p L_p^T
+    parts_flat = np.stack([part.T.reshape(-1) for part in _real_liouvillian_parts(config)])
+    n_members, n_parts = len(grids), len(parts_flat)
     shape = (min(_BLOCK_STEPS, n_max), n_members)  # (step, member)
     t_end, traces = np.empty(shape), np.empty(shape)
-    # weights[i, s, b, 0] of L0, Lx, Ly and Ln at RK4 stage s of member b's
+    # weights[i, s, b] of L0, Lx, Ly and Ln at RK4 stage s of member b's
     # step i, times half that step's length
-    weights = np.empty((shape[0], 3, n_members, 1, n_parts))
+    weights = np.empty((shape[0], 3, n_members, n_parts))
+    # ops[s, b] = (h/2) L^T at RK4 stage s of member b's current step
+    ops_flat = np.empty((3 * n_members, dim**4))
+    ops = ops_flat.reshape(3, n_members, dim * dim, dim * dim)
     trace_row = (np.arange(dim * dim) < dim).astype(float)  # sums the first d coordinates
 
-    def stage(w, y):  # sum_p w[b, 0, p] L_p y[b] for every member b
-        return (w @ (y @ parts_t).reshape(n_members, n_parts, -1))[:, 0]
-
-    x = (np.asarray(rho0).reshape(n_members, dim * dim) @ basis.T).real
+    x = (np.asarray(rho0).reshape(n_members, 1, dim * dim) @ basis.T).real
     for j0 in range(0, n_max, _BLOCK_STEPS):
         n_block = min(_BLOCK_STEPS, n_max - j0)
         t_end.fill(0.0)
@@ -388,21 +396,22 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
             n = len(dt_b)
             t_end[:n, b] = t_end_b
             half_h = 0.5 * dt_b[:, None]
-            weights[:n, :, b, 0, 0] = half_h
+            weights[:n, :, b, 0] = half_h
             for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
-                weights[:n, :, b, 0, p] = half_h * w
+                weights[:n, :, b, p] = half_h * w
         # an unstable member may overflow before the block's check below
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n_block):
-                w_a, w_b, w_c = weights[i]
-                a1 = stage(w_a, x)  # a_s = h/2 k_s
-                a2 = stage(w_b, x + a1)
-                a3 = stage(w_b, x + a2)
-                a4 = stage(w_c, x + 2.0 * a3)
+                np.matmul(weights[i].reshape(-1, n_parts), parts_flat, out=ops_flat)
+                m_a, m_b, m_c = ops
+                a1 = x @ m_a  # a_s = h/2 k_s
+                a2 = (x + a1) @ m_b
+                a3 = (x + a2) @ m_b
+                a4 = (x + 2.0 * a3) @ m_c
                 x = x + (a1 + a4 + 2.0 * (a2 + a3)) / 3.0
-                np.matmul(x, trace_row, out=traces[i])
+                np.matmul(x[:, 0], trace_row, out=traces[i])
                 if trajectory is not None:
-                    trajectory.append((t_end[i, 0], (x[0] @ basis.conj()).reshape(dim, dim)))
+                    trajectory.append((t_end[i, 0], (x[0, 0] @ basis.conj()).reshape(dim, dim)))
             drift = np.abs(traces[:n_block] - 1.0)
             if not drift.max() <= _TRACE_TOL:  # max propagates NaN
                 i, b = np.argwhere(~(drift <= _TRACE_TOL))[0]  # first in step order
@@ -410,7 +419,7 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
                     f"{labels[b]}trace drifted to {float(traces[i, b])!r} during integration"
                 )
     finals = []
-    for label, rho in zip(labels, (x @ basis.conj()).reshape(-1, dim, dim)):
+    for label, rho in zip(labels, (x[:, 0] @ basis.conj()).reshape(-1, dim, dim)):
         try:
             finals.append(QubitState(rho))
         except IntegrationError as exc:

@@ -14,6 +14,7 @@ import inspect
 import json
 import math
 import os
+import reprlib
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -468,14 +469,19 @@ def _conforms(value, kind) -> bool:
 def merge_params(scenario: Scenario, overrides: Mapping) -> dict:
     """The scenario's defaults with overrides applied. An unknown name, a
     value that does not match its parameter's annotation, or a dict that
-    MuxModel.from_dict rejects raises ConfigError."""
+    MuxModel.from_dict rejects raises ConfigError. A mismatched value is
+    quoted abbreviated by reprlib, after its item count if it is a list, so
+    an over-long list still gives a short error line."""
     params = dict(scenario.defaults)
     for key, value in overrides.items():
         if key not in params:
             raise ConfigError(f"unknown parameter {key!r} for scenario {scenario.name!r}")
         if not _conforms(value, scenario.types[key]):
             kind = inspect.formatannotation(scenario.types[key]).replace("typing.", "")
-            raise ConfigError(f"parameter {key!r} of {scenario.name!r} must be {kind}, got {value!r}")
+            got = reprlib.repr(value)
+            if isinstance(value, list):
+                got = f"{len(value)} items {got}"
+            raise ConfigError(f"parameter {key!r} of {scenario.name!r} must be {kind}, got {got}")
         if scenario.types[key] is dict:
             chainmodel.MuxModel.from_dict(value)  # every dict parameter is a mux config
         params[key] = value

@@ -397,6 +397,20 @@ class TestParameterSpec:
         assert_one_error_line(capsys)
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize("verb", ["run", "validate"])
+    def test_over_long_list_gives_a_short_error_line(self, tmp_path, capsys, verb):
+        """The rejected list is quoted abbreviated, with its item count, so
+        the error line stays short and still names the bound."""
+        params = {"windows_ns": [10.0] * 1_001}
+        cfg = write_config(tmp_path, {"scenario": "fig4b_tdm", "params": params})
+        out_dir = tmp_path / "out"
+        flags = ("--out-dir", str(out_dir)) if verb == "run" else ()
+        assert run_cli(verb, cfg, *flags) == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and len(line.encode()) <= 300, line
+        assert "<= 1000" in line and "1001 items" in line
+        assert not out_dir.exists()
+
     def test_count_bounds_are_inclusive_and_admit_paper_scale(self):
         at_bounds = {
             "fig2_power": {"v_points": 10_000, "rate_points": 10_000},

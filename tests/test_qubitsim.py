@@ -77,6 +77,22 @@ class TestEvolve:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
             assert np.linalg.eigvalsh(rho).min() > -1e-9
 
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_gated_trajectory_ends_in_the_final_state(self, levels, shape):
+        """A gated modulator's breakpoints split the grid into segments of
+        different steps; the trajectory still rises strictly to exactly
+        t_g and ends in the state evolve returns."""
+        config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
+        pulse = qs.calibrate_pi_pulse(T_G, shape, config)
+        modulator = gated_modulator(cm.MuxModel(isolation_db=30.0, rise_time=2.6e-9), 12.345e-9)
+        assert modulator.breakpoints
+        final, times, traj = qs.evolve(
+            qs.QubitState.ground(levels), pulse, modulator, config, return_trajectory=True
+        )
+        assert times[0] == 0.0 and np.all(np.diff(times) > 0) and times[-1] == T_G
+        assert len(traj) == len(times)
+        assert np.array_equal(traj[-1], final.density_matrix)
+
     def test_dt_convergence(self, pi_pulse):
         base = qs.evolve(
             qs.QubitState.ground(2), pi_pulse, None, qs.SimConfig(dt=T_G / 2000)
@@ -352,8 +368,23 @@ class TestTdmSweep:
             qs.evolve(qs.QubitState.ground(levels), pulse, m, config).population(1)
             for m in modulators
         ]
-        # measured gap: 1.1e-16 at 2 levels, 0 (bit-identical) at 3 levels
+        # measured gap: 0 (bit-identical) at both levels, since no member's
+        # arithmetic depends on its batch (next test)
         assert np.max(np.abs(swept - alone)) <= 1e-15
+
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_member_does_not_depend_on_its_batch(self, levels, shape):
+        """Each member steps through its own stage operators, so a member
+        integrated in a batch is bit-identical to the member alone."""
+        config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
+        pulse = qs.calibrate_pi_pulse(T_G, shape, config)
+        mux = cm.MuxModel(isolation_db=30.0, rise_time=2.6e-9)
+        modulators = [gated_modulator(mux, w) for w in (7e-9, 12.345e-9, 30e-9)]
+        rho0 = np.broadcast_to(qs.QubitState.ground(levels).density_matrix, (3, levels, levels))
+        batch = qs._evolve_batch(rho0, pulse, config, modulators, ["a: ", "b: ", "c: "])
+        for b, modulator in enumerate(modulators):
+            (alone,) = qs._evolve_batch(rho0[:1], pulse, config, [modulator], [""])
+            assert np.array_equal(batch[b].density_matrix, alone.density_matrix)
 
     def test_chunks_match_one_batch(self, pi_pulse, monkeypatch):
         whole = qs.tdm_sweep(self.WINDOWS, self.MUX, pi_pulse)
