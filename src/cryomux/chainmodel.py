@@ -146,14 +146,6 @@ class GatingSchedule:
         return cls(events=tuple(events), floor_amplitude=mux.floor_amplitude())
 
 
-def _knot_levels(schedule: GatingSchedule, target_port: str):
-    times = np.array([t for t, _ in schedule.events])
-    levels = np.array(
-        [1.0 if port == target_port else schedule.floor_amplitude for _, port in schedule.events]
-    )
-    return times, levels
-
-
 def gating_envelope(
     schedule: GatingSchedule,
     target_port: str,
@@ -164,56 +156,69 @@ def gating_envelope(
 
     Values lie in [floor_amplitude, 1]. Transitions follow a first-order
     exponential whose 10-90% rise time equals rise_time; rise_time = 0
-    gives an ideal step (right-continuous at event times).
+    gives an ideal step (right-continuous at event times). Evaluated by
+    the EnvelopeModulator of the one schedule.
     """
-    if target_port not in PORTS:
-        raise ConfigError(f"unknown port {target_port!r}")
-    if rise_time < 0:
-        raise ConfigError("rise_time must be >= 0")
-    t_arr = np.asarray(t, dtype=float)
-    floor = schedule.floor_amplitude
-    if not schedule.events:
-        out = np.full_like(t_arr, floor)
-        return float(out) if np.isscalar(t) else out
-
-    times, levels = _knot_levels(schedule, target_port)
-    idx = np.searchsorted(times, t_arr, side="right") - 1
-
-    if rise_time == 0.0:
-        out = np.where(idx < 0, floor, levels[np.clip(idx, 0, None)])
-        return float(out) if np.isscalar(t) else out
-
-    tau = rise_time * _RISE_TO_TAU
-    # value approached from the left at each event time, chained recursively
-    y_at = np.empty(len(times))
-    y = floor
-    for k in range(len(times)):
-        if k > 0:
-            y = levels[k - 1] + (y - levels[k - 1]) * math.exp(-(times[k] - times[k - 1]) / tau)
-        y_at[k] = y
-    safe = np.clip(idx, 0, None)
-    target = levels[safe]
-    start = y_at[safe]
-    decay = np.exp(-(t_arr - times[safe]) / tau)
-    out = np.where(idx < 0, floor, target + (start - target) * decay)
+    modulator = EnvelopeModulator([schedule], target_port, rise_time)
+    out = modulator(np.asarray(t, dtype=float)[..., None])[..., 0]
     return float(out) if np.isscalar(t) else out
 
 
 class EnvelopeModulator:
-    """Callable time -> [floor, 1] for one target port of a schedule.
+    """Callable time -> [floor, 1] for one target port of several schedules,
+    one per member along the trailing axis of t: column b of the result is
+    gating_envelope(schedules[b], target_port, t[..., b], rise_time), and
+    with one schedule the callable is elementwise.
 
-    Exposes the schedule's event times as breakpoints so integrators can
-    align their step grid with the discontinuities.
+    The port and rise time are checked, and every schedule's knots built,
+    once, here. Knot 0 of each member is the floor from time -inf on; a call
+    counts the knots at or before each time and reads one knot per value,
+    so a padded knot (at +inf) is never evaluated. `breakpoints` holds every
+    schedule's event times, sorted; a batch integrator aligns each member's
+    step grid with its own schedule's events instead.
     """
 
-    def __init__(self, schedule: GatingSchedule, target_port: str, rise_time: float):
-        self.schedule = schedule
+    def __init__(self, schedules: Sequence[GatingSchedule], target_port: str, rise_time: float):
+        if target_port not in PORTS:
+            raise ConfigError(f"unknown port {target_port!r}")
+        if not rise_time >= 0:
+            raise ConfigError("rise_time must be >= 0")
+        self.schedules = tuple(schedules)
         self.target_port = target_port
         self.rise_time = rise_time
-        self.breakpoints = tuple(t for t, _ in schedule.events)
+        self.breakpoints = tuple(sorted({t for s in self.schedules for t, _ in s.events}))
+        self._tau = rise_time * _RISE_TO_TAU
+        n_knots = 1 + max((len(s.events) for s in self.schedules), default=0)
+        # each knot's time, the level it switches to and the value approached
+        # from the left at that time, chained from the floor
+        table = np.zeros((len(self.schedules), n_knots, 3))
+        table[..., 0] = math.inf
+        for b, schedule in enumerate(self.schedules):
+            floor = schedule.floor_amplitude
+            y, knots = floor, [(-math.inf, floor, floor)]
+            for t, port in schedule.events:
+                if len(knots) > 1 and self._tau > 0.0:
+                    t_prev, level, _ = knots[-1]
+                    y = level + (y - level) * math.exp(-(t - t_prev) / self._tau)
+                knots.append((t, 1.0 if port == target_port else floor, y))
+            table[b, :len(knots)] = knots
+        # flat tables, member b's knot k at entry b * n_knots + k
+        self._times, self._levels, self._starts = table.reshape(-1, 3).T.copy()
+        self._first = np.arange(len(self.schedules)) * n_knots
+        self._event_times = table[:, 1:, 0].T  # row k - 1: every member's knot-k time
 
     def __call__(self, t):
-        return gating_envelope(self.schedule, self.target_port, t, self.rise_time)
+        t = np.asarray(t, dtype=float)
+        # entry of each member's last knot at or before t (searchsorted's
+        # side="right"), counted one knot row at a time
+        i = np.broadcast_to(self._first, np.broadcast_shapes(t.shape, self._first.shape))
+        for times in self._event_times:
+            i = i + (t >= times)
+        target = self._levels.take(i)
+        if self._tau == 0.0:  # an ideal step
+            return target
+        decay = np.exp(-(t - self._times.take(i)) / self._tau)
+        return target + (self._starts.take(i) - target) * decay
 
 
 # ---------------------------------------------------------------------------

@@ -13,24 +13,28 @@ Liouvillian parts mapped into that basis, and mapped back to row-major
 vec(rho) at the end (trajectories at each recorded step).
 
 States are stepped by one loop over a batch of density matrices that share
-the pulse but each have their own modulator, as in a gating-window sweep.
-Each RK4 stage is applied to the state vectors themselves: the Liouvillian
-is a weighted sum of four fixed parts, so at each step one matrix product of
-every member's drive weights with the stacked parts assembles each member's
-three stage Liouvillians, and every stage is then one batched matrix-vector
-product. No member's arithmetic depends on the other members, so a member
-gives the same bits alone as in any batch. The weights are stored already
-scaled by half the member's step, so the step length costs no arithmetic
-inside the step loop. Every member keeps its own breakpoint-aligned grid; a
-member with fewer steps is padded at its end with zero-length steps, whose
-weights are all zero, which leave it unchanged. Drive weights are evaluated
-a fixed block of steps at a time, every member's trace is recorded after
-each step and checked once the block ends, and sweeps are integrated a fixed
-chunk of windows at a time, so memory does not grow with the number of steps
-or windows. A single evolve call is a batch of one. Gate channels act on all
-d*d basis states at once, so they are products of the RK4 step propagators
-of the same grid and drive samples, built a block of steps at a time without
-a Python-level loop per step.
+the pulse but each have their own gating, as in a gating-window sweep: one
+modulator takes times with a trailing member axis, and each member has its
+own breakpoints. Each RK4 stage is applied to the state vectors themselves:
+the Liouvillian is a weighted sum of four fixed parts, so at each step one
+matrix product of every member's drive weights with the stacked parts
+assembles each member's three stage Liouvillians, and every stage is then
+one batched matrix-vector product. No member's arithmetic depends on the
+other members, so a member gives the same bits alone as in any batch. The
+weights are stored already scaled by half the member's step, so the step
+length costs no arithmetic inside the step loop. Every member keeps its own
+breakpoint-aligned grid; the grids are stacked, so one pass gives every
+member's step times and lengths, and a member with fewer steps is padded at
+its end with zero-length steps, whose weights are all zero, which leave it
+unchanged. Drive weights are evaluated for all members at once, a fixed slab
+of steps per pass, with one call of the modulator; every member's trace is
+recorded after each step and checked once a fixed block of steps ends, and
+sweeps are integrated a fixed chunk of windows at a time, so memory does not
+grow with the number of steps or windows. A single evolve call is a batch of
+one, whose elementwise modulator sees a member axis of length 1. Gate
+channels act on all d*d basis states at once, so they are products of the
+RK4 step propagators of the same grid and drive samples, built a block of
+steps at a time without a Python-level loop per step.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -57,7 +61,8 @@ _TRACE_TOL = 1e-6
 _POSITIVITY_TOL = 1e-6
 _PULSE_SHAPES = ("cosine", "cosine_drag")
 _STAGES = np.array([0.0, 0.5, 1.0])  # RK4 stage times as fractions of a step
-_BLOCK_STEPS = 256  # steps whose drive waveforms (and channel propagators) are built at once
+_BLOCK_STEPS = 256  # steps whose traces are checked (and channel propagators built) at once
+_FILL_PAIRS = 2048  # most (step, member) pairs whose drive weights one pass evaluates
 _SWEEP_CHUNK = 32  # most gating windows integrated in one batch
 
 
@@ -267,28 +272,49 @@ def _resolve_dt(pulse: PulseSpec, config: SimConfig) -> float:
 
 
 class _Grid:
-    """Step grid of one batch member: each segment between its modulator's
-    breakpoints gets a uniform step of at most dt_target."""
+    """Step grids of a batch, one per member and stacked along a trailing
+    member axis: each segment between the member's breakpoints (one
+    sequence, or None, per member) gets a uniform step of at most dt_target.
+    n_steps[b] is member b's step count and n_max the largest."""
 
     def __init__(self, t_g: float, dt_target: float, breakpoints):
-        segments = _segments(t_g, breakpoints)
-        counts = [max(1, math.ceil((end - start) / dt_target)) for start, end in segments]
-        self.first = np.cumsum([0] + counts)
-        self.n_steps = int(self.first[-1])
-        self.start = np.array([start for start, _ in segments])
-        self.dt = np.array([(end - start) / n for (start, end), n in zip(segments, counts)])
-        # sample strictly inside the half-open segment so a discontinuity at
-        # its end is never read from the wrong side
-        self.last = np.array([np.nextafter(end, start) for start, end in segments])
+        members = [_segments(t_g, b) for b in breakpoints]
+        n_seg = max(map(len, members))
+        # each segment's first step, start, step and last sampling time; a
+        # member with fewer segments is padded with ones that no step reaches
+        table = np.zeros((len(members), n_seg, 4))
+        table[..., 0] = np.inf
+        self.n_steps = np.empty(len(members), dtype=np.intp)
+        for b, segments in enumerate(members):
+            counts = [max(1, math.ceil((end - start) / dt_target)) for start, end in segments]
+            first = np.cumsum([0] + counts)
+            self.n_steps[b] = first[-1]
+            # sample strictly inside the half-open segment so a discontinuity
+            # at its end is never read from the wrong side
+            table[b, :len(segments)] = [
+                (j, start, (end - start) / n, np.nextafter(end, start))
+                for j, n, (start, end) in zip(first, counts, segments)
+            ]
+        self.n_max = int(self.n_steps.max())
+        # one row per field; member b's segment k is column b * n_seg + k
+        self._table = table.reshape(-1, 4).T.copy()
+        self._offsets = np.arange(len(members)) * n_seg
+        self._bounds = table[:, 1:, 0].T  # row k - 1: every member's first step of segment k
 
     def block(self, j0: int, j1: int):
-        """End times (n,), stage sampling times (n, 3) and lengths (n,) of
-        the grid's steps j0 <= j < j1."""
-        j = np.arange(j0, min(j1, self.n_steps))
-        seg = np.searchsorted(self.first, j, side="right") - 1
-        dt = self.dt[seg][:, None]
-        stencil = self.start[seg][:, None] + (j - self.first[seg])[:, None] * dt + _STAGES * dt
-        return stencil[:, 2], np.minimum(stencil, self.last[seg][:, None]), dt[:, 0]
+        """End times (n, member), stage sampling times (n, 3, member) and
+        lengths (n, member) of every member's steps j0 <= j < j1 <= n_max,
+        in one pass over the batch; a member's steps past its own grid
+        have length 0."""
+        j = np.arange(j0, j1)[:, None]
+        # column of each step's segment; (member,) while no grid has a second
+        i = self._offsets
+        for bound in self._bounds:
+            i = i + (j >= bound)
+        first, start, dt, last = self._table.take(i, axis=1)
+        stencil = (start + (j - first) * dt)[:, None] + _STAGES[:, None] * dt[..., None, :]
+        t_eval = np.minimum(stencil, last[..., None, :])
+        return stencil[:, 2], t_eval, np.where(j < self.n_steps, dt, 0.0)
 
 
 def _hermitian_basis(levels: int) -> np.ndarray:
@@ -335,23 +361,37 @@ def _rk4_propagators(l_stages: np.ndarray, h: np.ndarray) -> np.ndarray:
     return np.eye(l_a.shape[-1]) + h / 6.0 * (l_a + 2.0 * a2 + 2.0 * a3 + a4)
 
 
-def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory=None):
-    """Integrate each density matrix rho0[b] through [0, t_g] under
-    modulators[b], all in one RK4 loop, and return the final QubitStates.
+def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels, trajectory=None):
+    """Integrate each density matrix rho0[b] through [0, t_g], all in one
+    RK4 loop, and return the final QubitStates.
+
+    modulator (or None, for the full drive) maps times (..., member) to
+    member b's drive factor in column b; an elementwise callable serves a
+    batch of one. breakpoints[b] (a sequence, or None) marks member b's
+    discontinuities, with which its step grid is aligned; labels[b] starts
+    its error messages.
 
     States are real coordinates in the Hermitian basis, so they stay
     Hermitian; each member's are a row x[b, 0]. Each RK4 stage is applied to
-    the state vectors themselves. The weights are evaluated _BLOCK_STEPS
-    steps at a time into a buffer reused by every block, already multiplied
-    by half the member's step h: (h/2)(1, wx, wy, wn). At each step one
-    product of those weights with the stacked, flattened parts L0^T, Lx^T,
-    Ly^T and Ln^T fills a reused buffer with every member's stage operators
-    (h/2) L^T at the step's start, midpoint and end; stage s is then one
-    batched row-times-matrix product, a_s = x_s @ (h/2) L^T = (h/2) k_s.
-    Assembling and applying the operators costs 16 D^2 multiply-adds per
-    member and step (D = d*d), as many as applying the four parts at each of
-    the four stages. No member forms a step propagator, which would cost
-    d*d times more, and no member's arithmetic depends on its batch.
+    the state vectors themselves. The weights live in a buffer of
+    _BLOCK_STEPS steps reused by every block, already multiplied by half the
+    member's step h: (h/2)(1, wx, wy, wn). They are filled for all members
+    at once, in passes of at most _FILL_PAIRS (step, member) pairs, so the
+    temporaries stay small (64 steps of a 32-window chunk) while a batch of
+    one fills a block in one pass. In each pass the stacked grids give every
+    member's stage times and step lengths as (step, stage, member) arrays,
+    _drive_waveforms and the modulator run once on them, and the scaled
+    weights are written with no loop over members.
+
+    At each step one product of those weights with the stacked, flattened
+    parts L0^T, Lx^T, Ly^T and Ln^T fills a reused buffer with every
+    member's stage operators (h/2) L^T at the step's start, midpoint and
+    end; stage s is then one batched row-times-matrix product,
+    a_s = x_s @ (h/2) L^T = (h/2) k_s. Assembling and applying the operators
+    costs 16 D^2 multiply-adds per member and step (D = d*d), as many as
+    applying the four parts at each of the four stages. No member forms a
+    step propagator, which would cost d*d times more, and no member's
+    arithmetic depends on its batch.
     A step is
         x <- x + (a1 + a4 + 2 (a2 + a3)) / 3
     with stage inputs x, x + a1, x + a2 and x + 2 a3. A member whose grid
@@ -359,24 +399,22 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
     unchanged.
 
     After every step each member's trace, the sum of its first d
-    coordinates, is recorded; once the block ends, every recorded trace is
-    checked, and the first drift in step order (the lowest member within a
-    step) raises IntegrationError. An unstable member can overflow before
-    its block ends, so the block runs with numpy's overflow and
-    invalid-value warnings off; the check still fails on its inf or NaN
+    coordinates, is recorded by one reduction; once the block ends, every
+    recorded trace is checked, and the first drift in step order (the lowest
+    member within a step) raises IntegrationError. An unstable member can
+    overflow before its block ends, so the block runs with numpy's overflow
+    and invalid-value warnings off; the check still fails on its inf or NaN
     trace. trajectory, when a list, receives member 0's (time, rho) after
-    each step. An IntegrationError from the trace check or the final
-    state's validation starts with the member's label.
+    each step. An IntegrationError from the trace check or the final state's
+    validation starts with the member's label.
     """
     dim = config.levels
     basis = _hermitian_basis(dim)
-    dt_target = _resolve_dt(pulse, config)
-    grids = [_Grid(pulse.t_g, dt_target, getattr(m, "breakpoints", None)) for m in modulators]
-    n_max = max(grid.n_steps for grid in grids)
+    grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), breakpoints)
     # row p is L_p^T flattened, so weights @ parts_flat gives sum_p w_p L_p^T
     parts_flat = np.stack([part.T.reshape(-1) for part in _real_liouvillian_parts(config)])
-    n_members, n_parts = len(grids), len(parts_flat)
-    shape = (min(_BLOCK_STEPS, n_max), n_members)  # (step, member)
+    n_members, n_parts = len(labels), len(parts_flat)
+    shape = (min(_BLOCK_STEPS, grid.n_max), n_members)  # (step, member)
     t_end, traces = np.empty(shape), np.empty(shape)
     # weights[i, s, b] of L0, Lx, Ly and Ln at RK4 stage s of member b's
     # step i, times half that step's length
@@ -384,21 +422,22 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
     # ops[s, b] = (h/2) L^T at RK4 stage s of member b's current step
     ops_flat = np.empty((3 * n_members, dim**4))
     ops = ops_flat.reshape(3, n_members, dim * dim, dim * dim)
-    trace_row = (np.arange(dim * dim) < dim).astype(float)  # sums the first d coordinates
+    fill_steps = max(1, _FILL_PAIRS // n_members)
 
     x = (np.asarray(rho0).reshape(n_members, 1, dim * dim) @ basis.T).real
-    for j0 in range(0, n_max, _BLOCK_STEPS):
-        n_block = min(_BLOCK_STEPS, n_max - j0)
-        t_end.fill(0.0)
+    for j0 in range(0, grid.n_max, _BLOCK_STEPS):
+        n_block = min(_BLOCK_STEPS, grid.n_max - j0)
         weights.fill(0.0)
-        for b, (grid, modulator) in enumerate(zip(grids, modulators)):
-            t_end_b, t_eval, dt_b = grid.block(j0, j0 + n_block)
-            n = len(dt_b)
-            t_end[:n, b] = t_end_b
-            half_h = 0.5 * dt_b[:, None]
-            weights[:n, :, b, 0] = half_h
+        for s0 in range(0, n_block, fill_steps):
+            s1 = min(s0 + fill_steps, n_block)
+            t_end[s0:s1], t_eval, h = grid.block(j0 + s0, j0 + s1)
+            half_h = 0.5 * h[:, None]  # (step, 1, member)
+            slab = weights[s0:s1]
+            slab[..., 0] = half_h
+            # a zero-length step keeps all-zero weights, whatever its drive
+            live = half_h > 0.0
             for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
-                weights[:n, :, b, p] = half_h * w
+                np.multiply(half_h, w, out=slab[..., p], where=live)
         # an unstable member may overflow before the block's check below
         with np.errstate(over="ignore", invalid="ignore"):
             for i in range(n_block):
@@ -409,7 +448,7 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulators, labels, trajectory
                 a3 = (x + a2) @ m_b
                 a4 = (x + 2.0 * a3) @ m_c
                 x = x + (a1 + a4 + 2.0 * (a2 + a3)) / 3.0
-                np.matmul(x[:, 0], trace_row, out=traces[i])
+                np.add.reduce(x[:, 0, :dim], axis=1, out=traces[i])
                 if trajectory is not None:
                     trajectory.append((t_end[i, 0], (x[0, 0] @ basis.conj()).reshape(dim, dim)))
             drift = np.abs(traces[:n_block] - 1.0)
@@ -438,8 +477,9 @@ def evolve(
     """Integrate the master equation over the pulse window [0, t_g].
 
     envelope_modulator, when given, multiplies the drive amplitude by a
-    value in [0, 1] at each time (a `breakpoints` attribute on it marks
-    discontinuities for grid alignment).
+    value in [0, 1] at each time; it is called elementwise on arrays of
+    times, and a `breakpoints` attribute on it marks discontinuities for
+    grid alignment.
 
     Returns the final QubitState, or (state, times, trajectory) with
     per-step density matrices when return_trajectory is set.
@@ -447,8 +487,9 @@ def evolve(
     if state.levels != config.levels:
         raise ConfigError("state dimension does not match config.levels")
     trajectory = [(0.0, state.density_matrix)] if return_trajectory else None
+    breakpoints = [getattr(envelope_modulator, "breakpoints", None)]
     (final,) = _evolve_batch(
-        state.density_matrix[None], pulse, config, [envelope_modulator], [""], trajectory
+        state.density_matrix[None], pulse, config, envelope_modulator, breakpoints, [""], trajectory
     )
     if return_trajectory:
         times, traj = zip(*trajectory)
@@ -475,12 +516,13 @@ def gate_channel(
     trace to within _TRACE_TOL. Useful when the same gate is applied many
     times, e.g. in benchmarking sequences.
     """
-    grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), None)
+    grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), [None])
     basis = _hermitian_basis(config.levels)
     l0, lx, ly, ln = _real_liouvillian_parts(config)
     channel = np.eye(config.levels**2)
-    for j0 in range(0, grid.n_steps, _BLOCK_STEPS):
-        _, t_eval, h = grid.block(j0, j0 + _BLOCK_STEPS)
+    for j0 in range(0, grid.n_max, _BLOCK_STEPS):
+        _, t_eval, h = grid.block(j0, min(j0 + _BLOCK_STEPS, grid.n_max))
+        t_eval, h = t_eval[..., 0], h[:, 0]
         wx, wy, wn = _drive_waveforms(pulse, config, t_eval, None)
         if phase != 0.0:
             wx, wy = (
@@ -544,7 +586,8 @@ def tdm_sweep(
     isolation and transitions following its rise time. Every window is
     checked against the simulation horizon [0, 4 t_g] before any is
     integrated; the windows are then integrated together, in chunks of at
-    most _SWEEP_CHUNK. Returns p_e per window.
+    most _SWEEP_CHUNK, each gated by one EnvelopeModulator over its windows'
+    schedules. Returns p_e per window.
     """
     from .chainmodel import EnvelopeModulator, GatingSchedule
 
@@ -557,19 +600,23 @@ def tdm_sweep(
             raise ConfigError(f"window {w!r} s exceeds the simulation horizon {horizon!r} s")
 
     mid = pulse.t_g / 2.0
-
-    def gated(window):
-        events = () if window == 0.0 else ((mid - window / 2.0, "RF1"), (mid + window / 2.0, "RF2"))
-        return EnvelopeModulator(GatingSchedule.from_mux(mux, events), "RF1", mux.rise_time)
-
+    schedules = [
+        GatingSchedule.from_mux(
+            mux, () if w == 0.0 else ((mid - w / 2.0, "RF1"), (mid + w / 2.0, "RF2"))
+        )
+        for w in windows
+    ]
     ground = QubitState.ground(config.levels).density_matrix
     p_e = []
     n_chunks = -(-len(windows) // _SWEEP_CHUNK)
     for k in range(n_chunks):
-        chunk = windows[k * len(windows) // n_chunks:(k + 1) * len(windows) // n_chunks]
-        rho0 = np.broadcast_to(ground, (len(chunk), *ground.shape))
-        labels = [f"window {w!r} s: " for w in chunk]
-        finals = _evolve_batch(rho0, pulse, config, [gated(w) for w in chunk], labels)
+        chunk = slice(k * len(windows) // n_chunks, (k + 1) * len(windows) // n_chunks)
+        members = schedules[chunk]
+        modulator = EnvelopeModulator(members, "RF1", mux.rise_time)
+        breakpoints = [[t for t, _ in schedule.events] for schedule in members]
+        rho0 = np.broadcast_to(ground, (len(members), *ground.shape))
+        labels = [f"window {w!r} s: " for w in windows[chunk]]
+        finals = _evolve_batch(rho0, pulse, config, modulator, breakpoints, labels)
         p_e += [final.population(1) for final in finals]
     return np.array(p_e)
 

@@ -256,7 +256,7 @@ def fig4b_tdm(
     window_stop_s: Duration = 60e-9,
     window_points: Annotated[int, Within(1, 1_000)] = 31,
     windows_ns: Annotated[tuple[Offset, ...], Within(0, 1_000)] | None = None,
-    detection_floor: float | None = None,
+    detection_floor: Annotated[float, Within(0.0, 1.0)] | None = None,
 ) -> list[Table]:
     """Excited-state population versus gating window around the pi pulse"""
     mux = chainmodel.MuxModel(isolation_db=isolation_db, rise_time=rise_time_s)

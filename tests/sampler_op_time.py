@@ -1,16 +1,20 @@
-"""Time the shrunken tdm_sweep op that perfbench's sampler test runs.
+"""Time the tdm_sweep ops whose margins the integrator's speed and memory move.
 
 perfbench/test_perfbench.py::test_sampler_time_is_taken_out_of_the_ops needs
 more than 10 host-speed samples, 5 ms apart, inside one tdm_sweep op, so the
 op must last over ~55 ms. This script builds that op the way the test's
 small_inputs fixture does (2 windows, 1 reference window, seed 0), runs it 10
 times and prints the min, median and max op time, so the margin left above
-~55 ms is visible. It only reports; the sampler test decides what passes.
+~55 ms is visible. It then builds one full op the way perfbench's tdm_sweep
+workload does (31 windows, 3 reference windows, seed 0), times it 5 times,
+and prints the process's peak resident memory, which covers both. It only
+reports; the sampler test and the benchmark decide what passes.
 
     python3 tests/sampler_op_time.py
 
 pytest does not collect this file (its name does not start with test_).
 """
+import resource
 import statistics
 import sys
 import tempfile
@@ -26,30 +30,51 @@ run.load_cryomux()
 
 import workloads  # noqa: E402
 
-OPS = 10
+SHRUNKEN_OPS = 10
+FULL_OPS = 5
 
 
-def main() -> int:
-    workloads.TDM_WINDOWS = 2
-    workloads.TDM_REFERENCE_WINDOWS = 1
+def time_ops(n_ops: int) -> list[float] | None:
+    """Milliseconds of n_ops tdm_sweep ops at the workload's current sizes,
+    sorted, or None if an op fails its check."""
     with tempfile.TemporaryDirectory() as tmp:
         inputs = workloads.make_inputs("tdm_sweep", 0, Path(tmp))
         bench = workloads.build("tdm_sweep", inputs, Path(tmp), run.ROOT)
         bench.prepare()
         seconds = []
-        for i in range(OPS):
+        for i in range(n_ops):
             start = time.perf_counter()
             result = bench.op(i)
             seconds.append(time.perf_counter() - start)
             problems = bench.check(i, result)
             if problems:
                 print(f"op {i} failed: {problems[0]}", file=sys.stderr)
-                return 1
-    ms = sorted(1e3 * s for s in seconds)
+                return None
+    return sorted(1e3 * s for s in seconds)
+
+
+def main() -> int:
+    full = workloads.TDM_WINDOWS, workloads.TDM_REFERENCE_WINDOWS
+    workloads.TDM_WINDOWS = 2
+    workloads.TDM_REFERENCE_WINDOWS = 1
+    ms = time_ops(SHRUNKEN_OPS)
+    if ms is None:
+        return 1
     print(
-        f"shrunken tdm_sweep op, {OPS} runs: min {ms[0]:.1f} ms, "
+        f"shrunken tdm_sweep op, {SHRUNKEN_OPS} runs: min {ms[0]:.1f} ms, "
         f"median {statistics.median(ms):.1f} ms, max {ms[-1]:.1f} ms"
     )
+    workloads.TDM_WINDOWS, workloads.TDM_REFERENCE_WINDOWS = full
+    ms = time_ops(FULL_OPS)
+    if ms is None:
+        return 1
+    print(
+        f"full tdm_sweep op ({full[0]} windows), {FULL_OPS} runs: min {ms[0]:.1f} ms, "
+        f"median {statistics.median(ms):.1f} ms, max {ms[-1]:.1f} ms"
+    )
+    # ru_maxrss is in KiB on Linux
+    peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS of this process: {peak_mib:.1f} MiB")
     return 0
 
 

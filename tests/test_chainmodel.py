@@ -1,5 +1,6 @@
 """Multiplexer gating envelope, power, capacity and config models."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -119,6 +120,63 @@ class TestGatingEnvelope:
     def test_floor_matches_isolation(self):
         sched = cm.GatingSchedule.from_mux(cm.MuxModel(isolation_db=35.0), [])
         assert sched.floor_amplitude == pytest.approx(10 ** (-35 / 20), rel=1e-12)
+
+
+class TestEnvelopeModulator:
+    MUX = cm.MuxModel(isolation_db=30.0)
+    # 0, 1 and 2 events; a window wider than the 40 ns pulse puts both of
+    # its events outside (0, t_g)
+    EVENTS = [
+        (),
+        ((15e-9, "RF1"),),
+        ((10e-9, "RF1"), (30e-9, "RF2")),
+        ((-10e-9, "RF1"), (50e-9, "RF2")),
+        ((5e-9, "RF2"), (25e-9, "RF1")),
+    ]
+
+    @pytest.mark.parametrize("rise_time", [0.0, 2.6e-9])
+    def test_each_member_matches_its_schedule_alone(self, rise_time):
+        """Every member of one stacked modulator gives the same bits as
+        gating_envelope of its schedule alone, at each event time and one
+        ulp before it; no padded knot is evaluated, so no warning is raised."""
+        schedules = [cm.GatingSchedule.from_mux(self.MUX, events) for events in self.EVENTS]
+        event_times = np.array(sorted({t for events in self.EVENTS for t, _ in events}))
+        times = np.concatenate(
+            [np.linspace(-20e-9, 60e-9, 401), event_times, np.nextafter(event_times, -np.inf)]
+        )
+        # each member sees the times in its own order: (time, stage, member)
+        rng = np.random.default_rng(0)
+        t = rng.permuted(np.tile(times[:, None, None], (1, 3, len(schedules))), axis=0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            modulator = cm.EnvelopeModulator(schedules, "RF1", rise_time)
+            stacked = modulator(t)
+            alone = [
+                cm.gating_envelope(s, "RF1", t[..., b], rise_time) for b, s in enumerate(schedules)
+            ]
+        assert stacked.shape == t.shape
+        for b, values in enumerate(alone):
+            assert np.array_equal(stacked[..., b], values)
+        assert modulator.breakpoints == tuple(event_times)
+
+    def test_one_schedule_is_elementwise(self):
+        sched = cm.GatingSchedule.from_mux(self.MUX, [(10e-9, "RF1"), (30e-9, "RF2")])
+        t = np.linspace(0.0, 40e-9, 12).reshape(4, 3)
+        modulator = cm.EnvelopeModulator([sched], "RF1", 2.6e-9)
+        assert np.array_equal(modulator(t), cm.gating_envelope(sched, "RF1", t, 2.6e-9))
+        assert modulator.breakpoints == (10e-9, 30e-9)
+
+    @pytest.mark.parametrize(
+        "port, rise_time", [("RF5", 0.0), ("rf1", 2.6e-9), ("RF1", -1e-9), ("RF1", math.nan)]
+    )
+    def test_rejected_when_built(self, port, rise_time):
+        """An unknown port or a negative (or NaN) rise time fails when the
+        modulator is built, before any integration calls it."""
+        sched = cm.GatingSchedule.from_mux(self.MUX, [(10e-9, "RF1")])
+        with pytest.raises(ConfigError):
+            cm.EnvelopeModulator([sched], port, rise_time)
+        with pytest.raises(ConfigError):
+            cm.gating_envelope(sched, port, 20e-9, rise_time)
 
 
 class TestCoolingBudget:

@@ -349,6 +349,9 @@ class TestParameterSpec:
             ("fig4b_tdm", {**FAST_TDM, "pulse_shape": "square"}),
             ("fig4a_rb", {**FAST_RB, "pulse_shape": "square"}),
             ("fig4b_tdm", {"windows_ns": [-5]}),
+            # a detection floor is a population, in [0, 1]
+            ("fig4b_tdm", {**FAST_TDM, "detection_floor": 2.0}),
+            ("fig4b_tdm", {**FAST_TDM, "detection_floor": -0.1}),
             # the retired word-to-port map and serial switching coefficient
             ("fig2_power", {"mux": {"port_map": {"00": "RF2", "01": "RF1", "10": "RF3", "11": "RF4"}}}),
             ("fig2_power", {"mux": {"dyn_coeff_serial_j_per_hz_v2": 0.26e-12}}),

@@ -10,7 +10,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from test_qubitsim import T_G, gated_modulator
+from test_qubitsim import T_G, gated_batch
 
 from cryomux import chainmodel as cm
 from cryomux import qubitsim as qs
@@ -38,12 +38,12 @@ def test_tdm_sweep_states(levels, shape, rise_time, bound):
     config = qs.SimConfig(levels=levels)
     pulse = qs.calibrate_pi_pulse(T_G, shape, config)
     mux = cm.MuxModel(isolation_db=30.0, rise_time=rise_time)
-    modulators = [gated_modulator(mux, w) for w in WINDOWS]
+    modulator, breakpoints = gated_batch(mux, WINDOWS)
     ground = qs.QubitState.ground(levels).density_matrix
     rho0 = np.broadcast_to(ground, (len(WINDOWS), levels, levels))
 
     def finals(cfg):
-        states = qs._evolve_batch(rho0, pulse, cfg, modulators, [""] * len(WINDOWS))
+        states = qs._evolve_batch(rho0, pulse, cfg, modulator, breakpoints, [""] * len(WINDOWS))
         return np.array([state.density_matrix for state in states])
 
     reference = finals(dataclasses.replace(config, dt=FINE_DT))

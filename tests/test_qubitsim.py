@@ -28,7 +28,8 @@ class ConstantModulator:
 
 
 class NanFrom:
-    """Full drive before t0 and NaN from t0 on."""
+    """Full drive before t0 and NaN from t0 on; an array t0 gives each
+    member along the trailing axis its own."""
 
     breakpoints = ()
 
@@ -168,11 +169,12 @@ class TestGateChannel:
         config = qs.SimConfig(levels=levels, dt=dt, **self.CONFIG)
         pulse = self.pulse(shape)
         if dt is not None:
-            assert qs._Grid(T_G, dt, None).n_steps == 2003
+            assert qs._Grid(T_G, dt, [None]).n_max == 2003
         states = probe_states(levels)
         vecs = states.reshape(len(states), -1)
         assert np.linalg.matrix_rank(vecs) == levels**2
-        finals = qs._evolve_batch(states, pulse, config, [None] * len(states), [""] * len(states))
+        n = len(states)
+        finals = qs._evolve_batch(states, pulse, config, None, [None] * n, [""] * n)
         evolved = np.array([final.density_matrix.reshape(-1) for final in finals])
         channel = qs.gate_channel(pulse, config)
         # measured gap: 4.2e-15 (default grid) and 4.7e-14 (ragged) at 2
@@ -340,11 +342,23 @@ class TestTdmExperiment:
             qs.tdm_experiment(1e-6, self.MUX, pi_pulse)
 
 
-def gated_modulator(mux, window):
-    """The modulator tdm_sweep builds for one window centered on the pulse."""
+def gated_batch(mux, windows):
+    """The modulator tdm_sweep builds for windows centered on the pulse, one
+    member per window, and each member's breakpoints."""
     mid = T_G / 2
-    events = [] if window == 0.0 else [(mid - window / 2, "RF1"), (mid + window / 2, "RF2")]
-    return cm.EnvelopeModulator(cm.GatingSchedule.from_mux(mux, events), "RF1", mux.rise_time)
+    schedules = [
+        cm.GatingSchedule.from_mux(
+            mux, [] if w == 0.0 else [(mid - w / 2, "RF1"), (mid + w / 2, "RF2")]
+        )
+        for w in windows
+    ]
+    breakpoints = [[t for t, _ in schedule.events] for schedule in schedules]
+    return cm.EnvelopeModulator(schedules, "RF1", mux.rise_time), breakpoints
+
+
+def gated_modulator(mux, window):
+    """The elementwise modulator of one window, as evolve takes it."""
+    return gated_batch(mux, [window])[0]
 
 
 class TestTdmSweep:
@@ -361,8 +375,8 @@ class TestTdmSweep:
         pulse = qs.calibrate_pi_pulse(T_G, shape, config)
         mux = cm.MuxModel(isolation_db=30.0, rise_time=rise_time)
         modulators = [gated_modulator(mux, w) for w in self.WINDOWS]
-        steps = {qs._Grid(T_G, T_G / 2000, m.breakpoints).n_steps for m in modulators}
-        assert steps == {2000, 2002}
+        steps = qs._Grid(T_G, T_G / 2000, [m.breakpoints for m in modulators]).n_steps
+        assert set(steps) == {2000, 2002}
         swept = qs.tdm_sweep(self.WINDOWS, mux, pulse, config)
         alone = [
             qs.evolve(qs.QubitState.ground(levels), pulse, m, config).population(1)
@@ -374,16 +388,21 @@ class TestTdmSweep:
 
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
     def test_member_does_not_depend_on_its_batch(self, levels, shape):
-        """Each member steps through its own stage operators, so a member
-        integrated in a batch is bit-identical to the member alone."""
+        """Each member's drive weights are evaluated on its own grid and each
+        member steps through its own stage operators, so a member integrated
+        in a batch is bit-identical to the member alone."""
         config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
         pulse = qs.calibrate_pi_pulse(T_G, shape, config)
         mux = cm.MuxModel(isolation_db=30.0, rise_time=2.6e-9)
-        modulators = [gated_modulator(mux, w) for w in (7e-9, 12.345e-9, 30e-9)]
-        rho0 = np.broadcast_to(qs.QubitState.ground(levels).density_matrix, (3, levels, levels))
-        batch = qs._evolve_batch(rho0, pulse, config, modulators, ["a: ", "b: ", "c: "])
-        for b, modulator in enumerate(modulators):
-            (alone,) = qs._evolve_batch(rho0[:1], pulse, config, [modulator], [""])
+        # 0 and 60 ns (wider than t_g, so both events fall outside it) give
+        # one-segment grids, the others three segments
+        windows = [0.0, 7e-9, 12.345e-9, 30e-9, 60e-9]
+        modulator, breakpoints = gated_batch(mux, windows)
+        assert [len(qs._segments(T_G, b)) for b in breakpoints] == [1, 3, 3, 3, 1]
+        rho0 = np.broadcast_to(qs.QubitState.ground(levels).density_matrix, (5, levels, levels))
+        batch = qs._evolve_batch(rho0, pulse, config, modulator, breakpoints, [""] * 5)
+        for b, window in enumerate(windows):
+            (alone,) = qs._evolve_batch(rho0[:1], pulse, config, *gated_batch(mux, [window]), [""])
             assert np.array_equal(batch[b].density_matrix, alone.density_matrix)
 
     def test_chunks_match_one_batch(self, pi_pulse, monkeypatch):
@@ -408,9 +427,11 @@ class TestTdmSweep:
         gated = cm.EnvelopeModulator.__call__
 
         def nan_for_bad_window(self, t):
-            if self.schedule.events and self.schedule.events[0][0] == T_G / 2 - bad / 2:
-                return np.full_like(t, math.nan)
-            return gated(self, t)
+            values = gated(self, t)
+            for b, schedule in enumerate(self.schedules):
+                if schedule.events and schedule.events[0][0] == T_G / 2 - bad / 2:
+                    values[..., b] = math.nan
+            return values
 
         monkeypatch.setattr(cm.EnvelopeModulator, "__call__", nan_for_bad_window)
         with pytest.raises(IntegrationError, match=rf"^window {bad!r} s: trace drifted to nan"):
@@ -424,10 +445,11 @@ class TestTdmSweep:
     def test_first_drifted_step_names_its_member(self, pi_pulse, nan_from, label):
         """Traces are checked once per block; the error names the member
         that drifted at the earliest step, not the lowest-numbered one."""
-        modulators = [None if f is None else NanFrom(f * T_G) for f in nan_from]
+        modulator = NanFrom(np.array([math.inf if f is None else f * T_G for f in nan_from]))
         rho0 = np.broadcast_to(qs.QubitState.ground(2).density_matrix, (3, 2, 2))
+        labels = ["a: ", "b: ", "c: "]
         with pytest.raises(IntegrationError, match=rf"^{label}trace drifted to nan"):
-            qs._evolve_batch(rho0, pi_pulse, qs.SimConfig(), modulators, ["a: ", "b: ", "c: "])
+            qs._evolve_batch(rho0, pi_pulse, qs.SimConfig(), modulator, [None] * 3, labels)
 
     def test_unstable_sweep_names_its_first_window(self):
         """A drive hundreds of times past the resolvable rate overflows
