@@ -23,18 +23,19 @@ one batched matrix-vector product. No member's arithmetic depends on the
 other members, so a member gives the same bits alone as in any batch. The
 weights are stored already scaled by half the member's step, so the step
 length costs no arithmetic inside the step loop. Every member keeps its own
-breakpoint-aligned grid; the grids are stacked, so one pass gives every
+breakpoint-aligned grid; the grids are stacked, so one call gives every
 member's step times and lengths, and a member with fewer steps is padded at
 its end with zero-length steps, whose weights are all zero, which leave it
-unchanged. Drive weights are evaluated for all members at once, a fixed slab
-of steps per pass, with one call of the modulator; every member's trace is
-recorded after each step and checked once a fixed block of steps ends, and
-sweeps are integrated a fixed chunk of windows at a time, so memory does not
-grow with the number of steps or windows. A single evolve call is a batch of
-one, whose elementwise modulator sees a member axis of length 1. Gate
-channels act on all d*d basis states at once, so they are products of the
-RK4 step propagators of the same grid and drive samples, built a block of
-steps at a time without a Python-level loop per step.
+unchanged. The loop goes by passes of a fixed number of (step, member)
+pairs: each pass evaluates every member's drive weights with one call of the
+modulator, steps every member into a reused state buffer and then checks the
+traces of all its steps at once. Sweeps are integrated a fixed chunk of
+windows at a time, so memory does not grow with the number of steps or
+windows. A single evolve call is a batch of one, whose elementwise modulator
+sees a member axis of length 1. Gate channels act on all d*d basis states at
+once, so they are products of the RK4 step propagators of the same grid and
+drive samples, built a block of steps at a time without a Python-level loop
+per step.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -61,8 +62,8 @@ _TRACE_TOL = 1e-6
 _POSITIVITY_TOL = 1e-6
 _PULSE_SHAPES = ("cosine", "cosine_drag")
 _STAGES = np.array([0.0, 0.5, 1.0])  # RK4 stage times as fractions of a step
-_BLOCK_STEPS = 256  # steps whose traces are checked (and channel propagators built) at once
-_FILL_PAIRS = 2048  # most (step, member) pairs whose drive weights one pass evaluates
+_BLOCK_STEPS = 256  # steps whose gate-channel propagators are built at once
+_FILL_PAIRS = 2048  # most (step, member) pairs filled, stepped and trace-checked in one pass
 _SWEEP_CHUNK = 32  # most gating windows integrated in one batch
 
 
@@ -280,9 +281,10 @@ class _Grid:
     def __init__(self, t_g: float, dt_target: float, breakpoints):
         members = [_segments(t_g, b) for b in breakpoints]
         n_seg = max(map(len, members))
-        # each segment's first step, start, step and last sampling time; a
-        # member with fewer segments is padded with ones that no step reaches
-        table = np.zeros((len(members), n_seg, 4))
+        # each segment's first step, start, step, last sampling time, end and
+        # first step past it; a member with fewer segments is padded with
+        # ones that no step reaches
+        table = np.zeros((len(members), n_seg, 6))
         table[..., 0] = np.inf
         self.n_steps = np.empty(len(members), dtype=np.intp)
         for b, segments in enumerate(members):
@@ -292,12 +294,12 @@ class _Grid:
             # sample strictly inside the half-open segment so a discontinuity
             # at its end is never read from the wrong side
             table[b, :len(segments)] = [
-                (j, start, (end - start) / n, np.nextafter(end, start))
+                (j, start, (end - start) / n, np.nextafter(end, start), end, j + n)
                 for j, n, (start, end) in zip(first, counts, segments)
             ]
         self.n_max = int(self.n_steps.max())
         # one row per field; member b's segment k is column b * n_seg + k
-        self._table = table.reshape(-1, 4).T.copy()
+        self._table = table.reshape(-1, 6).T.copy()
         self._offsets = np.arange(len(members)) * n_seg
         self._bounds = table[:, 1:, 0].T  # row k - 1: every member's first step of segment k
 
@@ -311,10 +313,13 @@ class _Grid:
         i = self._offsets
         for bound in self._bounds:
             i = i + (j >= bound)
-        first, start, dt, last = self._table.take(i, axis=1)
+        first, start, dt, last, end, stop = self._table.take(i, axis=1)
         stencil = (start + (j - first) * dt)[:, None] + _STAGES[:, None] * dt[..., None, :]
         t_eval = np.minimum(stencil, last[..., None, :])
-        return stencil[:, 2], t_eval, np.where(j < self.n_steps, dt, 0.0)
+        # a segment's last step ends exactly at its end, which the stencil's
+        # rounding can miss by an ulp
+        t_end = np.where(j + 1 == stop, end, stencil[:, 2])
+        return t_end, t_eval, np.where(j < self.n_steps, dt, 0.0)
 
 
 def _hermitian_basis(levels: int) -> np.ndarray:
@@ -373,40 +378,39 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
 
     States are real coordinates in the Hermitian basis, so they stay
     Hermitian; each member's are a row x[b, 0]. Each RK4 stage is applied to
-    the state vectors themselves. The weights live in a buffer of
-    _BLOCK_STEPS steps reused by every block, already multiplied by half the
-    member's step h: (h/2)(1, wx, wy, wn). They are filled for all members
-    at once, in passes of at most _FILL_PAIRS (step, member) pairs, so the
-    temporaries stay small (64 steps of a 32-window chunk) while a batch of
-    one fills a block in one pass. In each pass the stacked grids give every
-    member's stage times and step lengths as (step, stage, member) arrays,
-    _drive_waveforms and the modulator run once on them, and the scaled
-    weights are written with no loop over members.
-
-    At each step one product of those weights with the stacked, flattened
-    parts L0^T, Lx^T, Ly^T and Ln^T fills a reused buffer with every
-    member's stage operators (h/2) L^T at the step's start, midpoint and
-    end; stage s is then one batched row-times-matrix product,
-    a_s = x_s @ (h/2) L^T = (h/2) k_s. Assembling and applying the operators
-    costs 16 D^2 multiply-adds per member and step (D = d*d), as many as
-    applying the four parts at each of the four stages. No member forms a
-    step propagator, which would cost d*d times more, and no member's
-    arithmetic depends on its batch.
-    A step is
-        x <- x + (a1 + a4 + 2 (a2 + a3)) / 3
-    with stage inputs x, x + a1, x + a2 and x + 2 a3. A member whose grid
-    ends early takes zero-length steps with all-zero weights, which leave it
-    unchanged.
-
-    After every step each member's trace, the sum of its first d
-    coordinates, is recorded by one reduction; once the block ends, every
-    recorded trace is checked, and the first drift in step order (the lowest
-    member within a step) raises IntegrationError. An unstable member can
-    overflow before its block ends, so the block runs with numpy's overflow
-    and invalid-value warnings off; the check still fails on its inf or NaN
-    trace. trajectory, when a list, receives member 0's (time, rho) after
-    each step. An IntegrationError from the trace check or the final state's
-    validation starts with the member's label.
+    the state vectors themselves. One loop runs over passes of at most
+    _FILL_PAIRS (step, member) pairs: a whole 2,000-step pulse for a batch of
+    one, 66 steps for 31 members. Its buffers are sized for one pass and
+    reused by every pass, so memory does not grow with the number of steps.
+    Each pass
+    1. fills every member's weights (h/2)(1, wx, wy, wn), h being the
+       member's step: the stacked grids give all stage times and step
+       lengths as (step, stage, member) arrays, and _drive_waveforms and the
+       modulator run once on them, with no loop over members;
+    2. steps every member, writing the states after step i into xs[i + 1].
+       At each step one product of the weights with the stacked, flattened
+       parts L0^T, Lx^T, Ly^T and Ln^T fills a buffer with every member's
+       stage operators (h/2) L^T at the step's start, midpoint and end; stage
+       s is then one batched row-times-matrix product,
+       a_s = x_s @ (h/2) L^T = (h/2) k_s, and a step is
+           x <- x + (a1 + a4 + 2 (a2 + a3)) / 3
+       with stage inputs x, x + a1, x + a2 and x + 2 a3;
+    3. records every step's trace, the sum of a state's first d coordinates,
+       with one reduction over xs and checks them: the first drift in step
+       order (the lowest member within a step) raises IntegrationError.
+       trajectory, when a list, then receives member 0's (time, rho) after
+       each step;
+    4. carries its last states over to xs[0].
+    Assembling and applying the operators costs 16 D^2 multiply-adds per
+    member and step (D = d*d), as many as applying the four parts at each of
+    the four stages. No member forms a step propagator, which would cost d*d
+    times more, and no member's arithmetic depends on its batch. A member
+    whose grid ends early takes zero-length steps with all-zero weights,
+    which leave it unchanged. An unstable member can overflow before its
+    pass ends, so the steps run with numpy's overflow and invalid-value
+    warnings off; the check still fails on its inf or NaN trace. An
+    IntegrationError from the trace check or the final state's validation
+    starts with the member's label.
     """
     dim = config.levels
     basis = _hermitian_basis(dim)
@@ -414,51 +418,50 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
     # row p is L_p^T flattened, so weights @ parts_flat gives sum_p w_p L_p^T
     parts_flat = np.stack([part.T.reshape(-1) for part in _real_liouvillian_parts(config)])
     n_members, n_parts = len(labels), len(parts_flat)
-    shape = (min(_BLOCK_STEPS, grid.n_max), n_members)  # (step, member)
-    t_end, traces = np.empty(shape), np.empty(shape)
+    n_pass = min(max(1, _FILL_PAIRS // n_members), grid.n_max)
     # weights[i, s, b] of L0, Lx, Ly and Ln at RK4 stage s of member b's
-    # step i, times half that step's length
-    weights = np.empty((shape[0], 3, n_members, n_parts))
-    # ops[s, b] = (h/2) L^T at RK4 stage s of member b's current step
+    # step i of the pass, times half that step's length; rows[i] is the
+    # same step as one row per (stage, member)
+    weights = np.empty((n_pass, 3, n_members, n_parts))
+    rows = weights.reshape(n_pass, -1, n_parts)
+    # (h/2) L^T at stage a, b and c of every member's current step
     ops_flat = np.empty((3 * n_members, dim**4))
-    ops = ops_flat.reshape(3, n_members, dim * dim, dim * dim)
-    fill_steps = max(1, _FILL_PAIRS // n_members)
-
-    x = (np.asarray(rho0).reshape(n_members, 1, dim * dim) @ basis.T).real
-    for j0 in range(0, grid.n_max, _BLOCK_STEPS):
-        n_block = min(_BLOCK_STEPS, grid.n_max - j0)
-        weights.fill(0.0)
-        for s0 in range(0, n_block, fill_steps):
-            s1 = min(s0 + fill_steps, n_block)
-            t_end[s0:s1], t_eval, h = grid.block(j0 + s0, j0 + s1)
-            half_h = 0.5 * h[:, None]  # (step, 1, member)
-            slab = weights[s0:s1]
-            slab[..., 0] = half_h
-            # a zero-length step keeps all-zero weights, whatever its drive
-            live = half_h > 0.0
-            for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
-                np.multiply(half_h, w, out=slab[..., p], where=live)
-        # an unstable member may overflow before the block's check below
+    m_a, m_b, m_c = ops_flat.reshape(3, n_members, dim * dim, dim * dim)
+    # xs[i + 1] holds every member's state after step i of the pass
+    xs = np.empty((n_pass + 1, n_members, 1, dim * dim))
+    xs[0] = (np.asarray(rho0).reshape(n_members, 1, dim * dim) @ basis.T).real
+    for j0 in range(0, grid.n_max, n_pass):
+        n = min(n_pass, grid.n_max - j0)
+        t_end, t_eval, h = grid.block(j0, j0 + n)
+        half_h = 0.5 * h[:, None]  # (step, 1, member)
+        slab = weights[:n]
+        slab.fill(0.0)
+        slab[..., 0] = half_h
+        # a zero-length step keeps all-zero weights, whatever its drive
+        live = half_h > 0.0
+        for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
+            np.multiply(half_h, w, out=slab[..., p], where=live)
         with np.errstate(over="ignore", invalid="ignore"):
-            for i in range(n_block):
-                np.matmul(weights[i].reshape(-1, n_parts), parts_flat, out=ops_flat)
-                m_a, m_b, m_c = ops
+            for row, x, x_next in zip(rows[:n], xs[:n], xs[1:n + 1]):
+                np.matmul(row, parts_flat, out=ops_flat)
                 a1 = x @ m_a  # a_s = h/2 k_s
                 a2 = (x + a1) @ m_b
                 a3 = (x + a2) @ m_b
                 a4 = (x + 2.0 * a3) @ m_c
-                x = x + (a1 + a4 + 2.0 * (a2 + a3)) / 3.0
-                np.add.reduce(x[:, 0, :dim], axis=1, out=traces[i])
-                if trajectory is not None:
-                    trajectory.append((t_end[i, 0], (x[0, 0] @ basis.conj()).reshape(dim, dim)))
-            drift = np.abs(traces[:n_block] - 1.0)
-            if not drift.max() <= _TRACE_TOL:  # max propagates NaN
-                i, b = np.argwhere(~(drift <= _TRACE_TOL))[0]  # first in step order
-                raise IntegrationError(
-                    f"{labels[b]}trace drifted to {float(traces[i, b])!r} during integration"
-                )
+                np.add(x, (a1 + a4 + 2.0 * (a2 + a3)) / 3.0, out=x_next)
+            traces = np.add.reduce(xs[1:n + 1, :, 0, :dim], axis=2)
+            drift = np.abs(traces - 1.0)
+        if not drift.max() <= _TRACE_TOL:  # max propagates NaN
+            i, b = np.argwhere(~(drift <= _TRACE_TOL))[0]  # first in step order
+            raise IntegrationError(
+                f"{labels[b]}trace drifted to {float(traces[i, b])!r} during integration"
+            )
+        if trajectory is not None:
+            rhos = (xs[1:n + 1, 0, 0] @ basis.conj()).reshape(n, dim, dim)
+            trajectory += zip(t_end[:, 0], rhos)
+        xs[0] = xs[n]
     finals = []
-    for label, rho in zip(labels, (x[:, 0] @ basis.conj()).reshape(-1, dim, dim)):
+    for label, rho in zip(labels, (xs[0, :, 0] @ basis.conj()).reshape(-1, dim, dim)):
         try:
             finals.append(QubitState(rho))
         except IntegrationError as exc:

@@ -147,8 +147,8 @@ def fig3_coherence(
     t1_s: Duration = 30e-6,
     t2_star_baseline_s: Duration = 40e-6,
     t2_echo_baseline_s: Duration = 35e-6,
-    n_mux_on: float = 0.146,
-    attenuation_db: float = 13.0,
+    n_mux_on: Annotated[float, Within(0.0)] = 0.146,
+    attenuation_db: Attenuation = 13.0,
     v_full_on_v: float = 0.7,
     v_start_v: float = 0.0,
     v_stop_v: float = 0.9,
@@ -183,7 +183,7 @@ def fig3f_slope(
     t2_echo_on_s: Duration = 25e-6,
     t2_echo_baseline_s: Duration = 35e-6,
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
-    attenuation_db: float = 13.0,
+    attenuation_db: Attenuation = 13.0,
     rate_stop_hz: float = 1e6,
     rate_points: Points = 21,
 ) -> list[Table]:
@@ -285,7 +285,7 @@ def methods_t1_limit(
     r_m_ohm: float = 5.0,
     t_eff_k: float = 7.0,
     omega_q_hz: float = 3.957e9,
-    attenuations_db: tuple[float, ...] = (0.0,),
+    attenuations_db: tuple[Attenuation, ...] = (0.0,),
 ) -> list[Table]:
     """Relaxation limit from drive-line voltage noise, with attenuation"""
     coupling = noisecalc.DriveCoupling(c_d=c_d_f, c_q=c_q_f, r_m=r_m_ohm, t_eff=t_eff_k)
@@ -307,8 +307,8 @@ def methods_teff(
     g_hz: float = 90e6,
     t2_echo_on_s: Duration = 25e-6,
     t2_echo_baseline_s: Duration = 35e-6,
-    attenuation_db: float = 13.0,
-    projection_attenuation_db: float = 20.0,
+    attenuation_db: Attenuation = 13.0,
+    projection_attenuation_db: Attenuation = 20.0,
     switch_rate_hz: float = 1e6,
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
 ) -> list[Table]:

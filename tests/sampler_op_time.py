@@ -1,4 +1,5 @@
-"""Time the tdm_sweep ops whose margins the integrator's speed and memory move.
+"""Time the tdm_sweep ops whose margins the integrator's speed and memory
+move, and the integrator step layer inside them.
 
 perfbench/test_perfbench.py::test_sampler_time_is_taken_out_of_the_ops needs
 more than 10 host-speed samples, 5 ms apart, inside one tdm_sweep op, so the
@@ -7,8 +8,11 @@ small_inputs fixture does (2 windows, 1 reference window, seed 0), runs it 10
 times and prints the min, median and max op time, so the margin left above
 ~55 ms is visible. It then builds one full op the way perfbench's tdm_sweep
 workload does (31 windows, 3 reference windows, seed 0), times it 5 times,
-and prints the process's peak resident memory, which covers both. It only
-reports; the sampler test and the benchmark decide what passes.
+and prints the process's peak resident memory, which covers both. Last it
+times the integrator layer of that op, 5 calls each after a warm-up: the
+2-level calibration evolve (in ms) and the 2-level and 3-level 31-window
+sweeps of seed 0 (in us per step of the batch's loop). It only reports; the
+sampler test and the benchmark decide what passes.
 
     python3 tests/sampler_op_time.py
 
@@ -30,8 +34,11 @@ run.load_cryomux()
 
 import workloads  # noqa: E402
 
+from cryomux import chainmodel, qubitsim, scenarios  # noqa: E402
+
 SHRUNKEN_OPS = 10
 FULL_OPS = 5
+LAYER_CALLS = 5
 
 
 def time_ops(n_ops: int) -> list[float] | None:
@@ -51,6 +58,54 @@ def time_ops(n_ops: int) -> list[float] | None:
                 print(f"op {i} failed: {problems[0]}", file=sys.stderr)
                 return None
     return sorted(1e3 * s for s in seconds)
+
+
+def time_calls(call) -> list[float]:
+    """Seconds of LAYER_CALLS calls of call, after one warm-up call, sorted."""
+    call()
+    seconds = []
+    for _ in range(LAYER_CALLS):
+        start = time.perf_counter()
+        call()
+        seconds.append(time.perf_counter() - start)
+    return sorted(seconds)
+
+
+def integrator_layer() -> None:
+    """Print the calibration evolve's ms and each 31-window sweep's us per
+    step, as fig4b_tdm runs them at its defaults and at perfbench's 3-level
+    settings."""
+    defaults = scenarios.REGISTRY["fig4b_tdm"].defaults
+    t_g = defaults["t_g_s"]
+    with tempfile.TemporaryDirectory() as tmp:
+        windows_ns = workloads.make_inputs("tdm_sweep", 0, Path(tmp))["windows_ns"]
+    windows = [w * 1e-9 for w in windows_ns]
+    # the breakpoints tdm_sweep gives each window's grid
+    breakpoints = [() if w == 0.0 else (t_g / 2 - w / 2, t_g / 2 + w / 2) for w in windows]
+    steps = qubitsim._Grid(t_g, t_g / 2000, breakpoints).n_max
+
+    config = qubitsim.SimConfig(levels=2)
+    pulse = qubitsim.calibrate_pi_pulse(t_g, "cosine", config)
+    ground = qubitsim.QubitState.ground(2)
+    ms = [1e3 * s for s in time_calls(lambda: qubitsim.evolve(ground, pulse, None, config))]
+    print(
+        f"calibration evolve (2-level, 2,000 steps), {LAYER_CALLS} runs: "
+        f"min {ms[0]:.1f} ms, median {statistics.median(ms):.1f} ms"
+    )
+    level3 = workloads.TDM_LEVEL3
+    for levels, shape, rise_time in (
+        (2, "cosine", defaults["rise_time_s"]),
+        (3, level3["pulse_shape"], level3["rise_time_s"]),
+    ):
+        config = qubitsim.SimConfig(levels=levels)
+        pulse = qubitsim.calibrate_pi_pulse(t_g, shape, config)
+        mux = chainmodel.MuxModel(isolation_db=defaults["isolation_db"], rise_time=rise_time)
+        seconds = time_calls(lambda: qubitsim.tdm_sweep(windows, mux, pulse, config))
+        us = [1e6 * s / steps for s in seconds]
+        print(
+            f"{len(windows)}-window {levels}-level sweep ({steps} steps), {LAYER_CALLS} runs: "
+            f"min {us[0]:.1f} us/step, median {statistics.median(us):.1f} us/step"
+        )
 
 
 def main() -> int:
@@ -75,6 +130,7 @@ def main() -> int:
     # ru_maxrss is in KiB on Linux
     peak_mib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS of this process: {peak_mib:.1f} MiB")
+    integrator_layer()
     return 0
 
 

@@ -155,8 +155,8 @@ class TestRun:
         [
             ("fig3_coherence", {"v_full_on_v": 0.6}),
             ("fig3f_slope", {"slope": 1e303}),  # its rate overflows
-            ("fig3_coherence", {"attenuation_db": -5000}),
-            ("fig3f_slope", {"attenuation_db": -5000}),
+            # a legal attenuation whose power ratio 10^(-x/10) underflows to 0
+            ("fig3f_slope", {"attenuation_db": 6000}),
             ("scaling_capacity", {"per_channel_nominal_w": 1e-320}),
         ],
     )
@@ -355,6 +355,15 @@ class TestParameterSpec:
             # the retired word-to-port map and serial switching coefficient
             ("fig2_power", {"mux": {"port_map": {"00": "RF2", "01": "RF1", "10": "RF3", "11": "RF4"}}}),
             ("fig2_power", {"mux": {"dyn_coeff_serial_j_per_hz_v2": 0.26e-12}}),
+            # attenuations outside [0, 6153] dB, and a negative occupancy
+            ("fig3_coherence", {"attenuation_db": -5000}),
+            ("fig3f_slope", {"attenuation_db": -5000}),
+            ("fig3_coherence", {"attenuation_db": -400.0}),
+            ("fig3f_slope", {"attenuation_db": -400.0}),
+            ("methods_teff", {"attenuation_db": -400.0}),
+            ("methods_teff", {"projection_attenuation_db": -400.0}),
+            ("methods_t1_limit", {"attenuations_db": [0.0, -400.0]}),
+            ("fig3_coherence", {"n_mux_on": -1.0}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):

@@ -94,6 +94,20 @@ class TestEvolve:
         assert len(traj) == len(times)
         assert np.array_equal(traj[-1], final.density_matrix)
 
+    def test_trajectory_spans_passes(self, pi_pulse):
+        """At dt = t_g/4100 a batch of one takes 4,100 steps in three passes;
+        the trajectory still has an entry per step plus the start, rises
+        strictly to exactly t_g and ends in the state evolve returns."""
+        config = qs.SimConfig(dt=T_G / 4100, t1=30e-6, t_phi=20e-6)
+        n_steps = qs._Grid(T_G, config.dt, [None]).n_max
+        assert -(-n_steps // qs._FILL_PAIRS) == 3
+        final, times, traj = qs.evolve(
+            qs.QubitState.ground(2), pi_pulse, None, config, return_trajectory=True
+        )
+        assert len(times) == len(traj) == n_steps + 1
+        assert times[0] == 0.0 and np.all(np.diff(times) > 0) and times[-1] == T_G
+        assert np.array_equal(traj[-1], final.density_matrix)
+
     def test_dt_convergence(self, pi_pulse):
         base = qs.evolve(
             qs.QubitState.ground(2), pi_pulse, None, qs.SimConfig(dt=T_G / 2000)
@@ -438,12 +452,12 @@ class TestTdmSweep:
             qs.tdm_sweep([10e-9, bad, 30e-9], self.MUX, pi_pulse)
 
     # fractions of T_G from which members a, b and c see a NaN drive; all
-    # NaN steps fall in the sixth 256-step block of 2,000
+    # NaN steps fall in the last of three passes
     @pytest.mark.parametrize(
         "nan_from, label", [((None, 0.75, None), "b: "), ((None, 0.76, 0.75), "c: ")]
     )
     def test_first_drifted_step_names_its_member(self, pi_pulse, nan_from, label):
-        """Traces are checked once per block; the error names the member
+        """Traces are checked once per pass; the error names the member
         that drifted at the earliest step, not the lowest-numbered one."""
         modulator = NanFrom(np.array([math.inf if f is None else f * T_G for f in nan_from]))
         rho0 = np.broadcast_to(qs.QubitState.ground(2).density_matrix, (3, 2, 2))
@@ -451,9 +465,32 @@ class TestTdmSweep:
         with pytest.raises(IntegrationError, match=rf"^{label}trace drifted to nan"):
             qs._evolve_batch(rho0, pi_pulse, qs.SimConfig(), modulator, [None] * 3, labels)
 
+    # steps (in units of the default step) from which members of a batch of
+    # 31 see a NaN drive; a quarter step past an integer, no stage of the
+    # step before samples it. Step 66 opens the second 66-step pass.
+    @pytest.mark.parametrize(
+        "nan_from, named",
+        [
+            ({10: 66.25, 30: 70.25}, 10),  # a higher member drifts later in the pass
+            ({10: 66.25, 2: 100.25}, 10),  # so does a lower one
+            ({10: 66.25, 30: 65.25}, 30),  # the first pass's last step comes first
+        ],
+    )
+    def test_drift_in_a_later_pass_names_its_member(self, pi_pulse, nan_from, named):
+        """The check after each pass names the member that drifted at the
+        earliest step, whichever pass and member number that is."""
+        assert qs._FILL_PAIRS // 31 == 66
+        t0 = np.full(31, math.inf)
+        for b, step in nan_from.items():
+            t0[b] = step * T_G / 2000
+        rho0 = np.broadcast_to(qs.QubitState.ground(2).density_matrix, (31, 2, 2))
+        labels = [f"member {b}: " for b in range(31)]
+        with pytest.raises(IntegrationError, match=rf"^member {named}: trace drifted to nan"):
+            qs._evolve_batch(rho0, pi_pulse, qs.SimConfig(), NanFrom(t0), [None] * 31, labels)
+
     def test_unstable_sweep_names_its_first_window(self):
         """A drive hundreds of times past the resolvable rate overflows
-        every window within the one block of 200 steps; the sweep still
+        every window within the one pass of 200 steps; the sweep still
         ends in IntegrationError naming the first window, and no overflow
         warning escapes."""
         pulse = qs.PulseSpec("cosine", T_G, 800 * 2 * math.pi / T_G)
