@@ -13,29 +13,14 @@ Liouvillian parts mapped into that basis, and mapped back to row-major
 vec(rho) at the end (trajectories at each recorded step).
 
 States are stepped by one loop over a batch of density matrices that share
-the pulse but each have their own gating, as in a gating-window sweep: one
-modulator takes times with a trailing member axis, and each member has its
-own breakpoints. Each RK4 stage is applied to the state vectors themselves:
-the Liouvillian is a weighted sum of four fixed parts, so at each step one
-matrix product of every member's drive weights with the stacked parts
-assembles each member's three stage Liouvillians, and every stage is then
-one batched matrix-vector product. No member's arithmetic depends on the
-other members, so a member gives the same bits alone as in any batch. The
-weights are stored already scaled by half the member's step, so the step
-length costs no arithmetic inside the step loop. Every member keeps its own
-breakpoint-aligned grid; the grids are stacked, so one call gives every
-member's step times and lengths, and a member with fewer steps is padded at
-its end with zero-length steps, whose weights are all zero, which leave it
-unchanged. The loop goes by passes of a fixed number of (step, member)
-pairs: each pass evaluates every member's drive weights with one call of the
-modulator, steps every member into a reused state buffer and then checks the
-traces of all its steps at once. Sweeps are integrated a fixed chunk of
-windows at a time, so memory does not grow with the number of steps or
-windows. A single evolve call is a batch of one, whose elementwise modulator
-sees a member axis of length 1. Gate channels act on all d*d basis states at
-once, so they are products of the RK4 step propagators of the same grid and
-drive samples, built a block of steps at a time without a Python-level loop
-per step.
+the pulse but each have their own gating, as in a gating-window sweep (see
+_evolve_batch); gate channels act on all d*d basis states at once (see
+gate_channel). Both take the same RK4 stage operators: the Liouvillian is a
+weighted sum of four fixed parts, and _stage_weights gives every step's
+weights of them at each stage, already scaled by half the step, from one
+breakpoint-aligned step grid per member. Both then take the same RK4 step,
+_rk4_increment: states apply it to their state vectors, and gate channels to
+the identity, which gives each step's propagator less the identity.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -341,29 +326,47 @@ def _hermitian_basis(levels: int) -> np.ndarray:
     return np.array([b.reshape(-1) for b in basis]).conj()
 
 
-def _real_liouvillian_parts(config: SimConfig):
+def _real_liouvillian_parts(config: SimConfig) -> np.ndarray:
     """L0, Lx, Ly and Ln of _liouvillian_parts in the Hermitian basis of
-    _hermitian_basis. Each preserves Hermiticity, so T L T^+ is real and only
-    rounding is dropped with its imaginary part."""
+    _hermitian_basis, stacked as rows of flattened transposes, so that
+    weights @ parts gives sum_p w_p L_p^T. Each part preserves Hermiticity,
+    so T L T^+ is real and only rounding is dropped with its imaginary part."""
     basis = _hermitian_basis(config.levels)
-    return [(basis @ part @ basis.conj().T).real for part in _liouvillian_parts(config)]
+    return np.stack([
+        (basis @ part @ basis.conj().T).real.T.reshape(-1) for part in _liouvillian_parts(config)
+    ])
 
 
-def _rk4_propagators(l_stages: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Propagators of RK4 steps of lengths h (...) under the Liouvillians
-    l_stages (..., 3, D, D) at each step's start, midpoint and end.
+def _stage_weights(pulse: PulseSpec, config: SimConfig, grid: _Grid, j0: int, j1: int, modulator):
+    """End times (n, member) of every member's steps j0 <= j < j1, and the
+    weights (n, 3, member, 4) of L0, Lx, Ly and Ln at each RK4 stage of
+    those steps, times half the step's length h: (h/2)(1, wx, wy, wn).
 
-    RK4 is linear in the state, so a step maps x to P x with
-        A2 = Lb + h/2 Lb La,  A3 = Lb + h/2 Lb A2,  A4 = Lc + h Lc A3,
-        P = I + h/6 (La + 2 A2 + 2 A3 + A4),
-    La, Lb and Lc being the stage Liouvillians. A zero-length step gives I.
+    The stacked grids give all stage times and step lengths as (step, stage,
+    member) arrays, so _drive_waveforms and the modulator (or None, for the
+    full drive) run once on them, with no loop over members. A zero-length
+    step keeps all-zero weights, whatever its drive.
     """
-    l_a, l_b, l_c = l_stages[..., 0, :, :], l_stages[..., 1, :, :], l_stages[..., 2, :, :]
-    h = h[..., None, None]
-    a2 = l_b + 0.5 * h * (l_b @ l_a)
-    a3 = l_b + 0.5 * h * (l_b @ a2)
-    a4 = l_c + h * (l_c @ a3)
-    return np.eye(l_a.shape[-1]) + h / 6.0 * (l_a + 2.0 * a2 + 2.0 * a3 + a4)
+    t_end, t_eval, h = grid.block(j0, j1)
+    half_h = 0.5 * h[:, None]  # (step, 1, member)
+    weights = np.zeros((*t_eval.shape, 4))
+    weights[..., 0] = half_h
+    live = half_h > 0.0
+    for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
+        np.multiply(half_h, w, out=weights[..., p], where=live)
+    return t_end, weights
+
+
+def _rk4_increment(x, m_a, m_b, m_c):
+    """Increment of one RK4 step of rows x under the stage operators
+    m_a, m_b and m_c, each (h/2) L^T at the step's start, midpoint and end:
+    a_s = x_s @ m = (h/2) k_s on stage inputs x, x + a1, x + a2 and
+    x + 2 a3, and the step adds (a1 + a4 + 2 (a2 + a3)) / 3."""
+    a1 = x @ m_a
+    a2 = (x + a1) @ m_b
+    a3 = (x + a2) @ m_b
+    a4 = (x + 2.0 * a3) @ m_c
+    return (a1 + a4 + 2.0 * (a2 + a3)) / 3.0
 
 
 def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels, trajectory=None):
@@ -380,21 +383,16 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
     Hermitian; each member's are a row x[b, 0]. Each RK4 stage is applied to
     the state vectors themselves. One loop runs over passes of at most
     _FILL_PAIRS (step, member) pairs: a whole 2,000-step pulse for a batch of
-    one, 66 steps for 31 members. Its buffers are sized for one pass and
-    reused by every pass, so memory does not grow with the number of steps.
+    one, 66 steps for 31 members. Its arrays are sized for one pass, and the
+    state and operator buffers are reused by every pass, so memory does not
+    grow with the number of steps.
     Each pass
-    1. fills every member's weights (h/2)(1, wx, wy, wn), h being the
-       member's step: the stacked grids give all stage times and step
-       lengths as (step, stage, member) arrays, and _drive_waveforms and the
-       modulator run once on them, with no loop over members;
+    1. fills every member's _stage_weights;
     2. steps every member, writing the states after step i into xs[i + 1].
-       At each step one product of the weights with the stacked, flattened
-       parts L0^T, Lx^T, Ly^T and Ln^T fills a buffer with every member's
-       stage operators (h/2) L^T at the step's start, midpoint and end; stage
-       s is then one batched row-times-matrix product,
-       a_s = x_s @ (h/2) L^T = (h/2) k_s, and a step is
-           x <- x + (a1 + a4 + 2 (a2 + a3)) / 3
-       with stage inputs x, x + a1, x + a2 and x + 2 a3;
+       At each step one product of the weights with the stacked parts fills
+       a buffer with every member's stage operators (h/2) L^T at the step's
+       start, midpoint and end, and _rk4_increment applies each stage as one
+       batched row-times-matrix product;
     3. records every step's trace, the sum of a state's first d coordinates,
        with one reduction over xs and checks them: the first drift in step
        order (the lowest member within a step) raises IntegrationError.
@@ -415,15 +413,9 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
     dim = config.levels
     basis = _hermitian_basis(dim)
     grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), breakpoints)
-    # row p is L_p^T flattened, so weights @ parts_flat gives sum_p w_p L_p^T
-    parts_flat = np.stack([part.T.reshape(-1) for part in _real_liouvillian_parts(config)])
-    n_members, n_parts = len(labels), len(parts_flat)
+    parts = _real_liouvillian_parts(config)
+    n_members = len(labels)
     n_pass = min(max(1, _FILL_PAIRS // n_members), grid.n_max)
-    # weights[i, s, b] of L0, Lx, Ly and Ln at RK4 stage s of member b's
-    # step i of the pass, times half that step's length; rows[i] is the
-    # same step as one row per (stage, member)
-    weights = np.empty((n_pass, 3, n_members, n_parts))
-    rows = weights.reshape(n_pass, -1, n_parts)
     # (h/2) L^T at stage a, b and c of every member's current step
     ops_flat = np.empty((3 * n_members, dim**4))
     m_a, m_b, m_c = ops_flat.reshape(3, n_members, dim * dim, dim * dim)
@@ -432,23 +424,12 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
     xs[0] = (np.asarray(rho0).reshape(n_members, 1, dim * dim) @ basis.T).real
     for j0 in range(0, grid.n_max, n_pass):
         n = min(n_pass, grid.n_max - j0)
-        t_end, t_eval, h = grid.block(j0, j0 + n)
-        half_h = 0.5 * h[:, None]  # (step, 1, member)
-        slab = weights[:n]
-        slab.fill(0.0)
-        slab[..., 0] = half_h
-        # a zero-length step keeps all-zero weights, whatever its drive
-        live = half_h > 0.0
-        for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
-            np.multiply(half_h, w, out=slab[..., p], where=live)
+        t_end, weights = _stage_weights(pulse, config, grid, j0, j0 + n, modulator)
         with np.errstate(over="ignore", invalid="ignore"):
-            for row, x, x_next in zip(rows[:n], xs[:n], xs[1:n + 1]):
-                np.matmul(row, parts_flat, out=ops_flat)
-                a1 = x @ m_a  # a_s = h/2 k_s
-                a2 = (x + a1) @ m_b
-                a3 = (x + a2) @ m_b
-                a4 = (x + 2.0 * a3) @ m_c
-                np.add(x, (a1 + a4 + 2.0 * (a2 + a3)) / 3.0, out=x_next)
+            # a row per step holds every (stage, member) of its weights
+            for row, x, x_next in zip(weights.reshape(n, -1, len(parts)), xs[:n], xs[1:n + 1]):
+                np.matmul(row, parts, out=ops_flat)
+                np.add(x, _rk4_increment(x, m_a, m_b, m_c), out=x_next)
             traces = np.add.reduce(xs[1:n + 1, :, 0, :dim], axis=2)
             drift = np.abs(traces - 1.0)
         if not drift.max() <= _TRACE_TOL:  # max propagates NaN
@@ -508,40 +489,39 @@ def gate_channel(
 ) -> np.ndarray:
     """Quantum channel of one ungated pulse as a superoperator on vec(rho).
 
-    phase rotates the drive IQ pair, giving gates about axes other than x.
-    The channel (row-major vec, as in evolve) is the product of the
-    _rk4_propagators of evolve's grid and drive samples, so composing
-    channels reproduces evolve() gate by gate, up to rounding. The
-    propagators are built in float64 on the real Liouvillian parts,
-    _BLOCK_STEPS steps at a time, and multiplied pairwise, later steps on
-    the left. The real product R is returned as T^+ R T. Raises
-    IntegrationError unless every entry is finite and the channel preserves
-    trace to within _TRACE_TOL. Useful when the same gate is applied many
-    times, e.g. in benchmarking sequences.
+    phase rotates the drive IQ pair, giving gates about axes other than x;
+    it is applied to the parts, Lx' = c Lx + s Ly and Ly' = c Ly - s Lx, so
+    the drive samples are evolve's. The channel (row-major vec, as in
+    evolve) is the product of the RK4 steps of evolve's grid, so composing
+    channels reproduces evolve() gate by gate, up to rounding. It is built
+    in float64 on the real Liouvillian parts, _BLOCK_STEPS steps at a time:
+    _rk4_increment on the identity gives each step's row-form propagator
+    I + delta, and the steps are multiplied pairwise in that delta form, an
+    earlier A and a later B giving A + B + A @ B, so the identity is added
+    once at the end. The real row-form product I + delta is returned as
+    T^+ (I + delta)^T T. Raises IntegrationError unless every entry is finite
+    and the channel preserves trace to within _TRACE_TOL. Useful when the
+    same gate is applied many times, e.g. in benchmarking sequences.
     """
     grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), [None])
     basis = _hermitian_basis(config.levels)
-    l0, lx, ly, ln = _real_liouvillian_parts(config)
-    channel = np.eye(config.levels**2)
+    dim = config.levels**2
+    parts = _real_liouvillian_parts(config)
+    c, s = math.cos(phase), math.sin(phase)
+    parts[1:3] = c * parts[1] + s * parts[2], c * parts[2] - s * parts[1]
+    eye = np.eye(dim)
+    delta = np.zeros((dim, dim))
     for j0 in range(0, grid.n_max, _BLOCK_STEPS):
-        _, t_eval, h = grid.block(j0, min(j0 + _BLOCK_STEPS, grid.n_max))
-        t_eval, h = t_eval[..., 0], h[:, 0]
-        wx, wy, wn = _drive_waveforms(pulse, config, t_eval, None)
-        if phase != 0.0:
-            wx, wy = (
-                wx * math.cos(phase) - wy * math.sin(phase),
-                wx * math.sin(phase) + wy * math.cos(phase),
-            )
-        wx, wy, wn = (w[..., None, None] for w in (wx, wy, wn))
-        # bound to a local first: passing the sum straight in made a 3-level
-        # channel take 21-29 ms instead of 14 ms on a 2-vCPU host
-        l_stages = l0 + wx * lx + wy * ly + wn * ln  # (n, 3, d*d, d*d)
-        props = _rk4_propagators(l_stages, h)
-        while len(props) > 1:
-            paired = props[1::2] @ props[0:len(props) - 1:2]
-            props = np.concatenate([paired, props[-1:]]) if len(props) % 2 else paired
-        channel = props[0] @ channel
-    channel = basis.conj().T @ channel @ basis
+        n = min(_BLOCK_STEPS, grid.n_max - j0)
+        _, weights = _stage_weights(pulse, config, grid, j0, j0 + n, None)
+        m_a, m_b, m_c = (weights[:, :, 0] @ parts).reshape(n, 3, dim, dim).swapaxes(0, 1)
+        steps = _rk4_increment(eye, m_a, m_b, m_c)
+        while len(steps) > 1:
+            earlier, later = steps[0:len(steps) - 1:2], steps[1::2]
+            paired = earlier + later + earlier @ later
+            steps = np.concatenate([paired, steps[-1:]]) if len(steps) % 2 else paired
+        delta = delta + steps[0] + delta @ steps[0]
+    channel = basis.conj().T @ (eye + delta).T @ basis
     vec_identity = np.eye(config.levels).reshape(-1)
     drift = float(np.abs(vec_identity @ channel - vec_identity).max())
     if not (np.isfinite(channel).all() and drift <= _TRACE_TOL):

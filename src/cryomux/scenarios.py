@@ -102,6 +102,9 @@ Offset = Annotated[float, Within(0.0)]  # a time that may be zero
 PulseShape = Literal["cosine", "cosine_drag"]
 # a loss (dB) whose amplitude 10^(-x/20) is a normal float: at most 6153 dB
 Attenuation = Annotated[float, Within(0.0, math.floor(-20.0 * math.log10(sys.float_info.min)))]
+# a loss (dB) that an occupancy is divided by, as the power ratio 10^(-x/10):
+# at most 3076 dB, so the ratio is a normal float and the division finite
+OccupancyAttenuation = Annotated[float, Within(0.0, math.floor(-10.0 * math.log10(sys.float_info.min)))]
 # counts are bounded so that no single one can make a run last hours: a
 # closed-form sweep point costs microseconds, a gating window milliseconds
 Points = Annotated[int, Within(1, 10_000)]
@@ -148,7 +151,7 @@ def fig3_coherence(
     t2_star_baseline_s: Duration = 40e-6,
     t2_echo_baseline_s: Duration = 35e-6,
     n_mux_on: Annotated[float, Within(0.0)] = 0.146,
-    attenuation_db: Attenuation = 13.0,
+    attenuation_db: OccupancyAttenuation = 13.0,
     v_full_on_v: float = 0.7,
     v_start_v: float = 0.0,
     v_stop_v: float = 0.9,
@@ -183,7 +186,7 @@ def fig3f_slope(
     t2_echo_on_s: Duration = 25e-6,
     t2_echo_baseline_s: Duration = 35e-6,
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
-    attenuation_db: Attenuation = 13.0,
+    attenuation_db: OccupancyAttenuation = 13.0,
     rate_stop_hz: float = 1e6,
     rate_points: Points = 21,
 ) -> list[Table]:
@@ -307,8 +310,8 @@ def methods_teff(
     g_hz: float = 90e6,
     t2_echo_on_s: Duration = 25e-6,
     t2_echo_baseline_s: Duration = 35e-6,
-    attenuation_db: Attenuation = 13.0,
-    projection_attenuation_db: Attenuation = 20.0,
+    attenuation_db: OccupancyAttenuation = 13.0,
+    projection_attenuation_db: OccupancyAttenuation = 20.0,
     switch_rate_hz: float = 1e6,
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
 ) -> list[Table]:

@@ -155,8 +155,9 @@ class TestRun:
         [
             ("fig3_coherence", {"v_full_on_v": 0.6}),
             ("fig3f_slope", {"slope": 1e303}),  # its rate overflows
-            # a legal attenuation whose power ratio 10^(-x/10) underflows to 0
-            ("fig3f_slope", {"attenuation_db": 6000}),
+            # an attenuation at its bound, whose ~1e303-photon mux occupancy
+            # has a temperature hf / (k log1p(1/n)) whose denominator underflows
+            ("methods_teff", {"attenuation_db": 3076}),
             ("scaling_capacity", {"per_channel_nominal_w": 1e-320}),
         ],
     )
@@ -355,7 +356,11 @@ class TestParameterSpec:
             # the retired word-to-port map and serial switching coefficient
             ("fig2_power", {"mux": {"port_map": {"00": "RF2", "01": "RF1", "10": "RF3", "11": "RF4"}}}),
             ("fig2_power", {"mux": {"dyn_coeff_serial_j_per_hz_v2": 0.26e-12}}),
-            # attenuations outside [0, 6153] dB, and a negative occupancy
+            # occupancy attenuations outside [0, 3076] dB, where the power
+            # ratio 10^(-x/10) is a normal float, attenuations outside
+            # [0, 6153] dB, and a negative occupancy
+            ("fig3f_slope", {"attenuation_db": 6000}),
+            ("methods_teff", {"projection_attenuation_db": 3077}),
             ("fig3_coherence", {"attenuation_db": -5000}),
             ("fig3f_slope", {"attenuation_db": -5000}),
             ("fig3_coherence", {"attenuation_db": -400.0}),
@@ -443,10 +448,18 @@ class TestParameterSpec:
         paper = {"lengths": list(rbengine.DEFAULT_SEQUENCE_LENGTHS), "repeats": 80}
         assert merge_params(REGISTRY["fig4a_rb"], paper)["repeats"] == 80
 
-    def test_isolation_bound_is_inclusive(self, tmp_path):
-        cfg = write_config(
-            tmp_path, {"scenario": "fig4b_tdm", "params": {**FAST_TDM, "isolation_db": 6153}}
-        )
+    @pytest.mark.parametrize(
+        "scenario, params",
+        [
+            ("fig4b_tdm", {**FAST_TDM, "isolation_db": 6153}),
+            ("fig3_coherence", {"attenuation_db": 3076}),
+            ("fig3f_slope", {"attenuation_db": 3076}),
+            ("methods_teff", {"projection_attenuation_db": 3076}),
+        ],
+    )
+    def test_attenuation_bound_is_inclusive(self, tmp_path, scenario, params):
+        cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+        assert run_cli("validate", cfg) == 0
         assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 0
 
     def test_defaults_match_their_annotations(self):

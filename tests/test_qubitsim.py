@@ -176,10 +176,10 @@ class TestGateChannel:
     @pytest.mark.parametrize("dt", [None, T_G / 2002.5], ids=["default_grid", "ragged_grid"])
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
     def test_matches_evolve_batch(self, levels, shape, dt):
-        """gate_channel multiplies the RK4 step propagators of evolve's grid
-        and drive samples, and evolve applies the same RK4 stages to the
-        states: on an informationally complete set of states the two agree
-        up to rounding."""
+        """gate_channel multiplies the RK4 steps of evolve's grid and drive
+        samples, and evolve applies the same RK4 stages to the states: on an
+        informationally complete set of states the two agree up to
+        rounding."""
         config = qs.SimConfig(levels=levels, dt=dt, **self.CONFIG)
         pulse = self.pulse(shape)
         if dt is not None:
@@ -191,11 +191,46 @@ class TestGateChannel:
         finals = qs._evolve_batch(states, pulse, config, None, [None] * n, [""] * n)
         evolved = np.array([final.density_matrix.reshape(-1) for final in finals])
         channel = qs.gate_channel(pulse, config)
-        # measured gap: 4.2e-15 (default grid) and 4.7e-14 (ragged) at 2
-        # levels, 1.0e-14 and 8.4e-15 at 3 levels. The 4.7e-14 is the
-        # channel's own rounding: against the same RK4 steps in extended
-        # precision the channel is off by 4.6e-14 and the states by 2.0e-15
+        # measured gap: 1.6e-15 (default grid) and 1.9e-15 (ragged) at 2
+        # levels, 3.2e-15 and 1.9e-15 at 3 levels
         assert np.max(np.abs(vecs @ channel.T - evolved)) <= 1e-13
+
+    @pytest.mark.skipif(
+        np.finfo(np.longdouble).eps >= np.finfo(float).eps, reason="longdouble is float64 here"
+    )
+    @pytest.mark.parametrize(
+        "levels, shape, dt",
+        [(2, "cosine", T_G / 2002.5), (3, "cosine_drag", None)],
+        ids=["2level_ragged_grid", "3level_default_grid"],
+    )
+    def test_matches_longdouble_steps(self, levels, shape, dt):
+        """gate_channel against the same RK4 steps (grid, drive samples and
+        real Liouvillian parts) multiplied in numpy longdouble, in the real
+        Hermitian basis where the channel is a real matrix."""
+        config = qs.SimConfig(levels=levels, dt=dt, **self.CONFIG)
+        pulse = self.pulse(shape)
+        grid = qs._Grid(T_G, qs._resolve_dt(pulse, config), [None])
+        _, t_eval, h = grid.block(0, grid.n_max)
+        drive = qs._drive_waveforms(pulse, config, t_eval[..., 0], None)
+        basis = qs._hermitian_basis(levels)
+        l0, lx, ly, ln = (
+            (basis @ part @ basis.conj().T).real.astype(np.longdouble)
+            for part in qs._liouvillian_parts(config)
+        )
+        wx, wy, wn = (w.astype(np.longdouble)[..., None, None] for w in drive)
+        l_stages = l0 + wx * lx + wy * ly + wn * ln
+        want = np.eye(levels**2, dtype=np.longdouble)
+        for (l_a, l_b, l_c), step in zip(l_stages, h[:, 0].astype(np.longdouble)):
+            k1 = l_a @ want
+            k2 = l_b @ (want + step / 2 * k1)
+            k3 = l_b @ (want + step / 2 * k2)
+            k4 = l_c @ (want + step * k3)
+            want = want + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
+        got = (basis @ qs.gate_channel(pulse, config) @ basis.conj().T).real
+        # measured gap: 3.6e-16 (2 levels, ragged grid) and 3.2e-15 (3
+        # levels); products of the full step propagators gave 9.2e-14 and
+        # 1.1e-14
+        assert np.max(np.abs(got - want)) <= 1e-14
 
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
     def test_phase_is_a_frame_rotation(self, levels, shape):
@@ -207,7 +242,7 @@ class TestGateChannel:
         u = np.diag(np.exp(1j * phase * np.arange(levels)))  # U(-phase)
         z = np.kron(u, u.conj())
         rotated = z @ qs.gate_channel(pulse, config) @ z.conj().T
-        # measured gap: 4.1e-15 at 2 levels, 1.0e-14 at 3 levels
+        # measured gap: 4.1e-16 at 2 levels, 1.7e-15 at 3 levels
         assert np.max(np.abs(qs.gate_channel(pulse, config, phase=phase) - rotated)) <= 1e-13
 
     @pytest.mark.parametrize("levels, shape, bound", [(2, "cosine", 1e-12), (3, "cosine_drag", 2e-7)])
@@ -215,7 +250,7 @@ class TestGateChannel:
         pulse = self.pulse(shape)
         channel = qs.gate_channel(pulse, qs.SimConfig(levels=levels, **self.CONFIG), phase=0.7)
         fine = qs.SimConfig(levels=levels, dt=T_G / 8000, **self.CONFIG)
-        # measured gap: 6.3e-13 at 2 levels, 1.0e-7 at 3 levels
+        # measured gap: 6.2e-13 at 2 levels, 9.9e-8 at 3 levels
         assert np.max(np.abs(channel - qs.gate_channel(pulse, fine, phase=0.7))) <= bound
 
     def test_nan_modulator_raises(self, pi_pulse, monkeypatch):
