@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -19,16 +19,13 @@ from .errors import ConfigError
 
 PORTS = ("RF1", "RF2", "RF3", "RF4")
 
-# JSON key (unit-suffixed) of each MuxModel field
+# JSON key (unit-suffixed) of each power-model field; a `mux` object sets only these
 _MUX_JSON_KEYS = {
     "v_threshold_v": "v_threshold",
     "static_coeff_w_per_v3": "static_coeff",
     "esd_static_w": "esd_static",
     "subthreshold_leak_w": "subthreshold_leak",
     "dyn_coeff_j_per_hz_v2": "dyn_coeff",
-    "isolation_db": "isolation_db",
-    "insertion_loss_db": "insertion_loss_db",
-    "rise_time_s": "rise_time",
 }
 
 # 10-90% rise time of a first-order response is ln(9) time constants.
@@ -48,7 +45,6 @@ class MuxModel:
     dyn_coeff        : dynamic dissipation per switch event (J/Hz/V^2),
                        parallel mode (full RF-switch gate charge)
     isolation_db     : worst-case port-to-port isolation (positive dB)
-    insertion_loss_db: through-path loss (positive dB)
     rise_time        : 10-90% switching rise/fall time (s)
     """
 
@@ -58,17 +54,16 @@ class MuxModel:
     subthreshold_leak: float = 0.0
     dyn_coeff: float = 1.0e-12
     isolation_db: float = 30.0
-    insertion_loss_db: float = 2.3
     rise_time: float = 2.6e-9
 
     def __post_init__(self):
-        for name in _MUX_JSON_KEYS.values():
-            if not abs(getattr(self, name)) <= sys.float_info.max:
-                raise ConfigError(f"{name} must be a finite number")
+        for field in fields(self):
+            if not abs(getattr(self, field.name)) <= sys.float_info.max:
+                raise ConfigError(f"{field.name} must be a finite number")
         if not self.v_threshold > 0:
             raise ConfigError("v_threshold must be positive")
-        if not (self.isolation_db >= 0 and self.insertion_loss_db >= 0):
-            raise ConfigError("isolation and insertion loss must be >= 0 dB")
+        if not self.isolation_db >= 0:
+            raise ConfigError("isolation must be >= 0 dB")
         if not self.rise_time >= 0:
             raise ConfigError("rise_time must be >= 0")
 
@@ -90,9 +85,6 @@ class MuxModel:
     def floor_amplitude(self) -> float:
         """Leakage amplitude to an unselected port, 10^(-isolation/20)."""
         return 10.0 ** (-self.isolation_db / 20.0)
-
-    def to_dict(self) -> dict:
-        return {key: getattr(self, name) for key, name in _MUX_JSON_KEYS.items()}
 
     @classmethod
     def from_dict(cls, cfg: Mapping) -> "MuxModel":

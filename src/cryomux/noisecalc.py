@@ -22,54 +22,34 @@ from .errors import ConfigError, SingularityError
 # Additional dephasing rate per unit of multiplexer switching rate,
 # measured as 88.66 kHz of dephasing per MHz of switching.
 SWITCHING_DEPHASING_SLOPE = 88.66e3 / 1e6
+# Readout-resonator linewidth and dispersive shift (Hz) of the benchmark device
+KAPPA_R_HZ, CHI_HZ = 0.697e6, -0.259e6
 
 
 @dataclass(frozen=True)
 class TransmonParams:
-    """Transmon/resonator constants, all angular (rad/s).
+    """Readout-resonator constants of the dephasing model, angular (rad/s).
 
-    omega_q : qubit transition frequency
-    omega_r : readout resonator frequency
     kappa_r : resonator linewidth
     chi     : dispersive shift (signed)
-    alpha   : qubit anharmonicity (signed)
-    g       : qubit-resonator coupling
     """
 
-    omega_q: float
-    omega_r: float
     kappa_r: float
     chi: float
-    alpha: float
-    g: float
 
     def __post_init__(self):
-        if self.omega_q <= 0 or self.omega_r <= 0 or self.kappa_r <= 0:
-            raise ConfigError("omega_q, omega_r and kappa_r must be positive")
+        if self.kappa_r <= 0:
+            raise ConfigError("kappa_r must be positive")
 
     @classmethod
-    def from_hz(cls, omega_q_hz, omega_r_hz, kappa_r_hz, chi_hz, alpha_hz, g_hz):
+    def from_hz(cls, kappa_r_hz, chi_hz):
         """Build from cycle frequencies (the usual lab/table units)."""
-        return cls(
-            omega_q=TWO_PI * omega_q_hz,
-            omega_r=TWO_PI * omega_r_hz,
-            kappa_r=TWO_PI * kappa_r_hz,
-            chi=TWO_PI * chi_hz,
-            alpha=TWO_PI * alpha_hz,
-            g=TWO_PI * g_hz,
-        )
+        return cls(kappa_r=TWO_PI * kappa_r_hz, chi=TWO_PI * chi_hz)
 
     @classmethod
     def default(cls) -> "TransmonParams":
         """Parameters of the benchmark transmon device."""
-        return cls.from_hz(
-            omega_q_hz=3.957e9,
-            omega_r_hz=6.471e9,
-            kappa_r_hz=0.697e6,
-            chi_hz=-0.259e6,
-            alpha_hz=-180e6,
-            g_hz=90e6,
-        )
+        return cls.from_hz(KAPPA_R_HZ, CHI_HZ)
 
 
 @dataclass(frozen=True)
@@ -127,13 +107,16 @@ def occupancy_from_dephasing(gamma_excess: float, params: TransmonParams) -> flo
 
 
 def dephasing_from_occupancy(n: float, params: TransmonParams) -> float:
-    """Exact inverse of occupancy_from_dephasing (rate in 1/s)."""
+    """Exact inverse of occupancy_from_dephasing (rate in 1/s, finite)."""
     if n < 0:
         raise ConfigError("occupancy must be >= 0")
     if params.chi == 0:
         raise SingularityError("dispersive shift chi = 0: no photon-number sensitivity")
     k, x = params.kappa_r, params.chi
-    return n * (4 * x * x * k) / (k * k + 4 * x * x)
+    rate = float(n) * (4 * x * x * k) / (k * k + 4 * x * x)  # a float overflows without a warning
+    if math.isinf(rate):  # its lifetime 1/rate would read 0 s
+        raise SingularityError(f"occupancy {n:g} gives a dephasing rate past the float range")
+    return rate
 
 
 def occupancy_to_temperature(n: float, f: float) -> float:
@@ -144,7 +127,7 @@ def occupancy_to_temperature(n: float, f: float) -> float:
         raise ConfigError("occupancy must be >= 0")
     if n == 0:
         return 0.0
-    return PLANCK_H * f / (BOLTZMANN_K * math.log1p(1.0 / n))
+    return PLANCK_H * f / BOLTZMANN_K / math.log1p(1.0 / n)
 
 
 def temperature_to_occupancy(t: float, f: float) -> float:

@@ -56,18 +56,15 @@ _SWEEP_CHUNK = 32  # most gating windows integrated in one batch
 class PulseSpec:
     """Drive pulse definition, resonant with the qubit.
 
-    shape            : "cosine" (raised-cosine envelope, zero at both ends)
-                       or "cosine_drag" (adds first-order leakage corrections)
-    t_g              : gate duration (s)
-    amplitude        : peak Rabi rate (rad/s)
-    drag_coefficient : dimensionless scale of the derivative quadrature,
-                       -1/anharmonicity convention at 1.0
+    shape     : "cosine" (raised-cosine envelope, zero at both ends) or
+                "cosine_drag" (adds DRAG leakage corrections at 3 levels)
+    t_g       : gate duration (s)
+    amplitude : peak Rabi rate (rad/s)
     """
 
     shape: str
     t_g: float
     amplitude: float
-    drag_coefficient: float = 0.0
 
     def __post_init__(self):
         if self.shape not in _PULSE_SHAPES:
@@ -215,9 +212,9 @@ def _liouvillian_parts(config: SimConfig):
 def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
     """In-phase, quadrature and number-operator coefficients at times t.
 
-    The raised-cosine envelope is zero outside [0, t_g]. DRAG corrections
-    (quadrature -lam*denv/alpha and detuning (1/2-lam)*wx^2/alpha) are
-    applied only with a third level present.
+    The raised-cosine envelope is zero outside [0, t_g]. A cosine_drag
+    pulse adds the DRAG quadrature -amplitude*denv*mod/alpha and detuning
+    -wx^2/(2 alpha) only with a third level present.
     """
     t = np.asarray(t, dtype=float)
     t_g = pulse.t_g
@@ -225,18 +222,12 @@ def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
     env = np.where(inside, 0.5 * (1.0 - np.cos(TWO_PI * t / t_g)), 0.0)
     mod = np.ones_like(env) if modulator is None else np.asarray(modulator(t), dtype=float)
     wx = pulse.amplitude * env * mod
-    drag_active = (
-        pulse.shape == "cosine_drag"
-        and pulse.drag_coefficient != 0.0
-        and config.levels == 3
-    )
-    if not drag_active:
+    if pulse.shape != "cosine_drag" or config.levels != 3:
         return wx, np.zeros_like(wx), np.zeros_like(wx)
-    lam = pulse.drag_coefficient
     alpha = DEFAULT_ANHARMONICITY
     denv = np.where(inside, 0.5 * (TWO_PI / t_g) * np.sin(TWO_PI * t / t_g), 0.0)
-    wy = -lam * pulse.amplitude * denv * mod / alpha
-    wn = (0.5 - lam) * wx * wx / alpha
+    wy = -pulse.amplitude * denv * mod / alpha
+    wn = -0.5 * wx * wx / alpha
     return wx, wy, wn
 
 
@@ -541,14 +532,13 @@ def calibrate_pi_pulse(
     """Find the amplitude driving a full ground-to-excited flip.
 
     The amplitude is the analytic pi / integral of the unit envelope
-    (2*pi/t_g for the raised cosine); cosine_drag pulses get a unit DRAG
-    coefficient. One decay-free 2-level simulation with the full window
-    open, at config's step, checks that it flips the qubit to within 1e-6.
+    (2*pi/t_g for the raised cosine), for either shape. One decay-free
+    2-level simulation with the full window open, at config's step, checks
+    that it flips the qubit to within 1e-6.
     """
     if not t_g > 0:
         raise ConfigError("t_g must be positive")
-    drag_coefficient = 1.0 if shape == "cosine_drag" else 0.0
-    pulse = PulseSpec(shape, t_g, TWO_PI / t_g, drag_coefficient)
+    pulse = PulseSpec(shape, t_g, TWO_PI / t_g)
     cal_config = SimConfig(levels=2, dt=(config or SimConfig()).dt)
     infidelity = 1.0 - evolve(QubitState.ground(2), pulse, None, cal_config).population(1)
     if not infidelity <= 1e-6:
@@ -637,8 +627,8 @@ def windowed_rabi_angle(window: float, t_g: float, floor_amplitude: float) -> fl
 def synth_decay_trace(
     kind: str,
     truth: CoherenceRecord,
+    times: Sequence[float] | np.ndarray,
     detuning: float = 0.0,
-    times: Sequence[float] | np.ndarray = (),
     noise_sigma: float = 0.0,
     seed: int | None = None,
 ) -> np.ndarray:

@@ -147,22 +147,21 @@ def generator_channels(
 
 def run_rb(
     lengths: Sequence[int],
-    repeats: int = 80,
-    noise: CoherenceRecord | None = None,
-    pulse: PulseSpec | None = None,
+    repeats: int,
+    noise: CoherenceRecord | None,
+    pulse: PulseSpec,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Average sequence survival versus sequence length.
 
-    repeats defaults to the published 80 sequences per length; desk-scale
-    presets use 20. Each (length, repeat) draws its m Cliffords from its own
-    random stream of the master seed, so results are reproducible regardless
-    of execution order; the recovery element inverts their ideal product.
+    noise (None for none) sets every gate's decay, and the calibrated pulse
+    runs at 2 levels, where its shape is inert. Each (length, repeat) draws
+    its m Cliffords from its own random stream of the master seed, so results
+    are reproducible regardless of order; the recovery element inverts their
+    ideal product.
     Survival is computed on the real coordinates of _hermitian_basis, one
     loop of max(lengths) positions advancing every running sequence.
     """
-    if pulse is None:
-        raise ConfigError("a calibrated pulse is required")
     lengths = list(lengths)
     if any(m2 <= m1 for m1, m2 in zip([0] + lengths, lengths)):
         raise ConfigError("lengths must be >= 1 and strictly increasing")

@@ -156,16 +156,15 @@ def fig3_coherence(
     v_start_v: float = 0.0,
     v_stop_v: float = 0.9,
     v_points: Points = 46,
-    mux: dict = {},
+    v_threshold_v: Annotated[float, Within(sys.float_info.min)] = chainmodel.MuxModel.v_threshold,
 ) -> list[Table]:
     """Qubit coherence versus multiplexer bias from the occupancy model"""
     device = noisecalc.TransmonParams.default()
-    v_threshold = chainmodel.MuxModel.from_dict(mux).v_threshold
-    if v_full_on_v <= v_threshold:
-        raise SingularityError(f"v_full_on_v must lie above the {v_threshold} V mux threshold")
+    if v_full_on_v <= v_threshold_v:
+        raise SingularityError(f"v_full_on_v must lie above the {v_threshold_v} V mux threshold")
     rows = []
     for v in np.linspace(v_start_v, v_stop_v, v_points):
-        turn_on = min(max((v - v_threshold) / (v_full_on_v - v_threshold), 0.0), 1.0)
+        turn_on = min(max((v - v_threshold_v) / (v_full_on_v - v_threshold_v), 0.0), 1.0)
         n_mux = n_mux_on * turn_on
         n_res = noisecalc.propagate_attenuation(n_mux, attenuation_db, "toward_qubit")
         gamma_add = noisecalc.dephasing_from_occupancy(n_res, device)
@@ -217,11 +216,10 @@ def fig4a_rb(
     t2_star_values_s: Annotated[tuple[Duration, ...], Within(0, 20)] = (6e-6, 12e-6, 25e-6),
     lengths: SequenceLengths = (2, 4, 8, 16, 32, 64, 128, 256),
     repeats: Annotated[int, Within(1, 1_000)] = 20,
-    pulse_shape: PulseShape = "cosine",
 ) -> list[Table]:
     """Simulated randomized benchmarking fidelity versus 1/T2*"""
     seed_root = int(rng.integers(0, 2**63 - 1))
-    pulse = qubitsim.calibrate_pi_pulse(t_g_s, pulse_shape)
+    pulse = qubitsim.calibrate_pi_pulse(t_g_s)
     rows = []
     decay_rows = []
     for i, t2s in enumerate(t2_star_values_s):
@@ -302,12 +300,9 @@ def methods_t1_limit(
 
 def methods_teff(
     rng, *,
-    omega_q_hz: float = 3.957e9,
     omega_r_hz: float = 6.471e9,
-    kappa_r_hz: float = 0.697e6,
-    chi_hz: float = -0.259e6,
-    alpha_hz: float = -180e6,
-    g_hz: float = 90e6,
+    kappa_r_hz: float = noisecalc.KAPPA_R_HZ,
+    chi_hz: float = noisecalc.CHI_HZ,
     t2_echo_on_s: Duration = 25e-6,
     t2_echo_baseline_s: Duration = 35e-6,
     attenuation_db: OccupancyAttenuation = 13.0,
@@ -316,14 +311,7 @@ def methods_teff(
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
 ) -> list[Table]:
     """Effective multiplexer temperature from coherence data, plus projections"""
-    device = noisecalc.TransmonParams.from_hz(
-        omega_q_hz=omega_q_hz,
-        omega_r_hz=omega_r_hz,
-        kappa_r_hz=kappa_r_hz,
-        chi_hz=chi_hz,
-        alpha_hz=alpha_hz,
-        g_hz=g_hz,
-    )
+    device = noisecalc.TransmonParams.from_hz(kappa_r_hz, chi_hz)
     gamma_excess = noisecalc.excess_rate(t2_echo_on_s, t2_echo_baseline_s)
     n_res = noisecalc.occupancy_from_dephasing(gamma_excess, device)
     n_mux = noisecalc.propagate_attenuation(n_res, attenuation_db, "toward_source")

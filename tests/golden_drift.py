@@ -4,8 +4,9 @@ Reruns every registered scenario with its defaults at seed 0, plus
 configs/fig4b_tdm_3level.json, and compares each table with its file in
 tests/golden/. For every table and column it prints, as a Markdown table,
 the number of changed cells and the largest absolute and relative drift,
-then lists each changed cell, old and new. It only reports; the golden tests
-decide what passes.
+then lists each changed header line (whose config_sha256 moves with the
+parameter set) and each changed cell, old and new. It only reports; the
+golden tests decide what passes.
 
     PYTHONPATH=src python3 tests/golden_drift.py
 
@@ -41,10 +42,13 @@ def drift(old: str, new: str):
 
 
 def compare(table: str, got: list[str], want: list[str]):
-    """Summary rows and changed-cell lines of one table's CSV lines."""
+    """Summary rows and changed-header and changed-cell lines of one table's
+    CSV lines."""
     if got[1] != want[1] or len(got) != len(want):
         return [f"| {table} | (shape) | columns or row count differ | | |"], []
     rows, cells = [], []
+    if got[0] != want[0]:
+        cells.append(f"- {table} header: `{want[0]}` → `{got[0]}`")
     columns = want[1].split(",")
     got_rows = [row.split(",") for row in got[2:]]
     want_rows = [row.split(",") for row in want[2:]]
@@ -83,7 +87,7 @@ def main() -> None:
                 cells += changed
     print("\n".join(summary))
     print()
-    print("Changed cells:" if cells else "No cell changed.")
+    print("Changed headers and cells:" if cells else "No header or cell changed.")
     print("\n".join(cells))
 
 

@@ -2,8 +2,8 @@
 
 Each criterion pins its tolerance explicitly. Excluded by design (not
 reproducible at desk scale): measured fridge heating, raw S-parameter
-traces (isolation/insertion-loss parameters are consumed, not synthesized),
-and quantitative quasiparticle densities (covered by round-trip fitting).
+traces (only the isolation is modelled, as the gating leakage floor), and
+quantitative quasiparticle densities (covered by round-trip fitting).
 """
 import math
 import time

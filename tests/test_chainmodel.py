@@ -1,6 +1,7 @@
 """Multiplexer gating envelope, power, capacity and config models."""
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -205,10 +206,10 @@ class TestCoolingBudget:
 
 
 class TestMuxModelConfig:
-    def test_dict_roundtrip(self):
-        mux = cm.MuxModel(isolation_db=35.0, rise_time=0.4e-9)
-        clone = cm.MuxModel.from_dict(mux.to_dict())
-        assert clone == mux
+    def test_from_dict_sets_fields(self):
+        cfg = {"v_threshold_v": 0.55, "esd_static_w": 0.2e-6, "dyn_coeff_j_per_hz_v2": 2e-12}
+        mux = cm.MuxModel(v_threshold=0.55, esd_static=0.2e-6, dyn_coeff=2e-12)
+        assert cm.MuxModel.from_dict(cfg) == mux
 
     def test_unknown_key_rejected(self):
         with pytest.raises(ConfigError):
@@ -217,15 +218,18 @@ class TestMuxModelConfig:
     @pytest.mark.parametrize(
         "cfg",
         [
-            [("isolation_db", 30.0)],
-            {"isolation_db": "abc"},
-            {"isolation_db": True},
+            [("v_threshold_v", 0.6)],
+            {"esd_static_w": "abc"},
+            {"dyn_coeff_j_per_hz_v2": True},
             {"port_map": ["RF1", "RF2", "RF3", "RF4"]},
             {"port_map": {"0x": "RF1", "01": "RF2", "10": "RF3", "11": "RF4"}},
             {"port_map": {"00": 1, "01": "RF2", "10": "RF3", "11": "RF4"}},
             {"v_threshold_v": math.nan},
-            {"isolation_db": math.inf},
-            {"rise_time_s": 10**400},
+            {"static_coeff_w_per_v3": math.inf},
+            {"subthreshold_leak_w": 10**400},
+            # the isolation and rise time are fig4b_tdm parameters, not mux keys
+            {"isolation_db": 30.0},
+            {"rise_time_s": 2.6e-9},
         ],
     )
     def test_malformed_config_rejected(self, cfg):
@@ -237,8 +241,8 @@ class TestMuxModelConfig:
     @pytest.mark.parametrize(
         "name",
         [
-            "v_threshold", "isolation_db", "insertion_loss_db", "rise_time", "static_coeff",
-            "esd_static", "subthreshold_leak", "dyn_coeff",
+            "v_threshold", "isolation_db", "rise_time", "static_coeff", "esd_static",
+            "subthreshold_leak", "dyn_coeff",
         ],
     )
     def test_nan_field_rejected(self, name):
@@ -246,7 +250,7 @@ class TestMuxModelConfig:
             cm.MuxModel(**{name: math.nan})
 
     @pytest.mark.parametrize("value", [math.inf, -math.inf])
-    @pytest.mark.parametrize("name", sorted(cm._MUX_JSON_KEYS.values()))
+    @pytest.mark.parametrize("name", sorted(field.name for field in fields(cm.MuxModel)))
     def test_infinite_field_rejected(self, name, value):
         with pytest.raises(ConfigError, match="finite"):
             cm.MuxModel(**{name: value})

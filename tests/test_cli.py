@@ -155,10 +155,11 @@ class TestRun:
         [
             ("fig3_coherence", {"v_full_on_v": 0.6}),
             ("fig3f_slope", {"slope": 1e303}),  # its rate overflows
-            # an attenuation at its bound, whose ~1e303-photon mux occupancy
-            # has a temperature hf / (k log1p(1/n)) whose denominator underflows
+            # occupancies whose dephasing rates overflow, so their T2 limits
+            # would read 0 s: a ~1e303-photon mux occupancy at the bound
             ("methods_teff", {"attenuation_db": 3076}),
             ("scaling_capacity", {"per_channel_nominal_w": 1e-320}),
+            ("fig3_coherence", {"n_mux_on": 1e305}),  # its dephasing rate overflows
         ],
     )
     def test_failing_run_exits_4_with_one_error_line(self, tmp_path, capsys, scenario, params):
@@ -322,7 +323,7 @@ class TestParameterSpec:
             ("fig4a_rb", {**FAST_RB, "lengths": [-2, 4, 8]}),
             ("fig3f_slope", {"attenuation_db": "13"}),
             ("fig3f_slope", {"slope": float("nan")}),
-            ("fig2_power", {"mux": {"isolation_db": "abc"}}),
+            ("fig2_power", {"mux": {"esd_static_w": "abc"}}),
             ("fig3_coherence", {"t2_star_baseline_s": -1e-5}),
             ("fig3_coherence", {"t2_star_baseline_s": 0}),
             ("fig3_coherence", {"t1_s": 0.0}),
@@ -340,8 +341,8 @@ class TestParameterSpec:
             ("fig3f_slope", {"t2_echo_on_s": 1e-320}),
             # mux numbers that are not finite floats
             ("fig2_power", {"mux": {"v_threshold_v": float("nan")}}),
-            ("fig2_power", {"mux": {"isolation_db": float("inf")}}),
-            ("fig2_power", {"mux": {"rise_time_s": 10**400}}),
+            ("fig2_power", {"mux": {"static_coeff_w_per_v3": float("inf")}}),
+            ("fig2_power", {"mux": {"subthreshold_leak_w": 10**400}}),
             # isolation outside [0, 6153] dB, where the floor amplitude is normal
             ("fig4b_tdm", {"window_points": 2, "isolation_db": -5}),
             ("fig4b_tdm", {"window_points": 2, "isolation_db": 7000}),
@@ -369,6 +370,19 @@ class TestParameterSpec:
             ("methods_teff", {"projection_attenuation_db": -400.0}),
             ("methods_t1_limit", {"attenuations_db": [0.0, -400.0]}),
             ("fig3_coherence", {"n_mux_on": -1.0}),
+            # the retired insertion loss, transmon constants that no table
+            # read, and the RB pulse shape, inert at 2 levels
+            ("fig2_power", {"mux": {"insertion_loss_db": 2.3}}),
+            ("methods_teff", {"omega_q_hz": 3.957e9}),
+            ("methods_teff", {"alpha_hz": -180e6}),
+            ("methods_teff", {"g_hz": 90e6}),
+            ("fig4a_rb", {**FAST_RB, "pulse_shape": "cosine"}),
+            # the isolation and rise time, which only fig4b_tdm reads, as mux
+            # keys; fig3_coherence, which reads only the threshold, has no mux
+            ("fig2_power", {"mux": {"isolation_db": 30.0}}),
+            ("scaling_capacity", {"mux": {"rise_time_s": 2.6e-9}}),
+            ("fig3_coherence", {"mux": {"v_threshold_v": 0.6}}),
+            ("fig3_coherence", {"v_threshold_v": 0.0}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):
@@ -482,7 +496,7 @@ _SCALARS = st.one_of(
 )
 # objects reach MuxModel.from_dict through the `mux` parameters
 _MUX_OBJECTS = st.dictionaries(
-    st.sampled_from(["v_threshold_v", "isolation_db", "rise_time_s", "port_map", "bogus"]),
+    st.sampled_from(["v_threshold_v", "esd_static_w", "isolation_db", "port_map", "bogus"]),
     st.one_of(_SCALARS, st.dictionaries(st.text(max_size=2), _SCALARS)),
     max_size=2,
 )

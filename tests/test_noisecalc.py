@@ -52,18 +52,18 @@ class TestShotNoiseOccupancy:
         )
 
     def test_zero_dispersive_shift_is_singular(self):
-        broken = noisecalc.TransmonParams(
-            omega_q=DEVICE.omega_q,
-            omega_r=DEVICE.omega_r,
-            kappa_r=DEVICE.kappa_r,
-            chi=0.0,
-            alpha=DEVICE.alpha,
-            g=DEVICE.g,
-        )
+        broken = noisecalc.TransmonParams(kappa_r=DEVICE.kappa_r, chi=0.0)
         with pytest.raises(SingularityError):
             noisecalc.occupancy_from_dephasing(1.0, broken)
         with pytest.raises(SingularityError):
             noisecalc.dephasing_from_occupancy(1.0, broken)
+
+    def test_overflowing_rate_is_singular(self):
+        # a 1/rate of 0 s would be written as a T2 limit, so an overflow raises
+        gamma = noisecalc.dephasing_from_occupancy(1e280, DEVICE)
+        assert gamma == pytest.approx(1e280 / N_PER_GAMMA, rel=1e-12)
+        with pytest.raises(SingularityError, match="float range"):
+            noisecalc.dephasing_from_occupancy(1e303, DEVICE)
 
 
 class TestBoseEinstein:
@@ -82,6 +82,11 @@ class TestBoseEinstein:
     def test_multiplexer_dynamic_temperature(self):
         t = noisecalc.occupancy_to_temperature(1.10, 6.471e9)
         assert t == pytest.approx(0.500, rel=0.10)
+
+    def test_huge_occupancy_has_a_finite_temperature(self):
+        # k log1p(1/n) underflows to 0 here, so k is divided out first
+        t = noisecalc.occupancy_to_temperature(1e303, 6.471e9)
+        assert math.isfinite(t) and t > 0
 
     def test_zero_maps_both_ways(self):
         assert noisecalc.temperature_to_occupancy(0.0, 1e9) == 0.0
@@ -220,4 +225,4 @@ class TestRecords:
         assert DEVICE.kappa_r == pytest.approx(2 * math.pi * 0.697e6)
         assert DEVICE.chi == pytest.approx(-2 * math.pi * 0.259e6)
         with pytest.raises(ValueError):
-            noisecalc.TransmonParams(omega_q=-1.0, omega_r=1.0, kappa_r=1.0, chi=1.0, alpha=1.0, g=1.0)
+            noisecalc.TransmonParams(kappa_r=-1.0, chi=1.0)

@@ -169,7 +169,7 @@ class TestGateChannel:
 
     @staticmethod
     def pulse(shape):
-        return qs.PulseSpec(shape, T_G, 2 * math.pi / T_G, drag_coefficient=1.0)
+        return qs.PulseSpec(shape, T_G, 2 * math.pi / T_G)
 
     # T_G/2002.5 gives 2,003 steps: 7 full 256-step blocks and a ragged,
     # odd-length last one
@@ -333,7 +333,7 @@ class TestCalibration:
     def test_zero_drag_reduces_to_cosine(self, pi_pulse):
         # calibration is 2-level, where the DRAG corrections are inert
         drag = qs.calibrate_pi_pulse(T_G, "cosine_drag")
-        assert drag.drag_coefficient == 1.0
+        assert drag.shape == "cosine_drag"
         assert drag.amplitude == pytest.approx(pi_pulse.amplitude, rel=1e-12)
 
     def test_invalid_duration(self):
