@@ -11,22 +11,13 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, fields
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .errors import ConfigError
 
 PORTS = ("RF1", "RF2", "RF3", "RF4")
-
-# JSON key (unit-suffixed) of each power-model field; a `mux` object sets only these
-_MUX_JSON_KEYS = {
-    "v_threshold_v": "v_threshold",
-    "static_coeff_w_per_v3": "static_coeff",
-    "esd_static_w": "esd_static",
-    "subthreshold_leak_w": "subthreshold_leak",
-    "dyn_coeff_j_per_hz_v2": "dyn_coeff",
-}
 
 # 10-90% rise time of a first-order response is ln(9) time constants.
 _RISE_TO_TAU = 1.0 / math.log(9.0)
@@ -85,25 +76,6 @@ class MuxModel:
     def floor_amplitude(self) -> float:
         """Leakage amplitude to an unselected port, 10^(-isolation/20)."""
         return 10.0 ** (-self.isolation_db / 20.0)
-
-    @classmethod
-    def from_dict(cls, cfg: Mapping) -> "MuxModel":
-        """Build from a JSON-style mapping with unit-suffixed keys; a malformed
-        entry, including a non-finite number, raises ConfigError."""
-        if not isinstance(cfg, Mapping):
-            raise ConfigError(f"MuxModel config must be a mapping, got {cfg!r}")
-        kwargs = {}
-        for key, value in cfg.items():
-            if key not in _MUX_JSON_KEYS:
-                raise ConfigError(f"unknown MuxModel key {key!r}")
-            elif isinstance(value, bool) or not (
-                # NaN fails the comparison; ints compare exactly, so huge ones fail too
-                isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
-            ):
-                raise ConfigError(f"MuxModel key {key!r} must be a finite number, got {value!r}")
-            else:
-                kwargs[_MUX_JSON_KEYS[key]] = float(value)
-        return cls(**kwargs)
 
 
 # ---------------------------------------------------------------------------

@@ -271,28 +271,26 @@ def _exp_tail_init(t, y):
     return a0, tau0, c0
 
 
-def fit_t1(times, signal) -> tuple[float, FitResult]:
-    """Fit exp(-t/T1) relaxation (with free amplitude and offset)."""
+def _fit_exp_decay(times, signal, name: str, label: str) -> tuple[float, FitResult]:
+    """Fit a*exp(-t/tau) + c; returns tau, named `name` in the result."""
     t, y = _validated_trace(times, signal)
     model, jac = _exp_model(t)
     a0, tau0, c0 = _exp_tail_init(t, y)
     result = least_squares(
-        model, y, [a0, tau0, c0], jacobian=jac, names=["amplitude", "t1", "offset"]
+        model, y, [a0, tau0, c0], jacobian=jac, names=["amplitude", name, "offset"]
     )
-    _require_converged(result, "t1")
-    return result.parameters["t1"], result
+    _require_converged(result, label)
+    return result.parameters[name], result
+
+
+def fit_t1(times, signal) -> tuple[float, FitResult]:
+    """Fit exp(-t/T1) relaxation (with free amplitude and offset)."""
+    return _fit_exp_decay(times, signal, "t1", "t1")
 
 
 def fit_echo(times, signal) -> tuple[float, FitResult]:
     """Fit the spin-echo decay 0.5*(1 + exp(-t/T2e))."""
-    t, y = _validated_trace(times, signal)
-    model, jac = _exp_model(t)
-    a0, tau0, c0 = _exp_tail_init(t, y)
-    result = least_squares(
-        model, y, [a0, tau0, c0], jacobian=jac, names=["amplitude", "t2_echo", "offset"]
-    )
-    _require_converged(result, "echo")
-    return result.parameters["t2_echo"], result
+    return _fit_exp_decay(times, signal, "t2_echo", "echo")
 
 
 def fit_ramsey(times, signal) -> tuple[float, float, FitResult]:

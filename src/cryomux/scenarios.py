@@ -99,6 +99,11 @@ class Within:
 # a time span (s); a normal float, so its rate 1/x is finite
 Duration = Annotated[float, Within(sys.float_info.min)]
 Offset = Annotated[float, Within(0.0)]  # a time that may be zero
+# a resonance (Hz) and the multiplexer's turn-on voltage (V), positive as a Duration is
+Frequency = Annotated[float, Within(sys.float_info.min)]
+Threshold = Annotated[float, Within(sys.float_info.min)]
+Voltage = Annotated[float, Within(0.0)]  # a bias (V)
+Rate = Annotated[float, Within(0.0)]  # a switching rate (Hz)
 PulseShape = Literal["cosine", "cosine_drag"]
 # a loss (dB) whose amplitude 10^(-x/20) is a normal float: at most 6153 dB
 Attenuation = Annotated[float, Within(0.0, math.floor(-20.0 * math.log10(sys.float_info.min)))]
@@ -114,22 +119,28 @@ SequenceLengths = Annotated[tuple[Annotated[int, Within(1, 10_000)], ...], Withi
 
 
 # ---------------------------------------------------------------------------
-# Scenario implementations (each returns a list of Tables); the shared
-# `mux: dict = {}` is never mutated, and a plain dict keeps it hashable as JSON
+# Scenario implementations (each returns a list of Tables)
 # ---------------------------------------------------------------------------
 
 def fig2_power(
     rng, *,
-    v_start_v: float = 0.0,
-    v_stop_v: float = 0.9,
+    v_start_v: Voltage = 0.0,
+    v_stop_v: Voltage = 0.9,
     v_points: Points = 91,
-    dynamic_v_dd_v: tuple[float, ...] = (0.7, 0.9),
-    rate_stop_hz: float = 10e6,
+    dynamic_v_dd_v: tuple[Voltage, ...] = (0.7, 0.9),
+    rate_stop_hz: Rate = 10e6,
     rate_points: Points = 21,
-    mux: dict = {},
+    v_threshold_v: Threshold = chainmodel.MuxModel.v_threshold,
+    static_coeff_w_per_v3: float = chainmodel.MuxModel.static_coeff,
+    esd_static_w: float = chainmodel.MuxModel.esd_static,
+    subthreshold_leak_w: float = chainmodel.MuxModel.subthreshold_leak,
+    dyn_coeff_j_per_hz_v2: float = chainmodel.MuxModel.dyn_coeff,
 ) -> list[Table]:
     """Static and dynamic power dissipation sweeps of the multiplexer"""
-    chip = chainmodel.MuxModel.from_dict(mux)
+    chip = chainmodel.MuxModel(
+        v_threshold=v_threshold_v, static_coeff=static_coeff_w_per_v3, esd_static=esd_static_w,
+        subthreshold_leak=subthreshold_leak_w, dyn_coeff=dyn_coeff_j_per_hz_v2,
+    )
     volts = np.linspace(v_start_v, v_stop_v, v_points)
     static = Table(
         "static_power",
@@ -152,11 +163,11 @@ def fig3_coherence(
     t2_echo_baseline_s: Duration = 35e-6,
     n_mux_on: Annotated[float, Within(0.0)] = 0.146,
     attenuation_db: OccupancyAttenuation = 13.0,
-    v_full_on_v: float = 0.7,
-    v_start_v: float = 0.0,
-    v_stop_v: float = 0.9,
+    v_full_on_v: Voltage = 0.7,
+    v_start_v: Voltage = 0.0,
+    v_stop_v: Voltage = 0.9,
     v_points: Points = 46,
-    v_threshold_v: Annotated[float, Within(sys.float_info.min)] = chainmodel.MuxModel.v_threshold,
+    v_threshold_v: Threshold = chainmodel.MuxModel.v_threshold,
 ) -> list[Table]:
     """Qubit coherence versus multiplexer bias from the occupancy model"""
     device = noisecalc.TransmonParams.default()
@@ -186,7 +197,7 @@ def fig3f_slope(
     t2_echo_baseline_s: Duration = 35e-6,
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
     attenuation_db: OccupancyAttenuation = 13.0,
-    rate_stop_hz: float = 1e6,
+    rate_stop_hz: Rate = 1e6,
     rate_points: Points = 21,
 ) -> list[Table]:
     """Dephasing rate and occupancy versus multiplexer switching rate"""
@@ -285,7 +296,7 @@ def methods_t1_limit(
     c_q_f: float = 110e-15,
     r_m_ohm: float = 5.0,
     t_eff_k: float = 7.0,
-    omega_q_hz: float = 3.957e9,
+    omega_q_hz: Frequency = 3.957e9,
     attenuations_db: tuple[Attenuation, ...] = (0.0,),
 ) -> list[Table]:
     """Relaxation limit from drive-line voltage noise, with attenuation"""
@@ -300,14 +311,14 @@ def methods_t1_limit(
 
 def methods_teff(
     rng, *,
-    omega_r_hz: float = 6.471e9,
-    kappa_r_hz: float = noisecalc.KAPPA_R_HZ,
+    omega_r_hz: Frequency = 6.471e9,
+    kappa_r_hz: Frequency = noisecalc.KAPPA_R_HZ,
     chi_hz: float = noisecalc.CHI_HZ,
     t2_echo_on_s: Duration = 25e-6,
     t2_echo_baseline_s: Duration = 35e-6,
     attenuation_db: OccupancyAttenuation = 13.0,
     projection_attenuation_db: OccupancyAttenuation = 20.0,
-    switch_rate_hz: float = 1e6,
+    switch_rate_hz: Rate = 1e6,
     slope: float = noisecalc.SWITCHING_DEPHASING_SLOPE,
 ) -> list[Table]:
     """Effective multiplexer temperature from coherence data, plus projections"""
@@ -350,13 +361,20 @@ def scaling_capacity(
     per_channel_nominal_w: float = 0.2e-6,
     per_channel_low_v_w: float = 25e-9,
     target_qubits: int = 1_000_000,
-    v_dd_v: float = 0.7,
-    switch_rate_hz: float = 1e6,
+    v_dd_v: Voltage = 0.7,
+    switch_rate_hz: Rate = 1e6,
     ports_per_chip: int = 4,
-    mux: dict = {},
+    v_threshold_v: Threshold = chainmodel.MuxModel.v_threshold,
+    static_coeff_w_per_v3: float = chainmodel.MuxModel.static_coeff,
+    subthreshold_leak_w: float = chainmodel.MuxModel.subthreshold_leak,
+    dyn_coeff_j_per_hz_v2: float = chainmodel.MuxModel.dyn_coeff,
 ) -> list[Table]:
     """Channel counts within the cooling budget and per-channel targets"""
-    chip = chainmodel.MuxModel.from_dict(mux)
+    # the ESD share that static_power adds is taken out again, so it is no parameter
+    chip = chainmodel.MuxModel(
+        v_threshold=v_threshold_v, static_coeff=static_coeff_w_per_v3,
+        subthreshold_leak=subthreshold_leak_w, dyn_coeff=dyn_coeff_j_per_hz_v2,
+    )
     model_per_channel = (
         chip.static_power(v_dd_v) - chip.esd_static + chip.dynamic_power(switch_rate_hz, v_dd_v)
     ) / ports_per_chip
@@ -458,11 +476,11 @@ def _conforms(value, kind) -> bool:
 
 
 def merge_params(scenario: Scenario, overrides: Mapping) -> dict:
-    """The scenario's defaults with overrides applied. An unknown name, a
-    value that does not match its parameter's annotation, or a dict that
-    MuxModel.from_dict rejects raises ConfigError. A mismatched value is
-    quoted abbreviated by reprlib, after its item count if it is a list, so
-    an over-long list still gives a short error line."""
+    """The scenario's defaults with overrides applied. An unknown name or a
+    value that does not match its parameter's annotation raises ConfigError.
+    A mismatched value is quoted abbreviated by reprlib, after its item
+    count if it is a list, so an over-long list still gives a short error
+    line."""
     params = dict(scenario.defaults)
     for key, value in overrides.items():
         if key not in params:
@@ -473,8 +491,6 @@ def merge_params(scenario: Scenario, overrides: Mapping) -> dict:
             if isinstance(value, list):
                 got = f"{len(value)} items {got}"
             raise ConfigError(f"parameter {key!r} of {scenario.name!r} must be {kind}, got {got}")
-        if scenario.types[key] is dict:
-            chainmodel.MuxModel.from_dict(value)  # every dict parameter is a mux config
         params[key] = value
     return params
 

@@ -206,36 +206,6 @@ class TestCoolingBudget:
 
 
 class TestMuxModelConfig:
-    def test_from_dict_sets_fields(self):
-        cfg = {"v_threshold_v": 0.55, "esd_static_w": 0.2e-6, "dyn_coeff_j_per_hz_v2": 2e-12}
-        mux = cm.MuxModel(v_threshold=0.55, esd_static=0.2e-6, dyn_coeff=2e-12)
-        assert cm.MuxModel.from_dict(cfg) == mux
-
-    def test_unknown_key_rejected(self):
-        with pytest.raises(ConfigError):
-            cm.MuxModel.from_dict({"voltage_v": 0.7})
-
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            [("v_threshold_v", 0.6)],
-            {"esd_static_w": "abc"},
-            {"dyn_coeff_j_per_hz_v2": True},
-            {"port_map": ["RF1", "RF2", "RF3", "RF4"]},
-            {"port_map": {"0x": "RF1", "01": "RF2", "10": "RF3", "11": "RF4"}},
-            {"port_map": {"00": 1, "01": "RF2", "10": "RF3", "11": "RF4"}},
-            {"v_threshold_v": math.nan},
-            {"static_coeff_w_per_v3": math.inf},
-            {"subthreshold_leak_w": 10**400},
-            # the isolation and rise time are fig4b_tdm parameters, not mux keys
-            {"isolation_db": 30.0},
-            {"rise_time_s": 2.6e-9},
-        ],
-    )
-    def test_malformed_config_rejected(self, cfg):
-        with pytest.raises(ConfigError):
-            cm.MuxModel.from_dict(cfg)
-
     # static_coeff, esd_static and subthreshold_leak have no range check of
     # their own: a NaN there made static_power return NaN
     @pytest.mark.parametrize(

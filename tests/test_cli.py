@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cryomux import rbengine
+from cryomux.chainmodel import MuxModel
 from cryomux.cli import main
 from cryomux.scenarios import REGISTRY, merge_params
 
@@ -383,6 +384,40 @@ class TestParameterSpec:
             ("scaling_capacity", {"mux": {"rise_time_s": 2.6e-9}}),
             ("fig3_coherence", {"mux": {"v_threshold_v": 0.6}}),
             ("fig3_coherence", {"v_threshold_v": 0.0}),
+            # the power-model keys, parameters of their own since the `mux`
+            # object was retired: numbers that are not finite floats, a
+            # threshold that is not positive, and keys that are not power keys
+            ("fig2_power", {"esd_static_w": "abc"}),
+            ("fig2_power", {"dyn_coeff_j_per_hz_v2": True}),
+            ("fig2_power", {"v_threshold_v": float("nan")}),
+            ("fig2_power", {"static_coeff_w_per_v3": float("inf")}),
+            ("fig2_power", {"subthreshold_leak_w": 10**400}),
+            ("scaling_capacity", {"dyn_coeff_j_per_hz_v2": float("nan")}),
+            ("fig2_power", {"v_threshold_v": 0.0}),
+            ("scaling_capacity", {"v_threshold_v": 0.0}),
+            ("fig2_power", {"voltage_v": 0.7}),
+            ("fig2_power", {"port_map": {"00": "RF2", "01": "RF1", "10": "RF3", "11": "RF4"}}),
+            ("fig2_power", {"isolation_db": 30.0}),
+            ("scaling_capacity", {"rise_time_s": 2.6e-9}),
+            # the ESD share, which cancels in the per-channel power
+            ("scaling_capacity", {"esd_static_w": 0.37e-6}),
+            # negative bias voltages and switching rates, and resonances that
+            # are not positive
+            ("fig2_power", {"v_start_v": -0.1}),
+            ("fig2_power", {"v_stop_v": -0.1}),
+            ("fig2_power", {"dynamic_v_dd_v": [-0.7]}),
+            ("fig2_power", {"rate_stop_hz": -1}),
+            ("fig3_coherence", {"v_start_v": -0.1}),
+            ("fig3_coherence", {"v_full_on_v": -0.1}),
+            ("fig3f_slope", {"rate_stop_hz": -1}),
+            ("methods_teff", {"switch_rate_hz": -1}),
+            ("methods_teff", {"omega_r_hz": -1}),
+            ("methods_teff", {"kappa_r_hz": -1}),
+            ("methods_teff", {"omega_r_hz": 0}),
+            ("methods_t1_limit", {"omega_q_hz": -1}),
+            ("methods_t1_limit", {"omega_q_hz": 0}),
+            ("scaling_capacity", {"v_dd_v": -0.7}),
+            ("scaling_capacity", {"switch_rate_hz": -1}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):
@@ -476,6 +511,37 @@ class TestParameterSpec:
         assert run_cli("validate", cfg) == 0
         assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 0
 
+    def test_power_keys_set_their_model_fields(self, tmp_path):
+        """The power tables hold the powers of the model the keys describe,
+        and the per-channel power leaves out the default ESD share."""
+        keys = {
+            "v_threshold_v": 0.55, "static_coeff_w_per_v3": 3e-4, "esd_static_w": 0.2e-6,
+            "subthreshold_leak_w": 1e-9, "dyn_coeff_j_per_hz_v2": 2e-12,
+        }
+        chip = MuxModel(
+            v_threshold=0.55, static_coeff=3e-4, esd_static=0.2e-6, subthreshold_leak=1e-9,
+            dyn_coeff=2e-12,
+        )
+        out_dir = tmp_path / "out"
+        cfg = write_config(tmp_path, {"scenario": "fig2_power", "params": keys})
+        assert run_cli("run", cfg, "--out-dir", str(out_dir)) == 0
+        static = (out_dir / "fig2_power_static_power.csv").read_text().splitlines()[2:]
+        for v, power, _ in (line.split(",") for line in static):
+            assert float(power) == chip.static_power(float(v))
+        dynamic = (out_dir / "fig2_power_dynamic_power.csv").read_text().splitlines()[2:]
+        for rate, v, power, _ in (line.split(",") for line in dynamic):
+            assert float(power) == chip.dynamic_power(float(rate), float(v))
+
+        del keys["esd_static_w"]
+        cfg = write_config(tmp_path, {"scenario": "scaling_capacity", "params": keys})
+        assert run_cli("run", cfg, "--out-dir", str(out_dir)) == 0
+        rows = (out_dir / "scaling_capacity_capacity.csv").read_text().splitlines()[2:]
+        per_channel = float(rows[0].split(",")[1])
+        chip = replace(chip, esd_static=MuxModel.esd_static)
+        assert per_channel == (
+            chip.static_power(0.7) - chip.esd_static + chip.dynamic_power(1e6, 0.7)
+        ) / 4
+
     def test_defaults_match_their_annotations(self):
         for scenario in REGISTRY.values():
             assert merge_params(scenario, scenario.defaults) == scenario.defaults
@@ -494,13 +560,7 @@ _SCALARS = st.one_of(
     st.floats(),
     st.sampled_from([0.0, -1.0, 1e300, -1e300, 1e-320]),
 )
-# objects reach MuxModel.from_dict through the `mux` parameters
-_MUX_OBJECTS = st.dictionaries(
-    st.sampled_from(["v_threshold_v", "esd_static_w", "isolation_db", "port_map", "bogus"]),
-    st.one_of(_SCALARS, st.dictionaries(st.text(max_size=2), _SCALARS)),
-    max_size=2,
-)
-_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3), _MUX_OBJECTS)
+_VALUES = st.one_of(_SCALARS, st.lists(_SCALARS, max_size=3))
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=150)

@@ -4,9 +4,8 @@ A parameter that no computation reads lets a user set a value that silently
 does nothing. Each case moves one parameter from a small base setting and
 requires the tables to differ: floats scale by 1.1, ints gain 1, a choice
 takes another of its values, and a zero or None default takes the move
-given in MOVES. Each key of a `mux` object, the shared multiplexer power
-model, is moved the same way from the model's default. A move must change a
-number by more than rounding, 1e-9 relative, to count.
+given in MOVES. A move must change a number by more than rounding, 1e-9
+relative, to count.
 """
 import functools
 import math
@@ -15,7 +14,6 @@ from typing import Annotated, Literal, get_args, get_origin
 import numpy as np
 import pytest
 
-from cryomux.chainmodel import _MUX_JSON_KEYS, MuxModel
 from cryomux.scenarios import REGISTRY, merge_params
 
 # small settings for the two simulating scenarios; fig4b_tdm runs at 3
@@ -35,10 +33,9 @@ MOVES = {
     ("fig4b_tdm", "windows_ns"): [5.0, 25.0, 45.0],
     ("fig4b_tdm", "detection_floor"): 0.5,
     ("methods_t1_limit", "attenuations_db"): [10.0],
-    ("fig2_power", "mux.subthreshold_leak_w"): 1e-9,
-    ("scaling_capacity", "mux.subthreshold_leak_w"): 1e-9,
+    ("fig2_power", "subthreshold_leak_w"): 1e-9,
+    ("scaling_capacity", "subthreshold_leak_w"): 1e-9,
 }
-MUX_DEFAULTS = {key: getattr(MuxModel(), name) for key, name in _MUX_JSON_KEYS.items()}
 
 
 def _moved(value, kind):
@@ -53,21 +50,7 @@ def _moved(value, kind):
     return value + 1 if isinstance(value, int) else value * 1.1
 
 
-# every parameter, and each mux key of the scenarios that take a `mux` object
-CASES = [
-    (scenario.name, name)
-    for scenario in REGISTRY.values()
-    for name, kind in scenario.types.items()
-    if kind is not dict
-] + [
-    (scenario.name, f"mux.{key}")
-    for scenario in REGISTRY.values()
-    if "mux" in scenario.types
-    for key in MUX_DEFAULTS
-]
-# known to move nothing, so xfailed strictly: the per-channel power subtracts
-# the ESD share that static_power adds, so the ESD leakage moves only rounding
-INERT = {("scaling_capacity", "mux.esd_static_w")}
+CASES = [(scenario.name, name) for scenario in REGISTRY.values() for name in scenario.types]
 
 
 def _tables(scenario: str, overrides: dict):
@@ -97,24 +80,13 @@ def _differ(tables, others) -> bool:
     )
 
 
-@pytest.mark.parametrize(
-    "scenario, name",
-    [
-        pytest.param(*case, marks=pytest.mark.xfail(strict=True)) if case in INERT else case
-        for case in CASES
-    ],
-    ids=[f"{s}-{n}" for s, n in CASES],
-)
+@pytest.mark.parametrize("scenario, name", CASES)
 def test_parameter_moves_its_tables(scenario, name):
     base = BASE.get(scenario, {})
-    key = name.removeprefix("mux.")
-    if key != name:
-        value, kind = MUX_DEFAULTS[key], float
-    else:
-        value, kind = base.get(name, REGISTRY[scenario].defaults[name]), REGISTRY[scenario].types[name]
+    value, kind = base.get(name, REGISTRY[scenario].defaults[name]), REGISTRY[scenario].types[name]
     new = MOVES[scenario, name] if (scenario, name) in MOVES else _moved(value, kind)
     assert new != value, f"no move for {name} = {value!r}; give one in MOVES"
-    moved = {**base, "mux": {key: new}} if key != name else {**base, name: new}
+    moved = {**base, name: new}
     assert _differ(_base_tables(scenario), _tables(scenario, moved)), (
         f"{scenario}: {name} {value!r} -> {new!r} changes no table"
     )
