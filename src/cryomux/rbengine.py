@@ -3,13 +3,17 @@
 The 24-element Clifford group is shipped as a literal decomposition table
 over the physical generator set {I, +-X90, +-Y90, X180, Y180} (45 generator
 gates in total, MEAN_GENERATOR_COUNT = 1.875 per Clifford) and verified by
-the test suite rather than asserted. A run integrates each generator's
-channel once from the pulse simulator and composes the 24 Clifford channels;
-by linearity a sequence's survival is their product applied to the ground
+the test suite rather than asserted. A run takes a list of noise records
+(one per T2* of Fig. 4a); for each it integrates every generator's channel
+once from the pulse simulator and composes the 24 Clifford channels. By
+linearity a sequence's survival is their product applied to the ground
 state. The channels act on real coordinates in a Hermitian operator basis,
-and every sequence of every length advances in one loop over Clifford
-positions: at each position the sequences still running take one batched
-step, and a length's sequences take their recovery element when they end.
+and the run is one pass: every sequence of every length and noise advances
+in one loop over Clifford positions, in which the sequences still running
+take one batched step, each with its own noise's channels, and a length's
+sequences take their recovery element when they end. Noise i draws its
+sequences from SeedSequence(seed + i), so its survivals are those of a
+one-noise run at seed + i.
 """
 from __future__ import annotations
 
@@ -148,59 +152,84 @@ def generator_channels(
 def run_rb(
     lengths: Sequence[int],
     repeats: int,
-    noise: CoherenceRecord | None,
+    noises: Sequence[CoherenceRecord | None],
     pulse: PulseSpec,
     seed: int = 0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Average sequence survival versus sequence length.
+    """Average sequence survival versus sequence length, for each noise record.
 
-    noise (None for none) sets every gate's decay, and the calibrated pulse
-    runs at 2 levels, where its shape is inert. Each (length, repeat) draws
-    its m Cliffords from its own random stream of the master seed, so results
-    are reproducible regardless of order; the recovery element inverts their
-    ideal product.
-    Survival is computed on the real coordinates of _hermitian_basis, one
-    loop of max(lengths) positions advancing every running sequence.
+    noises[i] (None for none) sets every gate's decay in row i of the
+    survivals, which have shape (len(noises), len(lengths)); the calibrated
+    pulse runs at 2 levels, where its shape is inert. Noise i draws each
+    (length, repeat)'s m Cliffords from its own child of
+    SeedSequence(seed + i), spawned in (length, repeat) order, so row i does
+    not depend on the other noises and equals a one-noise call at seed + i;
+    the recovery element inverts the ideal product of the draws.
+    Survival is computed on the real coordinates of _hermitian_basis, in one
+    pass: one loop of max(lengths) positions advances every running sequence
+    of every noise.
     """
     lengths = list(lengths)
     if any(m2 <= m1 for m1, m2 in zip([0] + lengths, lengths)):
         raise ConfigError("lengths must be >= 1 and strictly increasing")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
-    config = SimConfig() if noise is None else SimConfig.from_coherence(noise)
     table = build_clifford_table()
-    channels = generator_channels(pulse, config)
-    # each Clifford channel in the real Hermitian basis, whose first element
-    # is |0><0|: the ground state is e_0, and a state's survival is its
-    # coordinate 0
-    basis = _hermitian_basis(config.levels)
-    cliffords = np.array([
-        (basis @ sequence_unitary(seq, channels) @ basis.conj().T).real
-        for seq in CLIFFORD_DECOMPOSITIONS
-    ])
-    streams = np.random.SeedSequence(seed).spawn(len(lengths) * repeats)
-    # one row of Clifford indices per sequence, rows ordered by length, so
-    # the sequences still running at any position are a suffix of the rows
-    steps = np.zeros((len(streams), max(lengths, default=0)), dtype=np.int8)
-    for row, stream in enumerate(streams):
-        m = lengths[row // repeats]
-        steps[row, :m] = np.random.default_rng(stream).integers(0, len(cliffords), size=m)
+    n_cliffords = len(CLIFFORD_DECOMPOSITIONS)
+    # each noise's Clifford channels in the real Hermitian basis, whose first
+    # element is |0><0|: the ground state is e_0, and a state's survival is
+    # its coordinate 0
+    basis = _hermitian_basis(2)
+    cliffords = np.empty((len(noises), n_cliffords, len(basis), len(basis)))
+    for i, noise in enumerate(noises):
+        config = SimConfig() if noise is None else SimConfig.from_coherence(noise)
+        channels = generator_channels(pulse, config)
+        cliffords[i] = [
+            (basis @ sequence_unitary(seq, channels) @ basis.conj().T).real
+            for seq in CLIFFORD_DECOMPOSITIONS
+        ]
+    # noise i's Clifford c is row n_cliffords * i + c
+    cliffords = cliffords.reshape(-1, len(basis), len(basis))
+    # one row per sequence, ordered by length, then noise, then repeat, so
+    # the sequences still running at any position are a suffix of the rows.
+    # The draws are stored compactly, one segment per length: segment a holds
+    # positions lengths[a-1] <= k < lengths[a] as a (position, running row)
+    # array, in which each position's running rows follow one another.
+    block = len(noises) * repeats  # the rows of one length
+    starts = [0] + lengths[:-1]
+    segments = [
+        np.empty((m - start, (len(lengths) - a) * block), dtype=np.int8)
+        for a, (start, m) in enumerate(zip(starts, lengths))
+    ]
+    # spawning one length's streams at a time continues each root's child
+    # counter, so the streams are those of a single spawn of all of them
+    roots = [np.random.SeedSequence(seed + i) for i in range(len(noises))]
+    for a, m in enumerate(lengths):
+        draws = np.empty((block, m), dtype=np.int8)
+        streams = [stream for root in roots for stream in root.spawn(repeats)]
+        for row, stream in enumerate(streams):
+            draws[row] = np.random.default_rng(stream).integers(0, n_cliffords, size=m)
+        for b, segment in enumerate(segments[:a + 1]):
+            segment[:, (a - b) * block:(a - b + 1) * block] = draws[:, starts[b]:lengths[b]].T
+    # each row's offset to its noise's Clifford channels
+    offsets = np.tile(np.arange(len(noises)).repeat(repeats) * n_cliffords, len(lengths))
     # states and net (each ideal product so far, whose inverse is the
     # recovery element) hold only the running sequences; those of the
     # shortest running length come first and are dropped when it ends
-    states = np.zeros((len(streams), len(basis)))
+    states = np.zeros((len(offsets), len(basis)))
     states[:, 0] = 1.0  # the ground state
-    net = np.zeros(len(streams), dtype=np.int8)  # the identity
-    survivals = []
-    for k in range(steps.shape[1]):
-        step = steps[len(streams) - len(states):, k]
-        states = np.einsum("rij,rj->ri", cliffords[step], states)
-        net = table.composition[net, step]
-        if k + 1 == lengths[len(survivals)]:
-            recovery = cliffords[table.inverses[net[:repeats]], 0]
-            survivals.append(np.einsum("rj,rj->r", recovery, states[:repeats]).mean())
-            states, net = states[repeats:], net[repeats:]
-    return np.asarray(lengths, dtype=float), np.array(survivals)
+    net = np.zeros(len(offsets), dtype=np.int8)  # the identity
+    survivals = np.empty((len(noises), len(lengths)))
+    for a, segment in enumerate(segments):
+        running = offsets[a * block:]
+        for step in segment:
+            states = np.einsum("rij,rj->ri", cliffords[running + step], states)
+            net = table.composition[net, step]
+        recovery = cliffords[running[:block] + table.inverses[net[:block]], 0]
+        ends = np.einsum("rj,rj->r", recovery, states[:block])
+        survivals[:, a] = [row.mean() for row in ends.reshape(len(noises), repeats)]
+        states, net = states[block:], net[block:]
+    return np.asarray(lengths, dtype=float), survivals
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,9 @@
 Each scenario is a runner whose keyword-only signature declares its
 parameters; it accepts type-checked overrides from a JSON config and emits
 plot-ready tables. Outputs are deterministic for a fixed (config, seed)
-pair: every file carries the scenario name, seed and a hash of the
-effective configuration, and numbers are written in their shortest
-round-trip form.
+pair on one machine: every file carries the scenario name, seed and a
+hash of the effective configuration, and numbers are written in their
+shortest round-trip form.
 """
 from __future__ import annotations
 
@@ -104,6 +104,10 @@ Frequency = Annotated[float, Within(sys.float_info.min)]
 Threshold = Annotated[float, Within(sys.float_info.min)]
 Voltage = Annotated[float, Within(0.0)]  # a bias (V)
 Rate = Annotated[float, Within(0.0)]  # a switching rate (Hz)
+# a capacitance (F), resistance (ohm) or power budget (W): any float above 0
+Positive = Annotated[float, Within(math.ulp(0.0))]
+# a power-model coefficient (W/V^3, W or J/(Hz V^2)), which may be 0
+Coefficient = Annotated[float, Within(0.0)]
 PulseShape = Literal["cosine", "cosine_drag"]
 # a loss (dB) whose amplitude 10^(-x/20) is a normal float: at most 6153 dB
 Attenuation = Annotated[float, Within(0.0, math.floor(-20.0 * math.log10(sys.float_info.min)))]
@@ -131,10 +135,10 @@ def fig2_power(
     rate_stop_hz: Rate = 10e6,
     rate_points: Points = 21,
     v_threshold_v: Threshold = chainmodel.MuxModel.v_threshold,
-    static_coeff_w_per_v3: float = chainmodel.MuxModel.static_coeff,
-    esd_static_w: float = chainmodel.MuxModel.esd_static,
-    subthreshold_leak_w: float = chainmodel.MuxModel.subthreshold_leak,
-    dyn_coeff_j_per_hz_v2: float = chainmodel.MuxModel.dyn_coeff,
+    static_coeff_w_per_v3: Coefficient = chainmodel.MuxModel.static_coeff,
+    esd_static_w: Coefficient = chainmodel.MuxModel.esd_static,
+    subthreshold_leak_w: Coefficient = chainmodel.MuxModel.subthreshold_leak,
+    dyn_coeff_j_per_hz_v2: Coefficient = chainmodel.MuxModel.dyn_coeff,
 ) -> list[Table]:
     """Static and dynamic power dissipation sweeps of the multiplexer"""
     chip = chainmodel.MuxModel(
@@ -231,11 +235,11 @@ def fig4a_rb(
     """Simulated randomized benchmarking fidelity versus 1/T2*"""
     seed_root = int(rng.integers(0, 2**63 - 1))
     pulse = qubitsim.calibrate_pi_pulse(t_g_s)
+    noises = [noisecalc.CoherenceRecord(t1=t1_s, t2_star=t2s, t2_echo=t2s) for t2s in t2_star_values_s]
+    ls, survivals = rbengine.run_rb(lengths, repeats, noises, pulse, seed=seed_root)
     rows = []
     decay_rows = []
-    for i, t2s in enumerate(t2_star_values_s):
-        noise = noisecalc.CoherenceRecord(t1=t1_s, t2_star=t2s, t2_echo=t2s)
-        ls, survival = rbengine.run_rb(lengths, repeats, noise, pulse, seed=seed_root + i)
+    for t2s, survival in zip(t2_star_values_s, survivals):
         fit = rbengine.fit_rb(ls, survival)
         # white-noise prediction: baseline 2*t1 makes the added-dephasing
         # term exactly the pure-dephasing rate of the simulated channels
@@ -292,10 +296,10 @@ def fig4b_tdm(
 
 def methods_t1_limit(
     rng, *,
-    c_d_f: float = 0.1e-15,
-    c_q_f: float = 110e-15,
-    r_m_ohm: float = 5.0,
-    t_eff_k: float = 7.0,
+    c_d_f: Positive = 0.1e-15,
+    c_q_f: Positive = 110e-15,
+    r_m_ohm: Positive = 5.0,
+    t_eff_k: Annotated[float, Within(0.0)] = 7.0,  # 0 K has no finite T1 limit (exit 4)
     omega_q_hz: Frequency = 3.957e9,
     attenuations_db: tuple[Attenuation, ...] = (0.0,),
 ) -> list[Table]:
@@ -357,17 +361,17 @@ def methods_teff(
 
 def scaling_capacity(
     rng, *,
-    cooling_power_w: float = 20e-6,
-    per_channel_nominal_w: float = 0.2e-6,
-    per_channel_low_v_w: float = 25e-9,
+    cooling_power_w: Positive = 20e-6,
+    per_channel_nominal_w: Positive = 0.2e-6,
+    per_channel_low_v_w: Positive = 25e-9,
     target_qubits: int = 1_000_000,
     v_dd_v: Voltage = 0.7,
     switch_rate_hz: Rate = 1e6,
     ports_per_chip: int = 4,
     v_threshold_v: Threshold = chainmodel.MuxModel.v_threshold,
-    static_coeff_w_per_v3: float = chainmodel.MuxModel.static_coeff,
-    subthreshold_leak_w: float = chainmodel.MuxModel.subthreshold_leak,
-    dyn_coeff_j_per_hz_v2: float = chainmodel.MuxModel.dyn_coeff,
+    static_coeff_w_per_v3: Coefficient = chainmodel.MuxModel.static_coeff,
+    subthreshold_leak_w: Coefficient = chainmodel.MuxModel.subthreshold_leak,
+    dyn_coeff_j_per_hz_v2: Coefficient = chainmodel.MuxModel.dyn_coeff,
 ) -> list[Table]:
     """Channel counts within the cooling budget and per-channel targets"""
     # the ESD share that static_power adds is taken out again, so it is no parameter

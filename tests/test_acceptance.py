@@ -130,7 +130,7 @@ def test_criterion_5_rb_fidelity_regime():
 
     # fidelity above 99.9% at the nominal-operation coherence point
     noise = noisecalc.CoherenceRecord(t1=30e-6, t2_star=25e-6, t2_echo=25e-6)
-    ls, survival = rbengine.run_rb(lengths, 20, noise, pulse, seed=7)
+    ls, (survival,) = rbengine.run_rb(lengths, 20, [noise], pulse, seed=7)
     fitted = rbengine.fit_rb(ls, survival)
 
     # the measured 99.93% plateau is a calibration artifact, substituted by
@@ -140,7 +140,7 @@ def test_criterion_5_rb_fidelity_regime():
     predicted = rbengine.coherence_limited_fidelity(T_G, 1e6, t2, 2e6, k1=T_G / 3.0)
     fidelities, errors = [], []
     for seed in range(5):
-        ls5, surv5 = rbengine.run_rb(lengths, 20, pure_t2, pulse, seed=seed)
+        ls5, (surv5,) = rbengine.run_rb(lengths, 20, [pure_t2], pulse, seed=seed)
         res = rbengine.fit_rb(ls5, surv5)
         fidelities.append(res.f_1q)
         errors.append(res.f_1q_stderr)

@@ -418,6 +418,27 @@ class TestParameterSpec:
             ("methods_t1_limit", {"omega_q_hz": 0}),
             ("scaling_capacity", {"v_dd_v": -0.7}),
             ("scaling_capacity", {"switch_rate_hz": -1}),
+            # capacitances, resistances and power budgets that are not
+            # positive, and a negative temperature (0 K exits 4, as a
+            # non-finite result)
+            ("methods_t1_limit", {"c_d_f": -1e-16}),
+            ("methods_t1_limit", {"c_d_f": 0}),
+            ("methods_t1_limit", {"c_q_f": -110e-15}),
+            ("methods_t1_limit", {"r_m_ohm": -5}),
+            ("methods_t1_limit", {"r_m_ohm": 0.0}),
+            ("methods_t1_limit", {"t_eff_k": -1}),
+            ("scaling_capacity", {"cooling_power_w": -1e-6}),
+            ("scaling_capacity", {"cooling_power_w": 0}),
+            ("scaling_capacity", {"per_channel_nominal_w": -0.2e-6}),
+            ("scaling_capacity", {"per_channel_low_v_w": 0}),
+            # negative power-model coefficients
+            ("fig2_power", {"static_coeff_w_per_v3": -1}),
+            ("fig2_power", {"esd_static_w": -0.37e-6}),
+            ("fig2_power", {"subthreshold_leak_w": -1e-9}),
+            ("fig2_power", {"dyn_coeff_j_per_hz_v2": -0.26e-12}),
+            ("scaling_capacity", {"static_coeff_w_per_v3": -1}),
+            ("scaling_capacity", {"subthreshold_leak_w": -1e-9}),
+            ("scaling_capacity", {"dyn_coeff_j_per_hz_v2": -0.26e-12}),
         ],
     )
     def test_malformed_value_exits_3(self, tmp_path, capsys, verb, scenario, params):
@@ -497,6 +518,19 @@ class TestParameterSpec:
         paper = {"lengths": list(rbengine.DEFAULT_SEQUENCE_LENGTHS), "repeats": 80}
         assert merge_params(REGISTRY["fig4a_rb"], paper)["repeats"] == 80
 
+    def test_rb_without_t2_star_values_writes_header_only_tables(self, tmp_path):
+        params = {**FAST_RB, "t2_star_values_s": []}
+        cfg = write_config(tmp_path, {"scenario": "fig4a_rb", "params": params})
+        out_dir = tmp_path / "out"
+        assert run_cli("run", cfg, "--out-dir", str(out_dir)) == 0
+        tables = {path.name: path.read_text().splitlines() for path in out_dir.iterdir()}
+        assert sorted(tables) == [
+            "fig4a_rb_rb_decay_curves.csv", "fig4a_rb_rb_fidelity_vs_coherence.csv"
+        ]
+        for lines in tables.values():
+            # the header comment and the column names, and no row
+            assert len(lines) == 2 and lines[0].startswith("# ") and "," in lines[1]
+
     @pytest.mark.parametrize(
         "scenario, params",
         [
@@ -508,6 +542,15 @@ class TestParameterSpec:
     )
     def test_attenuation_bound_is_inclusive(self, tmp_path, scenario, params):
         cfg = write_config(tmp_path, {"scenario": scenario, "params": params})
+        assert run_cli("validate", cfg) == 0
+        assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 0
+
+    @pytest.mark.parametrize("scenario", ["fig2_power", "scaling_capacity"])
+    def test_power_coefficients_may_be_zero(self, tmp_path, scenario):
+        keys = ["static_coeff_w_per_v3", "subthreshold_leak_w", "dyn_coeff_j_per_hz_v2"]
+        if scenario == "fig2_power":
+            keys.append("esd_static_w")
+        cfg = write_config(tmp_path, {"scenario": scenario, "params": dict.fromkeys(keys, 0.0)})
         assert run_cli("validate", cfg) == 0
         assert run_cli("run", cfg, "--out-dir", str(tmp_path / "out")) == 0
 

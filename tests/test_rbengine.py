@@ -90,34 +90,34 @@ class TestSequences:
     def test_minimal_sequence_composes_to_identity(self, pi_pulse):
         # one Clifford plus its recovery, noise free, returns every repeat
         # to the ground state
-        lengths, survival = rb.run_rb([1], 8, None, pi_pulse, seed=5)
+        lengths, (survival,) = rb.run_rb([1], 8, [None], pi_pulse, seed=5)
         assert np.array_equal(lengths, [1.0])
         assert survival[0] >= 1 - 1e-9
 
     def test_seeded_reproducibility(self, pi_pulse):
         noise = CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6)
-        first = rb.run_rb([3, 30], 4, noise, pi_pulse, seed=123)[1]
-        assert np.array_equal(first, rb.run_rb([3, 30], 4, noise, pi_pulse, seed=123)[1])
-        assert not np.array_equal(first, rb.run_rb([3, 30], 4, noise, pi_pulse, seed=124)[1])
+        first = rb.run_rb([3, 30], 4, [noise], pi_pulse, seed=123)[1]
+        assert np.array_equal(first, rb.run_rb([3, 30], 4, [noise], pi_pulse, seed=123)[1])
+        assert not np.array_equal(first, rb.run_rb([3, 30], 4, [noise], pi_pulse, seed=124)[1])
 
     @pytest.mark.parametrize("m", [3, 10, 40])
     def test_recovery_inverts_any_sequence(self, pi_pulse, m):
         # a survival of at most 1 per repeat averages to 1 only if every
         # repeat's recovery inverts its sequence
-        _, survival = rb.run_rb([m], 8, None, pi_pulse, seed=m)
+        _, (survival,) = rb.run_rb([m], 8, [None], pi_pulse, seed=m)
         assert survival[0] >= 1 - 1e-9
 
     @pytest.mark.parametrize("lengths", [[0, 2], [-1, 2], [0]])
     def test_lengths_below_one_rejected(self, pi_pulse, lengths):
         with pytest.raises(ConfigError):
-            rb.run_rb(lengths, 2, None, pi_pulse)
+            rb.run_rb(lengths, 2, [None], pi_pulse)
 
     def test_empty_lengths_give_an_empty_curve(self, pi_pulse):
-        lengths, survival = rb.run_rb([], 2, None, pi_pulse)
+        lengths, (survival,) = rb.run_rb([], 2, [None], pi_pulse)
         assert lengths.shape == survival.shape == (0,)
 
     def test_noise_free_execution_returns_to_ground(self, pi_pulse):
-        lengths, survival = rb.run_rb([1, 5, 20], 4, None, pi_pulse, seed=11)
+        lengths, (survival,) = rb.run_rb([1, 5, 20], 4, [None], pi_pulse, seed=11)
         assert np.all(survival >= 1 - 1e-9)
 
 
@@ -125,8 +125,8 @@ class TestRunRb:
     NOISE = CoherenceRecord(t1=30e-6, t2_star=25e-6, t2_echo=25e-6)
 
     def test_fidelity_above_999_at_nominal_coherence(self, pi_pulse):
-        lengths, survival = rb.run_rb(
-            [2, 4, 8, 16, 32, 64, 128, 256, 400], 20, self.NOISE, pi_pulse, seed=7
+        lengths, (survival,) = rb.run_rb(
+            [2, 4, 8, 16, 32, 64, 128, 256, 400], 20, [self.NOISE], pi_pulse, seed=7
         )
         result = rb.fit_rb(lengths, survival)
         assert result.f_1q > 0.999
@@ -136,8 +136,8 @@ class TestRunRb:
         lengths = [2, 8, 32, 128, 400]
         strong = CoherenceRecord(t1=1e6, t2_star=20e-6, t2_echo=20e-6)
         weak = CoherenceRecord(t1=1e6, t2_star=10e-6, t2_echo=10e-6)
-        _, surv_strong = rb.run_rb(lengths, 10, strong, pi_pulse, seed=3)
-        _, surv_weak = rb.run_rb(lengths, 10, weak, pi_pulse, seed=3)
+        _, (surv_strong,) = rb.run_rb(lengths, 10, [strong], pi_pulse, seed=3)
+        _, (surv_weak,) = rb.run_rb(lengths, 10, [weak], pi_pulse, seed=3)
         p_strong = rb.fit_rb(lengths, surv_strong).p
         p_weak = rb.fit_rb(lengths, surv_weak).p
         assert p_weak < p_strong
@@ -159,14 +159,34 @@ class TestRunRb:
                     for gate in rb.CLIFFORD_DECOMPOSITIONS[idx]:
                         v = channels[gate] @ v
                 expected[i, j] = v[0].real
-        ls, survival = rb.run_rb(lengths, repeats, noise, pi_pulse, seed=seed)
+        ls, (survival,) = rb.run_rb(lengths, repeats, [noise], pi_pulse, seed=seed)
         assert np.array_equal(ls, lengths)
         assert np.max(np.abs(survival - expected.mean(axis=1))) <= 1e-12
         assert survival[-1] < 0.99  # the noise is visible at the longest length
 
+    def test_each_noise_row_equals_a_one_noise_call(self, pi_pulse):
+        # noise i draws from seed + i, so its row depends on no other noise
+        lengths, repeats, seed = [1, 5, 20], 4, 31
+        noises = [
+            CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6),
+            CoherenceRecord(t1=20e-6, t2_star=10e-6, t2_echo=10e-6),
+        ]
+        ls, survivals = rb.run_rb(lengths, repeats, noises, pi_pulse, seed=seed)
+        assert survivals.shape == (2, 3)
+        assert not np.array_equal(survivals[0], survivals[1])
+        for i, noise in enumerate(noises):
+            one_ls, (one,) = rb.run_rb(lengths, repeats, [noise], pi_pulse, seed=seed + i)
+            assert np.array_equal(one_ls, ls)
+            assert np.array_equal(survivals[i], one)
+
+    def test_no_noises_give_no_rows(self, pi_pulse):
+        lengths, survivals = rb.run_rb([2, 4, 8], 3, [], pi_pulse)
+        assert np.array_equal(lengths, [2.0, 4.0, 8.0])
+        assert survivals.shape == (0, 3)
+
     def test_lengths_must_increase(self, pi_pulse):
         with pytest.raises(ValueError):
-            rb.run_rb([4, 2], 2, None, pi_pulse)
+            rb.run_rb([4, 2], 2, [None], pi_pulse)
 
     def test_simulation_matches_white_noise_model(self, pi_pulse):
         # pure-dephasing channels are Markovian: the coherence model with
@@ -177,8 +197,8 @@ class TestRunRb:
         predicted = rb.coherence_limited_fidelity(T_G, 1e6, t2, 2e6, k1=T_G / 3.0)
         fitted, errors = [], []
         for seed in range(5):
-            lengths, survival = rb.run_rb(
-                [2, 4, 8, 16, 32, 64, 128, 256, 400], 20, noise, pi_pulse, seed=seed
+            lengths, (survival,) = rb.run_rb(
+                [2, 4, 8, 16, 32, 64, 128, 256, 400], 20, [noise], pi_pulse, seed=seed
             )
             result = rb.fit_rb(lengths, survival)
             fitted.append(result.f_1q)
