@@ -5,7 +5,6 @@ from .chainmodel import (
     EnvelopeModulator,
     GatingSchedule,
     MuxModel,
-    gating_envelope,
     per_channel_budget,
     qubit_capacity,
 )

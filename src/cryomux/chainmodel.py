@@ -110,29 +110,13 @@ class GatingSchedule:
         return cls(events=tuple(events), floor_amplitude=mux.floor_amplitude())
 
 
-def gating_envelope(
-    schedule: GatingSchedule,
-    target_port: str,
-    t: float | np.ndarray,
-    rise_time: float,
-) -> float | np.ndarray:
-    """Transmission amplitude factor toward target_port at time t.
-
-    Values lie in [floor_amplitude, 1]. Transitions follow a first-order
-    exponential whose 10-90% rise time equals rise_time; rise_time = 0
-    gives an ideal step (right-continuous at event times). Evaluated by
-    the EnvelopeModulator of the one schedule.
-    """
-    modulator = EnvelopeModulator([schedule], target_port, rise_time)
-    out = modulator(np.asarray(t, dtype=float)[..., None])[..., 0]
-    return float(out) if np.isscalar(t) else out
-
-
 class EnvelopeModulator:
-    """Callable time -> [floor, 1] for one target port of several schedules,
-    one per member along the trailing axis of t: column b of the result is
-    gating_envelope(schedules[b], target_port, t[..., b], rise_time), and
-    with one schedule the callable is elementwise.
+    """Callable time -> [floor, 1]: the transmission amplitude factor toward
+    target_port of several schedules, one per member along the trailing axis
+    of t, so column b of the result is schedules[b]'s envelope at t[..., b];
+    with one schedule the callable is elementwise. Transitions follow a
+    first-order exponential whose 10-90% rise time equals rise_time;
+    rise_time = 0 gives an ideal step (right-continuous at event times).
 
     The port and rise time are checked, and every schedule's knots built,
     once, here. Knot 0 of each member is the floor from time -inf on; a call

@@ -49,7 +49,6 @@ _PULSE_SHAPES = ("cosine", "cosine_drag")
 _STAGES = np.array([0.0, 0.5, 1.0])  # RK4 stage times as fractions of a step
 _BLOCK_STEPS = 256  # steps whose gate-channel propagators are built at once
 _FILL_PAIRS = 2048  # most (step, member) pairs filled, stepped and trace-checked in one pass
-_SWEEP_CHUNK = 32  # most gating windows integrated in one batch
 
 
 @dataclass(frozen=True)
@@ -210,22 +209,22 @@ def _liouvillian_parts(config: SimConfig):
 
 
 def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
-    """In-phase, quadrature and number-operator coefficients at times t.
-
-    The raised-cosine envelope is zero outside [0, t_g]. A cosine_drag
-    pulse adds the DRAG quadrature -amplitude*denv*mod/alpha and detuning
-    -wx^2/(2 alpha) only with a third level present.
+    """In-phase, quadrature and number-operator coefficients at times t,
+    which lie in [0, t_g): _Grid.block clamps every stage time to its
+    segment's last sampling time, so the raised-cosine envelope is read
+    without a mask. A cosine_drag pulse adds the DRAG quadrature
+    -amplitude*denv*mod/alpha and detuning -wx^2/(2 alpha) only with a
+    third level present.
     """
     t = np.asarray(t, dtype=float)
     t_g = pulse.t_g
-    inside = (t >= 0.0) & (t <= t_g)
-    env = np.where(inside, 0.5 * (1.0 - np.cos(TWO_PI * t / t_g)), 0.0)
+    env = 0.5 * (1.0 - np.cos(TWO_PI * t / t_g))
     mod = np.ones_like(env) if modulator is None else np.asarray(modulator(t), dtype=float)
     wx = pulse.amplitude * env * mod
     if pulse.shape != "cosine_drag" or config.levels != 3:
         return wx, np.zeros_like(wx), np.zeros_like(wx)
     alpha = DEFAULT_ANHARMONICITY
-    denv = np.where(inside, 0.5 * (TWO_PI / t_g) * np.sin(TWO_PI * t / t_g), 0.0)
+    denv = 0.5 * (TWO_PI / t_g) * np.sin(TWO_PI * t / t_g)
     wy = -pulse.amplitude * denv * mod / alpha
     wn = -0.5 * wx * wx / alpha
     return wx, wy, wn
@@ -558,9 +557,9 @@ def tdm_sweep(
     (idle routing to RF2), with the leakage floor set by the multiplexer
     isolation and transitions following its rise time. Every window is
     checked against the simulation horizon [0, 4 t_g] before any is
-    integrated; the windows are then integrated together, in chunks of at
-    most _SWEEP_CHUNK, each gated by one EnvelopeModulator over its windows'
-    schedules. Returns p_e per window.
+    integrated; the windows are then integrated in one batch, gated by one
+    EnvelopeModulator over all their schedules, whose memory the batch's
+    pass bound caps. Returns p_e per window.
     """
     from .chainmodel import EnvelopeModulator, GatingSchedule
 
@@ -571,6 +570,8 @@ def tdm_sweep(
             raise ConfigError(f"window must be >= 0, got {w!r}")
         if w > horizon:
             raise ConfigError(f"window {w!r} s exceeds the simulation horizon {horizon!r} s")
+    if not windows:
+        return np.empty(0)
 
     mid = pulse.t_g / 2.0
     schedules = [
@@ -579,19 +580,13 @@ def tdm_sweep(
         )
         for w in windows
     ]
+    modulator = EnvelopeModulator(schedules, "RF1", mux.rise_time)
+    breakpoints = [[t for t, _ in schedule.events] for schedule in schedules]
     ground = QubitState.ground(config.levels).density_matrix
-    p_e = []
-    n_chunks = -(-len(windows) // _SWEEP_CHUNK)
-    for k in range(n_chunks):
-        chunk = slice(k * len(windows) // n_chunks, (k + 1) * len(windows) // n_chunks)
-        members = schedules[chunk]
-        modulator = EnvelopeModulator(members, "RF1", mux.rise_time)
-        breakpoints = [[t for t, _ in schedule.events] for schedule in members]
-        rho0 = np.broadcast_to(ground, (len(members), *ground.shape))
-        labels = [f"window {w!r} s: " for w in windows[chunk]]
-        finals = _evolve_batch(rho0, pulse, config, modulator, breakpoints, labels)
-        p_e += [final.population(1) for final in finals]
-    return np.array(p_e)
+    rho0 = np.broadcast_to(ground, (len(windows), *ground.shape))
+    labels = [f"window {w!r} s: " for w in windows]
+    finals = _evolve_batch(rho0, pulse, config, modulator, breakpoints, labels)
+    return np.array([final.population(1) for final in finals])
 
 
 def tdm_experiment(

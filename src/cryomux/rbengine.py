@@ -192,25 +192,16 @@ def run_rb(
     cliffords = cliffords.reshape(-1, len(basis), len(basis))
     # one row per sequence, ordered by length, then noise, then repeat, so
     # the sequences still running at any position are a suffix of the rows.
-    # The draws are stored compactly, one segment per length: segment a holds
-    # positions lengths[a-1] <= k < lengths[a] as a (position, running row)
-    # array, in which each position's running rows follow one another.
+    # Each length's draws are one (row, position) array of its block of rows.
     block = len(noises) * repeats  # the rows of one length
-    starts = [0] + lengths[:-1]
-    segments = [
-        np.empty((m - start, (len(lengths) - a) * block), dtype=np.int8)
-        for a, (start, m) in enumerate(zip(starts, lengths))
-    ]
     # spawning one length's streams at a time continues each root's child
     # counter, so the streams are those of a single spawn of all of them
     roots = [np.random.SeedSequence(seed + i) for i in range(len(noises))]
-    for a, m in enumerate(lengths):
-        draws = np.empty((block, m), dtype=np.int8)
+    draws = [np.empty((block, m), dtype=np.int8) for m in lengths]
+    for length_draws, m in zip(draws, lengths):
         streams = [stream for root in roots for stream in root.spawn(repeats)]
         for row, stream in enumerate(streams):
-            draws[row] = np.random.default_rng(stream).integers(0, n_cliffords, size=m)
-        for b, segment in enumerate(segments[:a + 1]):
-            segment[:, (a - b) * block:(a - b + 1) * block] = draws[:, starts[b]:lengths[b]].T
+            length_draws[row] = np.random.default_rng(stream).integers(0, n_cliffords, size=m)
     # each row's offset to its noise's Clifford channels
     offsets = np.tile(np.arange(len(noises)).repeat(repeats) * n_cliffords, len(lengths))
     # states and net (each ideal product so far, whose inverse is the
@@ -220,8 +211,11 @@ def run_rb(
     states[:, 0] = 1.0  # the ground state
     net = np.zeros(len(offsets), dtype=np.int8)  # the identity
     survivals = np.empty((len(noises), len(lengths)))
-    for a, segment in enumerate(segments):
+    for a, (start, m) in enumerate(zip([0] + lengths[:-1], lengths)):
         running = offsets[a * block:]
+        # positions start <= k < m of every running row, as one contiguous
+        # (position, running row) array
+        segment = np.concatenate([d[:, start:m].T for d in draws[a:]], axis=1)
         for step in segment:
             states = np.einsum("rij,rj->ri", cliffords[running + step], states)
             net = table.composition[net, step]

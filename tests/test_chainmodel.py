@@ -64,11 +64,11 @@ class TestGatingEnvelope:
 
     def test_open_window_is_unity(self):
         sched = cm.GatingSchedule.from_mux(self.MUX, [(10e-9, "RF1"), (30e-9, "RF2")])
-        assert cm.gating_envelope(sched, "RF1", 20e-9, 0.0) == 1.0
+        assert cm.EnvelopeModulator([sched], "RF1", 0.0)(20e-9) == 1.0
 
     def test_never_selected_sits_at_floor(self):
         sched = cm.GatingSchedule.from_mux(self.MUX, [(10e-9, "RF2")])
-        value = cm.gating_envelope(sched, "RF4", 50e-9, 0.0)
+        value = cm.EnvelopeModulator([sched], "RF4", 0.0)(50e-9)
         assert value == pytest.approx(10 ** (-30 / 20), rel=1e-12)
         assert value == pytest.approx(0.0316, rel=1e-2)
 
@@ -78,7 +78,7 @@ class TestGatingEnvelope:
         sched = cm.GatingSchedule.from_mux(self.MUX, [(0.0, "RF1")])
         floor = sched.floor_amplitude
         expected = floor + (1 - floor) * (1 - math.exp(-1.0))
-        assert cm.gating_envelope(sched, "RF1", tau, rise) == pytest.approx(
+        assert cm.EnvelopeModulator([sched], "RF1", rise)(tau) == pytest.approx(
             expected, rel=1e-12
         )
 
@@ -86,8 +86,9 @@ class TestGatingEnvelope:
         rise = 2.6e-9
         sched = cm.GatingSchedule(events=((0.0, "RF1"),), floor_amplitude=1e-6)
         t10 = rise * math.log(10 / 9) / math.log(9)
-        y10 = cm.gating_envelope(sched, "RF1", t10, rise)
-        y90 = cm.gating_envelope(sched, "RF1", t10 + rise, rise)
+        modulator = cm.EnvelopeModulator([sched], "RF1", rise)
+        y10 = modulator(t10)
+        y90 = modulator(t10 + rise)
         assert y10 == pytest.approx(0.1, abs=1e-5)
         assert y90 == pytest.approx(0.9, abs=1e-5)
 
@@ -100,19 +101,20 @@ class TestGatingEnvelope:
         sched = cm.GatingSchedule.from_mux(
             self.MUX, [(0.0, "RF2"), (10e-9, "RF1"), (30e-9, "RF2"), (55e-9, "RF1")]
         )
-        value = cm.gating_envelope(sched, "RF1", t, rise)
+        value = cm.EnvelopeModulator([sched], "RF1", rise)(t)
         assert sched.floor_amplitude - 1e-12 <= value <= 1.0 + 1e-12
 
     def test_continuity_with_finite_rise(self):
         sched = cm.GatingSchedule.from_mux(self.MUX, [(10e-9, "RF1"), (30e-9, "RF2")])
         ts = np.linspace(0, 60e-9, 6001)
-        values = cm.gating_envelope(sched, "RF1", ts, 2.6e-9)
+        values = cm.EnvelopeModulator([sched], "RF1", 2.6e-9)(ts)
         assert np.max(np.abs(np.diff(values))) < 0.01
 
     def test_step_when_rise_time_zero(self):
         sched = cm.GatingSchedule.from_mux(self.MUX, [(10e-9, "RF1")])
-        assert cm.gating_envelope(sched, "RF1", 10e-9 - 1e-15, 0.0) < 0.04
-        assert cm.gating_envelope(sched, "RF1", 10e-9, 0.0) == 1.0
+        modulator = cm.EnvelopeModulator([sched], "RF1", 0.0)
+        assert modulator(10e-9 - 1e-15) < 0.04
+        assert modulator(10e-9) == 1.0
 
     def test_events_must_increase(self):
         with pytest.raises(ConfigError):
@@ -137,9 +139,10 @@ class TestEnvelopeModulator:
 
     @pytest.mark.parametrize("rise_time", [0.0, 2.6e-9])
     def test_each_member_matches_its_schedule_alone(self, rise_time):
-        """Every member of one stacked modulator gives the same bits as
-        gating_envelope of its schedule alone, at each event time and one
-        ulp before it; no padded knot is evaluated, so no warning is raised."""
+        """Every member of one stacked modulator gives the same bits as the
+        one-schedule modulator of its schedule alone, at each event time
+        and one ulp before it; no padded knot is evaluated, so no warning is
+        raised."""
         schedules = [cm.GatingSchedule.from_mux(self.MUX, events) for events in self.EVENTS]
         event_times = np.array(sorted({t for events in self.EVENTS for t, _ in events}))
         times = np.concatenate(
@@ -153,7 +156,8 @@ class TestEnvelopeModulator:
             modulator = cm.EnvelopeModulator(schedules, "RF1", rise_time)
             stacked = modulator(t)
             alone = [
-                cm.gating_envelope(s, "RF1", t[..., b], rise_time) for b, s in enumerate(schedules)
+                cm.EnvelopeModulator([s], "RF1", rise_time)(t[..., b])
+                for b, s in enumerate(schedules)
             ]
         assert stacked.shape == t.shape
         for b, values in enumerate(alone):
@@ -161,10 +165,12 @@ class TestEnvelopeModulator:
         assert modulator.breakpoints == tuple(event_times)
 
     def test_one_schedule_is_elementwise(self):
+        """A one-schedule modulator called on times of any shape gives the
+        bits of the same times as a trailing member axis of one."""
         sched = cm.GatingSchedule.from_mux(self.MUX, [(10e-9, "RF1"), (30e-9, "RF2")])
         t = np.linspace(0.0, 40e-9, 12).reshape(4, 3)
         modulator = cm.EnvelopeModulator([sched], "RF1", 2.6e-9)
-        assert np.array_equal(modulator(t), cm.gating_envelope(sched, "RF1", t, 2.6e-9))
+        assert np.array_equal(modulator(t), modulator(t[..., None])[..., 0])
         assert modulator.breakpoints == (10e-9, 30e-9)
 
     @pytest.mark.parametrize(
@@ -172,12 +178,13 @@ class TestEnvelopeModulator:
     )
     def test_rejected_when_built(self, port, rise_time):
         """An unknown port or a negative (or NaN) rise time fails when the
-        modulator is built, before any integration calls it."""
+        modulator is built, before any integration calls it, for one
+        schedule or several."""
         sched = cm.GatingSchedule.from_mux(self.MUX, [(10e-9, "RF1")])
         with pytest.raises(ConfigError):
             cm.EnvelopeModulator([sched], port, rise_time)
         with pytest.raises(ConfigError):
-            cm.gating_envelope(sched, port, 20e-9, rise_time)
+            cm.EnvelopeModulator([sched, sched], port, rise_time)
 
 
 class TestCoolingBudget:

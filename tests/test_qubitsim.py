@@ -454,10 +454,23 @@ class TestTdmSweep:
             (alone,) = qs._evolve_batch(rho0[:1], pulse, config, *gated_batch(mux, [window]), [""])
             assert np.array_equal(batch[b].density_matrix, alone.density_matrix)
 
-    def test_chunks_match_one_batch(self, pi_pulse, monkeypatch):
-        whole = qs.tdm_sweep(self.WINDOWS, self.MUX, pi_pulse)
-        monkeypatch.setattr(qs, "_SWEEP_CHUNK", 3)
-        assert np.array_equal(qs.tdm_sweep(self.WINDOWS, self.MUX, pi_pulse), whole)
+    @pytest.mark.parametrize(
+        "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
+    )
+    def test_one_batch_matches_each_window_alone(self, levels, shape, rise_time):
+        """Every p_e of a 34-window sweep, integrated as one batch, has the
+        bits of its window's one-member _evolve_batch."""
+        config = qs.SimConfig(levels=levels, dt=T_G / 200)
+        pulse = qs.calibrate_pi_pulse(T_G, shape, config)
+        mux = cm.MuxModel(isolation_db=30.0, rise_time=rise_time)
+        windows = list(np.linspace(0.0, 2 * T_G, 34))
+        swept = qs.tdm_sweep(windows, mux, pulse, config)
+        rho0 = qs.QubitState.ground(levels).density_matrix[None]
+        alone = [
+            qs._evolve_batch(rho0, pulse, config, *gated_batch(mux, [w]), [""])[0].population(1)
+            for w in windows
+        ]
+        assert np.array_equal(swept, alone)
 
     def test_empty_sweep(self, pi_pulse):
         assert qs.tdm_sweep([], self.MUX, pi_pulse).shape == (0,)
