@@ -121,9 +121,7 @@ class EnvelopeModulator:
     The port and rise time are checked, and every schedule's knots built,
     once, here. Knot 0 of each member is the floor from time -inf on; a call
     counts the knots at or before each time and reads one knot per value,
-    so a padded knot (at +inf) is never evaluated. `breakpoints` holds every
-    schedule's event times, sorted; a batch integrator aligns each member's
-    step grid with its own schedule's events instead.
+    so a padded knot (at +inf) is never evaluated.
     """
 
     def __init__(self, schedules: Sequence[GatingSchedule], target_port: str, rise_time: float):
@@ -134,7 +132,6 @@ class EnvelopeModulator:
         self.schedules = tuple(schedules)
         self.target_port = target_port
         self.rise_time = rise_time
-        self.breakpoints = tuple(sorted({t for s in self.schedules for t, _ in s.events}))
         self._tau = rise_time * _RISE_TO_TAU
         n_knots = 1 + max((len(s.events) for s in self.schedules), default=0)
         # each knot's time, the level it switches to and the value approached
@@ -188,7 +185,7 @@ class CoolingBudget:
 def qubit_capacity(budget: CoolingBudget) -> int:
     """Number of channels that fit the budget: floor(cooling / per-channel).
 
-    A one-ulp relative guard keeps exact ratios from flooring down."""
+    A 1e-12 relative guard (~4,500 ulps) keeps exact ratios from flooring down."""
     ratio = budget.cooling_power / budget.per_channel_power
     return int(math.floor(ratio * (1.0 + 1e-12)))
 

@@ -2,9 +2,9 @@
 
 Works in the rotating frame of the drive carrier under the rotating-wave
 approximation, for 2 or 3 levels. The master equation with relaxation and
-pure-dephasing channels is integrated with fixed-step RK4; the step grid is
-aligned with any discontinuities of the gating modulator so the integrator
-never straddles a step.
+pure-dephasing channels is integrated with fixed-step RK4. evolve drives the
+full pulse; tdm_sweep gates it through windows, each on a step grid aligned
+with its switching times so the integrator never straddles a step.
 
 The master equation preserves Hermiticity, so in an orthonormal Hermitian
 operator basis every Liouvillian, propagator and density matrix is real.
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -231,7 +231,7 @@ def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
 
 
 def _segments(t_g: float, breakpoints: Sequence[float] | None):
-    """Split [0, t_g] at modulator breakpoints falling strictly inside."""
+    """Split [0, t_g] at the breakpoints falling strictly inside."""
     cuts = [0.0, t_g]
     for b in breakpoints or ():
         if 0.0 < b < t_g:
@@ -443,17 +443,12 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
 def evolve(
     state: QubitState,
     pulse: PulseSpec,
-    envelope_modulator: Callable | None = None,
     config: SimConfig = SimConfig(),
     *,
     return_trajectory: bool = False,
 ):
-    """Integrate the master equation over the pulse window [0, t_g].
-
-    envelope_modulator, when given, multiplies the drive amplitude by a
-    value in [0, 1] at each time; it is called elementwise on arrays of
-    times, and a `breakpoints` attribute on it marks discontinuities for
-    grid alignment.
+    """Integrate the master equation over the pulse window [0, t_g] under
+    the full, ungated drive; tdm_sweep integrates gated pulses.
 
     Returns the final QubitState, or (state, times, trajectory) with
     per-step density matrices when return_trajectory is set.
@@ -461,10 +456,7 @@ def evolve(
     if state.levels != config.levels:
         raise ConfigError("state dimension does not match config.levels")
     trajectory = [(0.0, state.density_matrix)] if return_trajectory else None
-    breakpoints = [getattr(envelope_modulator, "breakpoints", None)]
-    (final,) = _evolve_batch(
-        state.density_matrix[None], pulse, config, envelope_modulator, breakpoints, [""], trajectory
-    )
+    (final,) = _evolve_batch(state.density_matrix[None], pulse, config, None, [None], [""], trajectory)
     if return_trajectory:
         times, traj = zip(*trajectory)
         return final, np.array(times), np.array(traj)
@@ -539,7 +531,7 @@ def calibrate_pi_pulse(
         raise ConfigError("t_g must be positive")
     pulse = PulseSpec(shape, t_g, TWO_PI / t_g)
     cal_config = SimConfig(levels=2, dt=(config or SimConfig()).dt)
-    infidelity = 1.0 - evolve(QubitState.ground(2), pulse, None, cal_config).population(1)
+    infidelity = 1.0 - evolve(QubitState.ground(2), pulse, cal_config).population(1)
     if not infidelity <= 1e-6:
         raise CalibrationError(f"pi calibration missed a full flip by {infidelity:.3e}")
     return pulse

@@ -134,6 +134,16 @@ def build_clifford_table() -> CliffordTable:
     return CliffordTable(unitaries, composition, inverses)
 
 
+def _products(composition: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Index of each row's product of the Cliffords draws[r, 0], draws[r, 1],
+    ... (the first applied first) under composition. Neighbouring columns are
+    composed pairwise, which the group's associativity makes the left fold."""
+    while draws.shape[1] > 1:
+        paired = composition[draws[:, 0:-1:2], draws[:, 1::2]]
+        draws = np.concatenate([paired, draws[:, -1:]], axis=1) if draws.shape[1] % 2 else paired
+    return draws[:, 0]
+
+
 def generator_channels(
     pulse: PulseSpec, config: SimConfig
 ) -> dict[str, np.ndarray]:
@@ -204,12 +214,10 @@ def run_rb(
             length_draws[row] = np.random.default_rng(stream).integers(0, n_cliffords, size=m)
     # each row's offset to its noise's Clifford channels
     offsets = np.tile(np.arange(len(noises)).repeat(repeats) * n_cliffords, len(lengths))
-    # states and net (each ideal product so far, whose inverse is the
-    # recovery element) hold only the running sequences; those of the
-    # shortest running length come first and are dropped when it ends
+    # states hold only the running sequences; those of the shortest running
+    # length come first and are dropped when it ends
     states = np.zeros((len(offsets), len(basis)))
     states[:, 0] = 1.0  # the ground state
-    net = np.zeros(len(offsets), dtype=np.int8)  # the identity
     survivals = np.empty((len(noises), len(lengths)))
     for a, (start, m) in enumerate(zip([0] + lengths[:-1], lengths)):
         running = offsets[a * block:]
@@ -217,12 +225,13 @@ def run_rb(
         # (position, running row) array
         segment = np.concatenate([d[:, start:m].T for d in draws[a:]], axis=1)
         for step in segment:
-            states = np.einsum("rij,rj->ri", cliffords[running + step], states)
-            net = table.composition[net, step]
-        recovery = cliffords[running[:block] + table.inverses[net[:block]], 0]
+            states = np.einsum("rij,rj->ri", cliffords.take(running + step, axis=0), states)
+        # the recovery element inverts the ideal product of each row's draws
+        net = _products(table.composition, draws[a])
+        recovery = cliffords[running[:block] + table.inverses[net], 0]
         ends = np.einsum("rj,rj->r", recovery, states[:block])
         survivals[:, a] = [row.mean() for row in ends.reshape(len(noises), repeats)]
-        states, net = states[block:], net[block:]
+        states = states[block:]
     return np.asarray(lengths, dtype=float), survivals
 
 

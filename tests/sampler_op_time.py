@@ -87,7 +87,7 @@ def integrator_layer() -> None:
     config = qubitsim.SimConfig(levels=2)
     pulse = qubitsim.calibrate_pi_pulse(t_g, "cosine", config)
     ground = qubitsim.QubitState.ground(2)
-    ms = [1e3 * s for s in time_calls(lambda: qubitsim.evolve(ground, pulse, None, config))]
+    ms = [1e3 * s for s in time_calls(lambda: qubitsim.evolve(ground, pulse, config))]
     print(
         f"calibration evolve (2-level, 2,000 steps), {LAYER_CALLS} runs: "
         f"min {ms[0]:.1f} ms, median {statistics.median(ms):.1f} ms"

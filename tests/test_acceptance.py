@@ -196,7 +196,7 @@ def test_criterion_8_property_suites(tmp_path):
     pulse = qubitsim.calibrate_pi_pulse(T_G, "cosine")
     config = qubitsim.SimConfig(levels=2, t1=30e-6, t_phi=20e-6)
     _, _, traj = qubitsim.evolve(
-        qubitsim.QubitState.ground(2), pulse, None, config, return_trajectory=True
+        qubitsim.QubitState.ground(2), pulse, config, return_trajectory=True
     )
     checks.append(
         (

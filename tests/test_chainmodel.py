@@ -162,7 +162,6 @@ class TestEnvelopeModulator:
         assert stacked.shape == t.shape
         for b, values in enumerate(alone):
             assert np.array_equal(stacked[..., b], values)
-        assert modulator.breakpoints == tuple(event_times)
 
     def test_one_schedule_is_elementwise(self):
         """A one-schedule modulator called on times of any shape gives the
@@ -171,7 +170,6 @@ class TestEnvelopeModulator:
         t = np.linspace(0.0, 40e-9, 12).reshape(4, 3)
         modulator = cm.EnvelopeModulator([sched], "RF1", 2.6e-9)
         assert np.array_equal(modulator(t), modulator(t[..., None])[..., 0])
-        assert modulator.breakpoints == (10e-9, 30e-9)
 
     @pytest.mark.parametrize(
         "port, rise_time", [("RF5", 0.0), ("rf1", 2.6e-9), ("RF1", -1e-9), ("RF1", math.nan)]

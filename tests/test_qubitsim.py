@@ -21,7 +21,6 @@ def pi_pulse():
 class ConstantModulator:
     def __init__(self, value):
         self.value = value
-        self.breakpoints = ()
 
     def __call__(self, t):
         return np.full_like(np.asarray(t, dtype=float), self.value)
@@ -30,8 +29,6 @@ class ConstantModulator:
 class NanFrom:
     """Full drive before t0 and NaN from t0 on; an array t0 gives each
     member along the trailing axis its own."""
-
-    breakpoints = ()
 
     def __init__(self, t0):
         self.t0 = t0
@@ -53,7 +50,10 @@ class TestEvolve:
 
     def test_floor_modulator_rabi_angle(self, pi_pulse):
         floor = 10 ** (-30 / 20)
-        final = qs.evolve(qs.QubitState.ground(2), pi_pulse, ConstantModulator(floor))
+        ground = qs.QubitState.ground(2).density_matrix
+        (final,) = qs._evolve_batch(
+            ground[None], pi_pulse, qs.SimConfig(), ConstantModulator(floor), [None], [""]
+        )
         expected = math.sin(floor * math.pi / 2) ** 2
         assert final.population(1) == pytest.approx(expected, abs=1e-6)
         assert final.population(1) == pytest.approx(2.46e-3, rel=5e-3)
@@ -61,7 +61,7 @@ class TestEvolve:
     def test_trajectory_invariants_with_noise(self, pi_pulse):
         config = qs.SimConfig(levels=2, t1=30e-6, t_phi=20e-6)
         final, times, traj = qs.evolve(
-            qs.QubitState.ground(2), pi_pulse, None, config, return_trajectory=True
+            qs.QubitState.ground(2), pi_pulse, config, return_trajectory=True
         )
         for rho in traj:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
@@ -72,7 +72,7 @@ class TestEvolve:
         pulse = qs.calibrate_pi_pulse(T_G, "cosine_drag")
         config = qs.SimConfig(levels=3, t1=30e-6, t_phi=20e-6)
         final, _, traj = qs.evolve(
-            qs.QubitState.ground(3), pulse, None, config, return_trajectory=True
+            qs.QubitState.ground(3), pulse, config, return_trajectory=True
         )
         for rho in traj[:: len(traj) // 50]:
             assert abs(np.trace(rho).real - 1.0) < 1e-9
@@ -80,16 +80,20 @@ class TestEvolve:
 
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
     def test_gated_trajectory_ends_in_the_final_state(self, levels, shape):
-        """A gated modulator's breakpoints split the grid into segments of
+        """A gated window's breakpoints split the grid into segments of
         different steps; the trajectory still rises strictly to exactly
-        t_g and ends in the state evolve returns."""
+        t_g and ends in the state _evolve_batch returns."""
         config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
         pulse = qs.calibrate_pi_pulse(T_G, shape, config)
-        modulator = gated_modulator(cm.MuxModel(isolation_db=30.0, rise_time=2.6e-9), 12.345e-9)
-        assert modulator.breakpoints
-        final, times, traj = qs.evolve(
-            qs.QubitState.ground(levels), pulse, modulator, config, return_trajectory=True
+        mux = cm.MuxModel(isolation_db=30.0, rise_time=2.6e-9)
+        modulator, breakpoints = gated_batch(mux, [12.345e-9])
+        assert breakpoints[0]
+        ground = qs.QubitState.ground(levels).density_matrix
+        trajectory = [(0.0, ground)]
+        (final,) = qs._evolve_batch(
+            ground[None], pulse, config, modulator, breakpoints, [""], trajectory
         )
+        times, traj = map(np.array, zip(*trajectory))
         assert times[0] == 0.0 and np.all(np.diff(times) > 0) and times[-1] == T_G
         assert len(traj) == len(times)
         assert np.array_equal(traj[-1], final.density_matrix)
@@ -102,7 +106,7 @@ class TestEvolve:
         n_steps = qs._Grid(T_G, config.dt, [None]).n_max
         assert -(-n_steps // qs._FILL_PAIRS) == 3
         final, times, traj = qs.evolve(
-            qs.QubitState.ground(2), pi_pulse, None, config, return_trajectory=True
+            qs.QubitState.ground(2), pi_pulse, config, return_trajectory=True
         )
         assert len(times) == len(traj) == n_steps + 1
         assert times[0] == 0.0 and np.all(np.diff(times) > 0) and times[-1] == T_G
@@ -110,45 +114,48 @@ class TestEvolve:
 
     def test_dt_convergence(self, pi_pulse):
         base = qs.evolve(
-            qs.QubitState.ground(2), pi_pulse, None, qs.SimConfig(dt=T_G / 2000)
+            qs.QubitState.ground(2), pi_pulse, qs.SimConfig(dt=T_G / 2000)
         ).population(1)
         fine = qs.evolve(
-            qs.QubitState.ground(2), pi_pulse, None, qs.SimConfig(dt=T_G / 4000)
+            qs.QubitState.ground(2), pi_pulse, qs.SimConfig(dt=T_G / 4000)
         ).population(1)
         assert abs(base - fine) < 1e-7
 
     def test_dt_precondition(self, pi_pulse):
         with pytest.raises(ConfigError):
-            qs.evolve(qs.QubitState.ground(2), pi_pulse, None, qs.SimConfig(dt=T_G / 100))
+            qs.evolve(qs.QubitState.ground(2), pi_pulse, qs.SimConfig(dt=T_G / 100))
 
     def test_unstable_integration_detected(self):
         # a drive hundreds of times past the resolvable rate breaks RK4
         pulse = qs.PulseSpec("cosine", T_G, 800 * 2 * math.pi / T_G)
         with pytest.raises(IntegrationError):
-            qs.evolve(qs.QubitState.ground(2), pulse, None, qs.SimConfig(dt=T_G / 200))
+            qs.evolve(qs.QubitState.ground(2), pulse, qs.SimConfig(dt=T_G / 200))
 
     def test_nan_modulator_raises(self, pi_pulse):
+        ground = qs.QubitState.ground(2).density_matrix
         with pytest.raises(IntegrationError, match="nan"):
-            qs.evolve(qs.QubitState.ground(2), pi_pulse, ConstantModulator(math.nan))
+            qs._evolve_batch(
+                ground[None], pi_pulse, qs.SimConfig(), ConstantModulator(math.nan), [None], [""]
+            )
 
     def test_decay_lowers_excited_population(self, pi_pulse):
         noisy = qs.evolve(
-            qs.QubitState.ground(2), pi_pulse, None, qs.SimConfig(t1=10e-6, t_phi=10e-6)
+            qs.QubitState.ground(2), pi_pulse, qs.SimConfig(t1=10e-6, t_phi=10e-6)
         )
         assert noisy.population(1) < 1 - 1e-4
 
     def test_two_vs_three_level_agreement_with_drag(self):
         pulse = qs.calibrate_pi_pulse(T_G, "cosine_drag")
-        pe2 = qs.evolve(qs.QubitState.ground(2), pulse, None, qs.SimConfig(levels=2)).population(1)
-        pe3 = qs.evolve(qs.QubitState.ground(3), pulse, None, qs.SimConfig(levels=3)).population(1)
+        pe2 = qs.evolve(qs.QubitState.ground(2), pulse, qs.SimConfig(levels=2)).population(1)
+        pe3 = qs.evolve(qs.QubitState.ground(3), pulse, qs.SimConfig(levels=3)).population(1)
         assert abs(pe2 - pe3) < 1e-3
 
     def test_drag_suppresses_leakage(self):
         plain = qs.calibrate_pi_pulse(T_G, "cosine")
         drag = qs.calibrate_pi_pulse(T_G, "cosine_drag")
         config = qs.SimConfig(levels=3)
-        leak_plain = qs.evolve(qs.QubitState.ground(3), plain, None, config).population(2)
-        leak_drag = qs.evolve(qs.QubitState.ground(3), drag, None, config).population(2)
+        leak_plain = qs.evolve(qs.QubitState.ground(3), plain, config).population(2)
+        leak_drag = qs.evolve(qs.QubitState.ground(3), drag, config).population(2)
         assert leak_plain > 1e-7
         assert leak_drag < leak_plain / 1e3
 
@@ -405,35 +412,8 @@ def gated_batch(mux, windows):
     return cm.EnvelopeModulator(schedules, "RF1", mux.rise_time), breakpoints
 
 
-def gated_modulator(mux, window):
-    """The elementwise modulator of one window, as evolve takes it."""
-    return gated_batch(mux, [window])[0]
-
-
 class TestTdmSweep:
     MUX = cm.MuxModel(isolation_db=30.0, rise_time=0.0)
-    # 0, t_g and > t_g take 2,000 steps; 12.345 ns cuts the grid into
-    # segments of 692 + 618 + 692 steps, so the others are padded
-    WINDOWS = [0.0, 12.345e-9, T_G, 60e-9]
-
-    @pytest.mark.parametrize(
-        "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
-    )
-    def test_matches_per_window_evolve(self, levels, shape, rise_time):
-        config = qs.SimConfig(levels=levels)
-        pulse = qs.calibrate_pi_pulse(T_G, shape, config)
-        mux = cm.MuxModel(isolation_db=30.0, rise_time=rise_time)
-        modulators = [gated_modulator(mux, w) for w in self.WINDOWS]
-        steps = qs._Grid(T_G, T_G / 2000, [m.breakpoints for m in modulators]).n_steps
-        assert set(steps) == {2000, 2002}
-        swept = qs.tdm_sweep(self.WINDOWS, mux, pulse, config)
-        alone = [
-            qs.evolve(qs.QubitState.ground(levels), pulse, m, config).population(1)
-            for m in modulators
-        ]
-        # measured gap: 0 (bit-identical) at both levels, since no member's
-        # arithmetic depends on its batch (next test)
-        assert np.max(np.abs(swept - alone)) <= 1e-15
 
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
     def test_member_does_not_depend_on_its_batch(self, levels, shape):
@@ -455,15 +435,29 @@ class TestTdmSweep:
             assert np.array_equal(batch[b].density_matrix, alone.density_matrix)
 
     @pytest.mark.parametrize(
+        "windows, dt, steps",
+        [
+            (list(np.linspace(0.0, 2 * T_G, 34)), T_G / 200, {200, 201, 202}),
+            # 0, t_g and > t_g take 2,000 steps; 12.345 ns cuts the grid into
+            # segments of 692 + 618 + 692 steps, so the others are padded
+            ([0.0, 12.345e-9, T_G, 60e-9], None, {2000, 2002}),
+        ],
+        ids=["34_windows", "default_step"],
+    )
+    @pytest.mark.parametrize(
         "levels, shape, rise_time", [(2, "cosine", 0.0), (3, "cosine_drag", 2.6e-9)]
     )
-    def test_one_batch_matches_each_window_alone(self, levels, shape, rise_time):
-        """Every p_e of a 34-window sweep, integrated as one batch, has the
-        bits of its window's one-member _evolve_batch."""
-        config = qs.SimConfig(levels=levels, dt=T_G / 200)
+    def test_one_batch_matches_each_window_alone(
+        self, levels, shape, rise_time, windows, dt, steps
+    ):
+        """Every p_e of a sweep, integrated as one batch, has the bits of its
+        window's one-member _evolve_batch: 34 windows at the coarsest step,
+        and 4 at the default step whose grids differ in length."""
+        config = qs.SimConfig(levels=levels, dt=dt)
         pulse = qs.calibrate_pi_pulse(T_G, shape, config)
         mux = cm.MuxModel(isolation_db=30.0, rise_time=rise_time)
-        windows = list(np.linspace(0.0, 2 * T_G, 34))
+        _, breakpoints = gated_batch(mux, windows)
+        assert set(qs._Grid(T_G, qs._resolve_dt(pulse, config), breakpoints).n_steps) == steps
         swept = qs.tdm_sweep(windows, mux, pulse, config)
         rho0 = qs.QubitState.ground(levels).density_matrix[None]
         alone = [

@@ -53,6 +53,14 @@ class TestCliffordTable:
             assert table.composition[i, inv] == 0
             assert _phase_distance(table.unitaries[inv] @ table.unitaries[i], np.eye(2)) < 1e-12
 
+    @pytest.mark.parametrize("m", [1, 37, 1000])
+    def test_pairwise_products_equal_the_left_fold(self, table, m):
+        draws = np.random.default_rng(m).integers(0, 24, size=(16, m), dtype=np.int8)
+        net = np.zeros(16, dtype=np.int8)  # the identity
+        for step in draws.T:
+            net = table.composition[net, step]
+        assert np.array_equal(rb._products(table.composition, draws), net)
+
     def test_mean_generator_count(self):
         assert rb.MEAN_GENERATOR_COUNT == pytest.approx(1.875, abs=1e-12)
         assert sum(len(d) for d in rb.CLIFFORD_DECOMPOSITIONS) == 45
@@ -309,3 +317,15 @@ class TestGeneratorChannels:
         excited[3] = 1.0
         after = channels["I"] @ excited
         assert after[3].real == pytest.approx(math.exp(-T_G / 10e-6), rel=1e-9)
+
+    def test_identity_channel_dephases(self, pi_pulse):
+        """The idle's coherence rho_01 decays as exp(-t_g/T2), with
+        1/T2 = 1/(2 T1) + 1/T_phi, and feeds no other entry."""
+        t1, t_phi = 10e-6, 4e-6
+        channels = rb.generator_channels(pi_pulse, qs.SimConfig(levels=2, t1=t1, t_phi=t_phi))
+        coherence = np.zeros(4, dtype=complex)
+        coherence[1] = 1.0  # vec of |0><1|
+        after = channels["I"] @ coherence
+        expected = math.exp(-T_G * (1.0 / (2.0 * t1) + 1.0 / t_phi))
+        assert after[1].real == pytest.approx(expected, rel=1e-9)  # measured: 1.1e-16
+        assert np.max(np.abs(np.delete(after, 1))) < 1e-15 and abs(after[1].imag) < 1e-15
