@@ -41,7 +41,6 @@ from .qubitsim import (
     detected_population,
     evolve,
     gate_channel,
-    synth_decay_trace,
     tdm_experiment,
     tdm_sweep,
     windowed_rabi_angle,

@@ -3,8 +3,15 @@
 Works in the rotating frame of the drive carrier under the rotating-wave
 approximation, for 2 or 3 levels. The master equation with relaxation and
 pure-dephasing channels is integrated with fixed-step RK4. evolve drives the
-full pulse; tdm_sweep gates it through windows, each on a step grid aligned
-with its switching times so the integrator never straddles a step.
+full pulse; tdm_sweep gates it through windows, and no step straddles a
+window's switching time. A sweep takes one of two gated routes:
+- at a finite rise time, _evolve_batch steps every window's state on a grid
+  of its own, aligned with its switching times;
+- at ideal switching (rise time 0) the gated drive is piecewise constant, and
+  _evolve_piecewise applies products of steps on one shared lattice, from
+  one pairwise tree per drive level, taking as steps of their own only the
+  lattice steps that a window's switching times split.
+On either route a window's p_e has the same bits whatever its batch.
 
 The master equation preserves Hermiticity, so in an orthonormal Hermitian
 operator basis every Liouvillian, propagator and density matrix is real.
@@ -12,15 +19,16 @@ States and gate channels are both integrated in float64 there, on the
 Liouvillian parts mapped into that basis, and mapped back to row-major
 vec(rho) at the end (trajectories at each recorded step).
 
-States are stepped by one loop over a batch of density matrices that share
-the pulse but each have their own gating, as in a gating-window sweep (see
-_evolve_batch); gate channels act on all d*d basis states at once (see
-gate_channel). Both take the same RK4 stage operators: the Liouvillian is a
-weighted sum of four fixed parts, and _stage_weights gives every step's
-weights of them at each stage, already scaled by half the step, from one
-breakpoint-aligned step grid per member. Both then take the same RK4 step,
-_rk4_increment: states apply it to their state vectors, and gate channels to
-the identity, which gives each step's propagator less the identity.
+_evolve_batch steps a batch of density matrices that share the pulse but
+each have their own gating in one loop; gate channels act on all d*d basis
+states at once (see gate_channel). All routes take the same RK4 stage
+operators: the Liouvillian is a weighted sum of four fixed parts, and
+_stage_weights gives every step's weights of them at each stage, already
+scaled by half the step, from its stage times and length. All then take the
+same RK4 step, _rk4_increment: _evolve_batch applies it to state vectors,
+while gate channels and _evolve_piecewise apply it to the identity
+(_step_deltas), which gives each step's propagator less the identity, and
+multiply the steps pairwise in that delta form.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -49,6 +57,10 @@ _PULSE_SHAPES = ("cosine", "cosine_drag")
 _STAGES = np.array([0.0, 0.5, 1.0])  # RK4 stage times as fractions of a step
 _BLOCK_STEPS = 256  # steps whose gate-channel propagators are built at once
 _FILL_PAIRS = 2048  # most (step, member) pairs filled, stepped and trace-checked in one pass
+# a switching time this many lattice steps from a lattice point is moved onto
+# it: the default windows miss the 20 ps lattice by rounding only (< 1e-12
+# steps), and 1e-9 steps moves an edge by 2e-20 s at the default step
+_SNAP_STEPS = 1e-9
 
 
 @dataclass(frozen=True)
@@ -210,11 +222,11 @@ def _liouvillian_parts(config: SimConfig):
 
 def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
     """In-phase, quadrature and number-operator coefficients at times t,
-    which lie in [0, t_g): _Grid.block clamps every stage time to its
-    segment's last sampling time, so the raised-cosine envelope is read
-    without a mask. A cosine_drag pulse adds the DRAG quadrature
-    -amplitude*denv*mod/alpha and detuning -wx^2/(2 alpha) only with a
-    third level present.
+    which lie in [0, t_g] (_Grid.block clamps every stage time to its
+    segment's last sampling time, and _evolve_piecewise's own steps end by
+    t_g), so the raised-cosine envelope is read without a mask. A
+    cosine_drag pulse adds the DRAG quadrature -amplitude*denv*mod/alpha and
+    detuning -wx^2/(2 alpha) only with a third level present.
     """
     t = np.asarray(t, dtype=float)
     t_g = pulse.t_g
@@ -327,24 +339,23 @@ def _real_liouvillian_parts(config: SimConfig) -> np.ndarray:
     ])
 
 
-def _stage_weights(pulse: PulseSpec, config: SimConfig, grid: _Grid, j0: int, j1: int, modulator):
-    """End times (n, member) of every member's steps j0 <= j < j1, and the
-    weights (n, 3, member, 4) of L0, Lx, Ly and Ln at each RK4 stage of
-    those steps, times half the step's length h: (h/2)(1, wx, wy, wn).
+def _stage_weights(pulse: PulseSpec, config: SimConfig, t_eval, h, modulator):
+    """Weights (n, 3, member, 4) of L0, Lx, Ly and Ln at each RK4 stage of
+    n steps of every member, from their stage sampling times t_eval (n, 3,
+    member) and lengths h (n, member), as _Grid.block gives them, times half
+    the step's length: (h/2)(1, wx, wy, wn).
 
-    The stacked grids give all stage times and step lengths as (step, stage,
-    member) arrays, so _drive_waveforms and the modulator (or None, for the
-    full drive) run once on them, with no loop over members. A zero-length
-    step keeps all-zero weights, whatever its drive.
+    _drive_waveforms and the modulator (or None, for the full drive) run
+    once on all the steps, with no loop over members. A zero-length step
+    keeps all-zero weights, whatever its drive.
     """
-    t_end, t_eval, h = grid.block(j0, j1)
     half_h = 0.5 * h[:, None]  # (step, 1, member)
     weights = np.zeros((*t_eval.shape, 4))
     weights[..., 0] = half_h
     live = half_h > 0.0
     for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
         np.multiply(half_h, w, out=weights[..., p], where=live)
-    return t_end, weights
+    return weights
 
 
 def _rk4_increment(x, m_a, m_b, m_c):
@@ -357,6 +368,37 @@ def _rk4_increment(x, m_a, m_b, m_c):
     a3 = (x + a2) @ m_b
     a4 = (x + 2.0 * a3) @ m_c
     return (a1 + a4 + 2.0 * (a2 + a3)) / 3.0
+
+
+def _step_deltas(weights, parts):
+    """Row-form propagators less the identity, (n, D, D), of n RK4 steps
+    from their stage weights (n, 3, 4): _rk4_increment on the identity.
+    Every step is its own (3, 4) @ (4, D^2) and D x D products, so its bits
+    do not depend on how many steps are built at once."""
+    dim = math.isqrt(parts.shape[1])
+    m_a, m_b, m_c = (weights @ parts).reshape(len(weights), 3, dim, dim).swapaxes(0, 1)
+    return _rk4_increment(np.eye(dim), m_a, m_b, m_c)
+
+
+def _pair_products(steps):
+    """Delta-form products of consecutive pairs of an even-length stack of
+    steps: an earlier A and a later B give A + B + A @ B, the product
+    (I + A)(I + B) less the identity."""
+    earlier, later = steps[0::2], steps[1::2]
+    return earlier + later + earlier @ later
+
+
+def _final_states(x, basis, labels):
+    """QubitStates of the real Hermitian-basis rows x (member, D); an
+    IntegrationError from a state's validation starts with its label."""
+    dim = math.isqrt(x.shape[-1])
+    finals = []
+    for label, rho in zip(labels, (x @ basis.conj()).reshape(-1, dim, dim)):
+        try:
+            finals.append(QubitState(rho))
+        except IntegrationError as exc:
+            raise IntegrationError(f"{label}{exc}") from None
+    return finals
 
 
 def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels, trajectory=None):
@@ -414,7 +456,8 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
     xs[0] = (np.asarray(rho0).reshape(n_members, 1, dim * dim) @ basis.T).real
     for j0 in range(0, grid.n_max, n_pass):
         n = min(n_pass, grid.n_max - j0)
-        t_end, weights = _stage_weights(pulse, config, grid, j0, j0 + n, modulator)
+        t_end, t_eval, h = grid.block(j0, j0 + n)
+        weights = _stage_weights(pulse, config, t_eval, h, modulator)
         with np.errstate(over="ignore", invalid="ignore"):
             # a row per step holds every (stage, member) of its weights
             for row, x, x_next in zip(weights.reshape(n, -1, len(parts)), xs[:n], xs[1:n + 1]):
@@ -431,13 +474,198 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
             rhos = (xs[1:n + 1, 0, 0] @ basis.conj()).reshape(n, dim, dim)
             trajectory += zip(t_end[:, 0], rhos)
         xs[0] = xs[n]
-    finals = []
-    for label, rho in zip(labels, (xs[0, :, 0] @ basis.conj()).reshape(-1, dim, dim)):
-        try:
-            finals.append(QubitState(rho))
-        except IntegrationError as exc:
-            raise IntegrationError(f"{label}{exc}") from None
-    return finals
+    return _final_states(xs[0, :, 0], basis, labels)
+
+
+def _tree_cover(a: int, b: int, depth: int):
+    """(k, i) of the nodes of a pairwise tree over 2**depth leaves that tile
+    leaves a <= j < b, in time order. Node (k, i) holds leaves
+    i 2^k <= j < (i + 1) 2^k; each is the largest that starts at the next
+    leaf and fits, so at most 2 depth nodes tile any range."""
+    nodes = []
+    while a < b:
+        k = depth if a == 0 else (a & -a).bit_length() - 1
+        while a + (1 << k) > b:
+            k -= 1
+        nodes.append((k, a >> k))
+        a += 1 << k
+    return nodes
+
+
+def _piecewise_plan(segments, levels, t_g: float, n: int, depth: int):
+    """One member's operations through [0, t_g] in time order, each as (end
+    time, operation): ("node", level, (k, i)) applies node (k, i) of that
+    level's tree over the n-step lattice, padded to 2**depth steps, and
+    ("sub", level, start, stop) takes one RK4 step of its own.
+
+    The member's drive is levels[s] on segments[s]. A segment end within
+    _SNAP_STEPS steps of a lattice point is moved onto it; any other splits
+    the lattice step that holds it into steps of their own. The plan depends
+    on nothing but the member's segments and levels.
+    """
+    h = t_g / n
+
+    def point(k):
+        return t_g if k == n else k * h
+
+    plan = []
+    k, t = 0, None  # the member stands at lattice point k, or at time t inside step k
+    for (_, end), level in zip(segments, levels):
+        u = end / h
+        if abs(u - round(u)) <= _SNAP_STEPS:
+            k_end, t_end = round(u), None
+        else:
+            k_end, t_end = math.floor(u), end
+        if t is not None:  # finish the split step k, or split it again
+            stop = t_end if k_end == k else point(k + 1)
+            plan.append((stop, ("sub", level, t, stop)))
+            if k_end == k:
+                t = stop
+                continue
+            k, t = k + 1, None
+        # the padding past the lattice is the identity, so a range that ends
+        # at t_g may take its nodes up to the padded end
+        last = 1 << depth if k_end == n else k_end
+        for d, i in _tree_cover(k, last, depth):
+            plan.append((point(min((i + 1) << d, n)), ("node", level, (d, i))))
+        k = k_end
+        if t_end is not None:
+            plan.append((t_end, ("sub", level, point(k), t_end)))
+            t = t_end
+    return plan
+
+
+def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, level, depth: int,
+                wanted, out):
+    """Write each wanted node (k, i) of the level's pairwise tree to
+    out[wanted[(k, i)]]: the delta-form product, earliest first, of the
+    lattice steps i 2^k <= j < (i + 1) 2^k under the constant drive factor
+    level, with steps past the lattice's n_max the identity (zero delta).
+
+    The leaves are _step_deltas of the lattice's own stage weights, as in
+    gate_channel, built _BLOCK_STEPS at a time; each block is paired up to
+    its root before the next is built, and the block roots then up to the
+    tree's, so memory does not grow with the steps and only wanted nodes
+    are kept.
+    """
+    by_depth = {}
+    for (k, i), row in wanted.items():
+        by_depth.setdefault(k, []).append((i, row))
+
+    def climb(steps, k, first):
+        # steps are the nodes first <= i < first + len(steps) at depth k
+        while True:
+            for i, row in by_depth.get(k, ()):
+                if first <= i < first + len(steps):
+                    out[row] = steps[i - first]
+            if len(steps) == 1:
+                return steps[0]
+            steps, k, first = _pair_products(steps), k + 1, first // 2
+
+    roots = []
+    for j0 in range(0, 1 << depth, _BLOCK_STEPS):
+        steps = np.zeros((_BLOCK_STEPS, *out.shape[1:]))
+        j1 = min(j0 + _BLOCK_STEPS, lattice.n_max)
+        if j1 > j0:
+            _, t_eval, h = lattice.block(j0, j1)
+            weights = _stage_weights(pulse, config, t_eval, h, lambda t: level)
+            steps[:j1 - j0] = _step_deltas(weights[:, :, 0], parts)
+        roots.append(climb(steps, 0, j0))
+    climb(np.array(roots), _BLOCK_STEPS.bit_length() - 1, 0)
+
+
+def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, labels):
+    """Integrate each density matrix rho0[b] through [0, t_g] and return
+    the final QubitStates, as _evolve_batch does with the same arguments,
+    for a modulator that is constant between each member's breakpoints
+    (ideal switching).
+
+    Each member's drive factor on each of its segments is read from the
+    modulator at the segment's midpoint; a sweep takes few distinct values
+    (the leakage floor and the full drive). All members step on one uniform
+    lattice, the one-segment grid of n steps that _Grid gives [0, t_g].
+    1. Each member's _piecewise_plan covers its constant-drive ranges of
+       whole lattice steps with the nodes of its level's pairwise tree, and
+       takes the lattice steps its own breakpoints split as steps of their
+       own, from _step_deltas of their own stage weights.
+    2. _tree_nodes builds each level's tree over the lattice padded with
+       identities to 2**depth >= n leaves, keeping the nodes the plans use.
+       A window of 0 or >= t_g applies one tree root.
+    3. Every member applies its operations in time order, x -> x + x @ delta,
+       each round one batched row-times-matrix product over the members;
+       a member whose plan has ended takes the identity.
+    4. The trace after every operation is checked: the drift earliest in
+       time (the lowest member on a tie) raises IntegrationError starting
+       with the member's label. Unstable drives overflow inside the trees,
+       so all this runs with numpy's overflow and invalid-value warnings
+       off. Final states are validated as in _evolve_batch.
+    A member's bits depend only on its own breakpoints and drive: its plan,
+    each tree (built alone, one level at a time), each of its own steps and
+    its row of each batched product are computed the same way whatever the
+    batch.
+    """
+    dim = config.levels
+    basis = _hermitian_basis(dim)
+    parts = _real_liouvillian_parts(config)
+    t_g = pulse.t_g
+    lattice = _Grid(t_g, _resolve_dt(pulse, config), [None])
+    n = lattice.n_max
+    depth = max(n - 1, _BLOCK_STEPS - 1).bit_length()  # 2**depth >= n leaves in whole blocks
+    members = [_segments(t_g, b) for b in breakpoints]
+    mids = np.full((max(map(len, members)), len(members)), t_g / 2.0)
+    for b, segments in enumerate(members):
+        mids[:len(segments), b] = [(start + end) / 2.0 for start, end in segments]
+    drive = np.asarray(modulator(mids), dtype=float)
+    # index of each distinct drive factor, keyed by its hex form so that
+    # every NaN is one; np.unique would page in 0.4 MiB of sorting code
+    levels = {}
+    plans = [
+        _piecewise_plan(
+            segments,
+            [levels.setdefault(v.hex(), len(levels)) for v in drive[:len(segments), b].tolist()],
+            t_g, n, depth,
+        )
+        for b, segments in enumerate(members)
+    ]
+    values = [float.fromhex(key) for key in levels]
+    # row of each distinct operation in one table of deltas; row 0 is the identity
+    rows = {}
+    for plan in plans:
+        for _, op in plan:
+            rows.setdefault(op, len(rows) + 1)
+    table = np.zeros((len(rows) + 1, dim * dim, dim * dim))
+    n_ops = max(map(len, plans))
+    index = np.zeros((n_ops, len(plans)), dtype=np.intp)
+    ends = np.full((n_ops, len(plans)), np.inf)
+    for b, plan in enumerate(plans):
+        ends[:len(plan), b] = [end for end, _ in plan]
+        index[:len(plan), b] = [rows[op] for _, op in plan]
+    xs = np.empty((n_ops + 1, len(plans), 1, dim * dim))
+    xs[0] = (np.asarray(rho0).reshape(len(plans), 1, dim * dim) @ basis.T).real
+    with np.errstate(over="ignore", invalid="ignore"):
+        subs = [(row, op[1:]) for op, row in rows.items() if op[0] == "sub"]
+        if subs:
+            sub_rows, sub_ops = zip(*subs)
+            sub_level, start, stop = (np.array(column) for column in zip(*sub_ops))
+            h = stop - start
+            t_eval = start[:, None] + _STAGES * h[:, None]
+            drive_at = np.array(values)[sub_level][:, None, None]
+            weights = _stage_weights(pulse, config, t_eval[..., None], h[:, None], lambda t: drive_at)
+            table[list(sub_rows)] = _step_deltas(weights[:, :, 0], parts)
+        for lv, value in enumerate(values):
+            wanted = {op[2]: row for op, row in rows.items() if op[:2] == ("node", lv)}
+            if wanted:
+                _tree_nodes(pulse, config, parts, lattice, value, depth, wanted, table)
+        for i, x, x_next in zip(index, xs, xs[1:]):
+            np.add(x, x @ table[i], out=x_next)
+        traces = np.add.reduce(xs[1:, :, 0, :dim], axis=2)
+        drift = np.abs(traces - 1.0)
+    if not drift.max() <= _TRACE_TOL:  # max propagates NaN
+        ops, bs = np.nonzero(~(drift <= _TRACE_TOL))
+        first = np.lexsort((bs, ends[ops, bs]))[0]  # earliest in time, then lowest member
+        i, b = ops[first], bs[first]
+        raise IntegrationError(f"{labels[b]}trace drifted to {float(traces[i, b])!r} during integration")
+    return _final_states(xs[-1, :, 0], basis, labels)
 
 
 def evolve(
@@ -477,13 +705,15 @@ def gate_channel(
     evolve) is the product of the RK4 steps of evolve's grid, so composing
     channels reproduces evolve() gate by gate, up to rounding. It is built
     in float64 on the real Liouvillian parts, _BLOCK_STEPS steps at a time:
-    _rk4_increment on the identity gives each step's row-form propagator
-    I + delta, and the steps are multiplied pairwise in that delta form, an
-    earlier A and a later B giving A + B + A @ B, so the identity is added
-    once at the end. The real row-form product I + delta is returned as
-    T^+ (I + delta)^T T. Raises IntegrationError unless every entry is finite
-    and the channel preserves trace to within _TRACE_TOL. Useful when the
-    same gate is applied many times, e.g. in benchmarking sequences.
+    _step_deltas gives each step's row-form propagator I + delta, and
+    _pair_products multiplies a block's steps pairwise in that delta form,
+    an earlier A and a later B giving A + B + A @ B, the odd one out carried
+    up a level; the block products are then folded in order, so the
+    identity is added once at the end. The real row-form product I + delta
+    is returned as T^+ (I + delta)^T T. Raises IntegrationError unless every
+    entry is finite and the channel preserves trace to within _TRACE_TOL.
+    Useful when the same gate is applied many times, e.g. in benchmarking
+    sequences.
     """
     grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), [None])
     basis = _hermitian_basis(config.levels)
@@ -495,12 +725,10 @@ def gate_channel(
     delta = np.zeros((dim, dim))
     for j0 in range(0, grid.n_max, _BLOCK_STEPS):
         n = min(_BLOCK_STEPS, grid.n_max - j0)
-        _, weights = _stage_weights(pulse, config, grid, j0, j0 + n, None)
-        m_a, m_b, m_c = (weights[:, :, 0] @ parts).reshape(n, 3, dim, dim).swapaxes(0, 1)
-        steps = _rk4_increment(eye, m_a, m_b, m_c)
+        _, t_eval, h = grid.block(j0, j0 + n)
+        steps = _step_deltas(_stage_weights(pulse, config, t_eval, h, None)[:, :, 0], parts)
         while len(steps) > 1:
-            earlier, later = steps[0:len(steps) - 1:2], steps[1::2]
-            paired = earlier + later + earlier @ later
+            paired = _pair_products(steps[:len(steps) // 2 * 2])
             steps = np.concatenate([paired, steps[-1:]]) if len(steps) % 2 else paired
         delta = delta + steps[0] + delta @ steps[0]
     channel = basis.conj().T @ (eye + delta).T @ basis
@@ -550,8 +778,13 @@ def tdm_sweep(
     isolation and transitions following its rise time. Every window is
     checked against the simulation horizon [0, 4 t_g] before any is
     integrated; the windows are then integrated in one batch, gated by one
-    EnvelopeModulator over all their schedules, whose memory the batch's
-    pass bound caps. Returns p_e per window.
+    EnvelopeModulator over all their schedules:
+    - at a finite rise time, by _evolve_batch, whose pass bound caps the
+      batch's memory;
+    - at ideal switching (rise time 0), by _evolve_piecewise, from shared
+      products of steps on one lattice.
+    On either route a window's p_e is bit for bit the one it has alone, in
+    whatever batch. Returns p_e per window.
     """
     from .chainmodel import EnvelopeModulator, GatingSchedule
 
@@ -577,7 +810,8 @@ def tdm_sweep(
     ground = QubitState.ground(config.levels).density_matrix
     rho0 = np.broadcast_to(ground, (len(windows), *ground.shape))
     labels = [f"window {w!r} s: " for w in windows]
-    finals = _evolve_batch(rho0, pulse, config, modulator, breakpoints, labels)
+    route = _evolve_piecewise if mux.rise_time == 0.0 else _evolve_batch
+    finals = route(rho0, pulse, config, modulator, breakpoints, labels)
     return np.array([final.population(1) for final in finals])
 
 
@@ -609,34 +843,3 @@ def windowed_rabi_angle(window: float, t_g: float, floor_amplitude: float) -> fl
     w = min(max(window, 0.0), t_g)
     frac = w / t_g + math.sin(math.pi * w / t_g) / math.pi
     return math.pi * (floor_amplitude + (1.0 - floor_amplitude) * frac)
-
-
-def synth_decay_trace(
-    kind: str,
-    truth: CoherenceRecord,
-    times: Sequence[float] | np.ndarray,
-    detuning: float = 0.0,
-    noise_sigma: float = 0.0,
-    seed: int | None = None,
-) -> np.ndarray:
-    """Generate an ideal decay trace with optional Gaussian observation noise.
-
-    t1     : exp(-t/T1)
-    ramsey : 0.5 * (1 + exp(-t/T2*) cos(2 pi detuning t))
-    echo   : 0.5 * (1 + exp(-t/T2e))
-    """
-    t = np.asarray(times, dtype=float)
-    if t.size == 0 or np.any(np.diff(t) <= 0):
-        raise ConfigError("times must be non-empty and strictly increasing")
-    if kind == "t1":
-        y = np.exp(-t / truth.t1)
-    elif kind == "ramsey":
-        y = 0.5 * (1.0 + np.exp(-t / truth.t2_star) * np.cos(TWO_PI * detuning * t))
-    elif kind == "echo":
-        y = 0.5 * (1.0 + np.exp(-t / truth.t2_echo))
-    else:
-        raise ConfigError(f"unknown trace kind {kind!r}")
-    if noise_sigma:
-        rng = np.random.default_rng(seed)
-        y = y + rng.normal(0.0, noise_sigma, size=y.shape)
-    return y

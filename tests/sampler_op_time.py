@@ -9,10 +9,10 @@ times and prints the min, median and max op time, so the margin left above
 ~55 ms is visible. It then builds one full op the way perfbench's tdm_sweep
 workload does (31 windows, 3 reference windows, seed 0), times it 5 times,
 and prints the process's peak resident memory, which covers both. Last it
-times the integrator layer of that op, 5 calls each after a warm-up: the
-2-level calibration evolve (in ms) and the 2-level and 3-level 31-window
-sweeps of seed 0 (in us per step of the batch's loop). It only reports; the
-sampler test and the benchmark decide what passes.
+times the integrator layer of that op, 5 calls each after a warm-up, in ms:
+the 2-level calibration evolve and the 2-level (ideal switching) and 3-level
+(2.6 ns rise time) 31-window sweeps of seed 0. It only reports; the sampler
+test and the benchmark decide what passes.
 
     python3 tests/sampler_op_time.py
 
@@ -72,17 +72,14 @@ def time_calls(call) -> list[float]:
 
 
 def integrator_layer() -> None:
-    """Print the calibration evolve's ms and each 31-window sweep's us per
-    step, as fig4b_tdm runs them at its defaults and at perfbench's 3-level
+    """Print the ms of the calibration evolve and of each 31-window sweep,
+    as fig4b_tdm runs them at its defaults and at perfbench's 3-level
     settings."""
     defaults = scenarios.REGISTRY["fig4b_tdm"].defaults
     t_g = defaults["t_g_s"]
     with tempfile.TemporaryDirectory() as tmp:
         windows_ns = workloads.make_inputs("tdm_sweep", 0, Path(tmp))["windows_ns"]
     windows = [w * 1e-9 for w in windows_ns]
-    # the breakpoints tdm_sweep gives each window's grid
-    breakpoints = [() if w == 0.0 else (t_g / 2 - w / 2, t_g / 2 + w / 2) for w in windows]
-    steps = qubitsim._Grid(t_g, t_g / 2000, breakpoints).n_max
 
     config = qubitsim.SimConfig(levels=2)
     pulse = qubitsim.calibrate_pi_pulse(t_g, "cosine", config)
@@ -100,11 +97,10 @@ def integrator_layer() -> None:
         config = qubitsim.SimConfig(levels=levels)
         pulse = qubitsim.calibrate_pi_pulse(t_g, shape, config)
         mux = chainmodel.MuxModel(isolation_db=defaults["isolation_db"], rise_time=rise_time)
-        seconds = time_calls(lambda: qubitsim.tdm_sweep(windows, mux, pulse, config))
-        us = [1e6 * s / steps for s in seconds]
+        ms = [1e3 * s for s in time_calls(lambda: qubitsim.tdm_sweep(windows, mux, pulse, config))]
         print(
-            f"{len(windows)}-window {levels}-level sweep ({steps} steps), {LAYER_CALLS} runs: "
-            f"min {us[0]:.1f} us/step, median {statistics.median(us):.1f} us/step"
+            f"{len(windows)}-window {levels}-level sweep (rise time {rise_time!r} s), "
+            f"{LAYER_CALLS} runs: min {ms[0]:.1f} ms, median {statistics.median(ms):.1f} ms"
         )
 
 

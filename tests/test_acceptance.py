@@ -10,6 +10,8 @@ import time
 
 import numpy as np
 
+from decay_traces import synth_decay_trace
+
 from cryomux import chainmodel, fitkit, noisecalc, qubitsim, rbengine
 from cryomux.scenarios import run_scenario
 
@@ -226,11 +228,11 @@ def test_criterion_8_property_suites(tmp_path):
     # noiseless fit round-trips at 1e-6
     t = np.linspace(0, 120e-6, 200)
     truth = noisecalc.CoherenceRecord(t1=30e-6, t2_star=25e-6, t2_echo=35e-6)
-    tau, _ = fitkit.fit_t1(t, qubitsim.synth_decay_trace("t1", truth, times=t))
-    t2e, _ = fitkit.fit_echo(t, qubitsim.synth_decay_trace("echo", truth, times=t))
+    tau, _ = fitkit.fit_t1(t, synth_decay_trace("t1", truth, times=t))
+    t2e, _ = fitkit.fit_echo(t, synth_decay_trace("echo", truth, times=t))
     tr = np.linspace(0, 60e-6, 400)
     t2s, det, _ = fitkit.fit_ramsey(
-        tr, qubitsim.synth_decay_trace("ramsey", truth, detuning=0.5e6, times=tr)
+        tr, synth_decay_trace("ramsey", truth, detuning=0.5e6, times=tr)
     )
     qp, _ = fitkit.fit_qp_double_exp(
         t + 1e-9, np.exp(0.5 * (np.exp(-(t + 1e-9) / 10e-6) - 1)) * np.exp(-(t + 1e-9) / 40e-6)

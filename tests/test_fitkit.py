@@ -8,6 +8,8 @@ depending on grid; 400 draws at the sigma = 0.02 paper scale stay below
 import numpy as np
 import pytest
 
+from decay_traces import synth_decay_trace
+
 from cryomux import fitkit
 from cryomux.errors import (
     BoundsError,
@@ -16,7 +18,6 @@ from cryomux.errors import (
     SingularJacobianError,
 )
 from cryomux.noisecalc import CoherenceRecord
-from cryomux.qubitsim import synth_decay_trace
 
 
 def finite_difference_jacobian(model, x):

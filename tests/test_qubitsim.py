@@ -5,6 +5,8 @@ import warnings
 import numpy as np
 import pytest
 
+from decay_traces import synth_decay_trace
+
 from cryomux import chainmodel as cm
 from cryomux import qubitsim as qs
 from cryomux.errors import CalibrationError, ConfigError, IntegrationError
@@ -451,20 +453,90 @@ class TestTdmSweep:
         self, levels, shape, rise_time, windows, dt, steps
     ):
         """Every p_e of a sweep, integrated as one batch, has the bits of its
-        window's one-member _evolve_batch: 34 windows at the coarsest step,
-        and 4 at the default step whose grids differ in length."""
+        window alone: 34 windows at the coarsest step, and 4 at the default
+        step whose _evolve_batch grids differ in length. A finite rise time
+        compares with the window's one-member _evolve_batch; ideal switching
+        takes _evolve_piecewise, so it compares with one-window sweeps."""
         config = qs.SimConfig(levels=levels, dt=dt)
         pulse = qs.calibrate_pi_pulse(T_G, shape, config)
         mux = cm.MuxModel(isolation_db=30.0, rise_time=rise_time)
         _, breakpoints = gated_batch(mux, windows)
         assert set(qs._Grid(T_G, qs._resolve_dt(pulse, config), breakpoints).n_steps) == steps
         swept = qs.tdm_sweep(windows, mux, pulse, config)
+        if rise_time == 0.0:
+            alone = [qs.tdm_sweep([w], mux, pulse, config)[0] for w in windows]
+        else:
+            rho0 = qs.QubitState.ground(levels).density_matrix[None]
+            alone = [
+                qs._evolve_batch(rho0, pulse, config, *gated_batch(mux, [w]), [""])[0].population(1)
+                for w in windows
+            ]
+        assert np.array_equal(swept, alone)
+
+    # ragged 3-decimal windows, whose edges split lattice steps, and the
+    # windows that reduce to one tree root (0, t_g and 60 ns)
+    PIECEWISE_WINDOWS = [0.0, 3.517e-9, 12.345e-9, 27.089e-9, T_G, 60e-9]
+
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_piecewise_member_does_not_depend_on_its_batch(self, levels, shape):
+        """At ideal switching a window's plan, trees and split steps depend
+        only on its own schedule, so its p_e alone has the bits it has in
+        any batch, here in the sweep of all windows and of all in reverse."""
+        pulse = qs.calibrate_pi_pulse(T_G, shape, qs.SimConfig(levels=levels))
+        config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
+        windows = self.PIECEWISE_WINDOWS
+        swept = qs.tdm_sweep(windows, self.MUX, pulse, config)
+        reversed_sweep = qs.tdm_sweep(windows[::-1], self.MUX, pulse, config)[::-1]
+        alone = [qs.tdm_sweep([w], self.MUX, pulse, config)[0] for w in windows]
+        assert np.array_equal(swept, alone) and np.array_equal(reversed_sweep, alone)
+
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_piecewise_agrees_with_the_stepped_route(self, levels, shape):
+        """_evolve_piecewise (lattice steps, tree products, split steps)
+        against a one-member _evolve_batch (steps aligned with each segment)
+        of every window; the grids differ, so their truncation errors do."""
+        pulse = qs.calibrate_pi_pulse(T_G, shape, qs.SimConfig(levels=levels))
+        config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
+        windows = self.PIECEWISE_WINDOWS
+        swept = qs.tdm_sweep(windows, self.MUX, pulse, config)
         rho0 = qs.QubitState.ground(levels).density_matrix[None]
-        alone = [
-            qs._evolve_batch(rho0, pulse, config, *gated_batch(mux, [w]), [""])[0].population(1)
+        stepped = [
+            qs._evolve_batch(rho0, pulse, config, *gated_batch(self.MUX, [w]), [""])[0]
             for w in windows
         ]
-        assert np.array_equal(swept, alone)
+        # measured: 3.0e-15 at 2 levels and 2.4e-14 at 3 levels (12.345 ns).
+        # At 3 levels the gap follows the truncation error: over perfbench's
+        # 31 seed-0 windows it reached 3.5e-14 with this decay, and 9.9e-14
+        # (3.121 ns) without, where both routes are 4.1e-12 from a run at
+        # t_g/16000.
+        assert np.max(np.abs(swept - [state.population(1) for state in stepped])) <= 1e-13
+
+    def test_piecewise_plan_splits_only_its_own_steps(self):
+        """A 12.345 ns window's edges, 691.375 and 1308.625 steps of 20 ps
+        in, split lattice steps 691 and 1308 of 2,000 in two, and the rest
+        of its drive is whole tree nodes; a 20 ns window, whose edges miss
+        the lattice by rounding only, splits none."""
+        n, depth = 2000, 11
+        mid = T_G / 2
+
+        def plan(w):
+            segments = qs._segments(T_G, [mid - w / 2, mid + w / 2])
+            return qs._piecewise_plan(segments, [0, 1, 0], T_G, n, depth)
+
+        ragged = plan(12.345e-9)
+        subs = [op for _, op in ragged if op[0] == "sub"]
+        h = T_G / n
+        assert [(round(start / h, 6), round(stop / h, 6)) for _, _, start, stop in subs] == [
+            (691, 691.375), (691.375, 692), (1308, 1308.625), (1308.625, 1309),
+        ]
+        ends = [end for end, _ in ragged]
+        assert ends == sorted(ends) and ends[-1] == T_G
+        assert len(ragged) <= 4 + 3 * 2 * depth
+        snapped = [op for _, op in plan(20e-9)]
+        assert all(op[0] == "node" for op in snapped)
+        full = [(k, i) for _, level, (k, i) in snapped if level == 1]
+        # the full drive tiles steps 500 <= j < 1500, from 10 ns to 30 ns
+        assert (full[0][1] << full[0][0], sum(1 << k for k, _ in full)) == (500, 1000)
 
     def test_empty_sweep(self, pi_pulse):
         assert qs.tdm_sweep([], self.MUX, pi_pulse).shape == (0,)
@@ -475,6 +547,7 @@ class TestTdmSweep:
             raise AssertionError("integrated before the window check")
 
         monkeypatch.setattr(qs, "_evolve_batch", no_integration)
+        monkeypatch.setattr(qs, "_evolve_piecewise", no_integration)
         with pytest.raises(ConfigError, match="window"):
             qs.tdm_sweep([10e-9, 20e-9, bad], self.MUX, pi_pulse)
 
@@ -492,6 +565,23 @@ class TestTdmSweep:
         monkeypatch.setattr(cm.EnvelopeModulator, "__call__", nan_for_bad_window)
         with pytest.raises(IntegrationError, match=rf"^window {bad!r} s: trace drifted to nan"):
             qs.tdm_sweep([10e-9, bad, 30e-9], self.MUX, pi_pulse)
+
+    def test_piecewise_drift_earliest_in_time_names_its_window(self, pi_pulse, monkeypatch):
+        """With the full drive NaN, the 60 ns window drifts in its first and
+        only operation, the tree root that ends at t_g; the 10 ns window
+        drifts in its eighth, the first full-drive node after seven floor
+        nodes, which ends at 15.04 ns. The error names the 10 ns window,
+        the first to drift in time, not the first to drift in operation
+        order."""
+        gated = cm.EnvelopeModulator.__call__
+
+        def nan_full_drive(self, t):
+            values = gated(self, t)
+            return np.where(values == 1.0, math.nan, values)
+
+        monkeypatch.setattr(cm.EnvelopeModulator, "__call__", nan_full_drive)
+        with pytest.raises(IntegrationError, match=r"^window 1e-08 s: trace drifted to nan"):
+            qs.tdm_sweep([60e-9, 10e-9], self.MUX, pi_pulse)
 
     # fractions of T_G from which members a, b and c see a NaN drive; all
     # NaN steps fall in the last of three passes
@@ -547,30 +637,30 @@ class TestSynthTraces:
 
     def test_t1_trace_endpoints(self):
         times = np.array([0.0, 30e-6])
-        y = qs.synth_decay_trace("t1", self.TRUTH, times=times)
+        y = synth_decay_trace("t1", self.TRUTH, times=times)
         assert y[0] == 1.0
         assert y[1] == pytest.approx(math.exp(-1.0), rel=1e-12)
 
     def test_ramsey_period(self):
         times = np.linspace(0, 8e-6, 4001)
-        y = qs.synth_decay_trace("ramsey", self.TRUTH, detuning=0.5e6, times=times)
+        y = synth_decay_trace("ramsey", self.TRUTH, detuning=0.5e6, times=times)
         # 0.5 MHz beats: maxima 2 us apart
         maxima = times[1:-1][(y[1:-1] > y[:-2]) & (y[1:-1] > y[2:])]
         assert np.allclose(np.diff(maxima), 2e-6, atol=2e-8)
 
     def test_echo_midpoint(self):
-        y = qs.synth_decay_trace("echo", self.TRUTH, times=np.array([1e-9, 35e-6]))
+        y = synth_decay_trace("echo", self.TRUTH, times=np.array([1e-9, 35e-6]))
         assert y[1] == pytest.approx(0.5 * (1 + math.exp(-1.0)), rel=1e-9)
 
     def test_noise_is_seeded(self):
         times = np.linspace(0, 1e-4, 64)
-        a = qs.synth_decay_trace("t1", self.TRUTH, times=times, noise_sigma=0.01, seed=9)
-        b = qs.synth_decay_trace("t1", self.TRUTH, times=times, noise_sigma=0.01, seed=9)
+        a = synth_decay_trace("t1", self.TRUTH, times=times, noise_sigma=0.01, seed=9)
+        b = synth_decay_trace("t1", self.TRUTH, times=times, noise_sigma=0.01, seed=9)
         assert np.array_equal(a, b)
 
     def test_times_must_increase(self):
         with pytest.raises(ConfigError):
-            qs.synth_decay_trace("t1", self.TRUTH, times=[1e-6, 1e-6])
+            synth_decay_trace("t1", self.TRUTH, times=[1e-6, 1e-6])
 
 
 class TestQubitState:
