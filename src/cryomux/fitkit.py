@@ -22,6 +22,10 @@ from .errors import BoundsError, ConfigError, DegenerateDataError, FitError, Sin
 _MAX_LAMBDA = 1e12
 _FTOL = 1e-10  # converged once an accepted step improves the cost by less than this fraction
 _GTOL = 1e-12  # converged once every scaled gradient component is below this
+# plain Gauss-Newton steps taken after convergence: the stopping rule fires
+# wherever the cost's rounding hides further progress, and these steps carry
+# x from there onto the least-squares solution itself
+_POLISH_STEPS = 3
 
 
 @dataclass
@@ -69,9 +73,12 @@ def least_squares(
 
     Steps solve (J^T J + lam diag(J^T J)) dx = -J^T r and are clipped into
     the bounds; lam shrinks on acceptance and grows on rejection. Converges
-    on relative residual change < _FTOL or scaled gradient < _GTOL. jacobian
-    maps x to the (len(data), len(x)) derivative of model(x). sigma is an
-    optional per-point uncertainty used as inverse weights.
+    on relative residual change < _FTOL or scaled gradient < _GTOL, then
+    takes _POLISH_STEPS undamped steps, solving J^T J dx = -J^T r with no
+    cost test and clipping into the bounds, and computes the covariance at
+    the polished x. jacobian maps x to the (len(data), len(x)) derivative of
+    model(x). sigma is an optional per-point uncertainty used as inverse
+    weights.
     """
     y = np.asarray(data, dtype=float)
     x = np.asarray(initial, dtype=float).copy()
@@ -154,6 +161,16 @@ def least_squares(
             status = "stalled"
             break
 
+    if converged:
+        for _ in range(_POLISH_STEPS):
+            jac = np.asarray(jac_fn(x), dtype=float)
+            try:
+                step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
+            except np.linalg.LinAlgError as exc:
+                raise SingularJacobianError(str(exc)) from exc
+            x = np.clip(x + step, lo, hi)
+            r = np.asarray(model(x), dtype=float) - y
+        cost = float(r @ r)
     parameters = dict(zip(names, (float(v) for v in x)))
     standard_errors = None
     covariance = None

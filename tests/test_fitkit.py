@@ -99,6 +99,27 @@ class TestLeastSquaresCore:
         assert result.status == "iteration_limit"
         assert result.standard_errors is None
 
+    def test_polished_fit_does_not_depend_on_the_start(self):
+        """A seeded RB decay fitted from four starting guesses: the stopping
+        rule leaves p up to 5.8e-11 apart, the polish within 2.2e-16."""
+        m = np.array([1, 5, 10, 20, 40, 80, 120, 200, 300, 400], dtype=float)
+        rng = np.random.default_rng(3)
+        y = 0.5 * 0.995**m + 0.5 + rng.normal(0, 0.003, m.size)
+        model, jac = fitkit._rb_model(m)
+        fits = [
+            fitkit.least_squares(
+                model, y, x0, bounds=[(-1.0, 2.0), (1e-12, 1.0), (-1.0, 2.0)],
+                jacobian=jac, names=["a", "p", "b"],
+            )
+            for x0 in ([0.5, 0.995, 0.5], [0.3, 0.98, 0.6], [0.8, 0.999, 0.3], [0.45, 0.99, 0.55])
+        ]
+        assert all(fit.status == "residual" for fit in fits)
+        assert len({fit.iterations for fit in fits}) == 4  # four different paths
+        p = [fit.parameters["p"] for fit in fits]
+        stderr = [fit.standard_errors["p"] for fit in fits]
+        assert max(p) - min(p) <= 1e-14 * p[0]
+        assert max(stderr) - min(stderr) <= 1e-12 * stderr[0]
+
     def test_too_few_points(self):
         with pytest.raises(FitError):
             fit_by_differences(lambda x: np.array([x[0], x[1]]), [1.0, 2.0], [0.0, 0.0])
