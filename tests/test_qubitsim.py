@@ -473,6 +473,44 @@ class TestTdmSweep:
             ]
         assert np.array_equal(swept, alone)
 
+    # fig4b_tdm's 31 default windows, 0 to 60 ns in 2 ns steps
+    SHIPPED_WINDOWS = [round(float(w), 9) * 1e-9 for w in np.linspace(0.0, 60.0, 31)]
+
+    # bounds are 10x the gaps measured under the default, Haswell BLAS and
+    # numpy AVX2 kernels, which agree to 1e-16: RK4's h^4 truncation at the
+    # default step, rounding alone at t_g/8000
+    @pytest.mark.parametrize(
+        "dt, bound", [(None, 5.3e-12), (T_G / 8000, 2.3e-14)], ids=["default_step", "t_g/8000"]
+    )
+    def test_shipped_sweep_matches_closed_form(self, dt, bound, record_property):
+        """The decay-free 2-level sweep of fig4b_tdm's windows against
+        sin^2(theta/2) of windowed_rabi_angle; measured 5.3e-13 and 2.2e-15."""
+        pulse = qs.calibrate_pi_pulse(T_G, "cosine")
+        windows = self.SHIPPED_WINDOWS
+        floor = self.MUX.floor_amplitude()
+        theory = [math.sin(qs.windowed_rabi_angle(w, T_G, floor) / 2) ** 2 for w in windows]
+        gap = np.max(np.abs(qs.tdm_sweep(windows, self.MUX, pulse, qs.SimConfig(dt=dt)) - theory))
+        record_property("gap", float(gap))
+        assert gap <= bound
+
+    @pytest.mark.parametrize(
+        "dt, bound", [(None, 5.3e-12), (T_G / 8000, 3.7e-14)], ids=["default_step", "t_g/8000"]
+    )
+    def test_stepped_route_matches_closed_form(self, dt, bound, record_property):
+        """The same windows, each through a one-member _evolve_batch under
+        its ideal-switching modulator; measured 5.3e-13 and 3.7e-15."""
+        pulse = qs.calibrate_pi_pulse(T_G, "cosine")
+        floor = self.MUX.floor_amplitude()
+        rho0 = qs.QubitState.ground(2).density_matrix[None]
+        config = qs.SimConfig(dt=dt)
+        gaps = []
+        for w in self.SHIPPED_WINDOWS:
+            (final,) = qs._evolve_batch(rho0, pulse, config, *gated_batch(self.MUX, [w]), [""])
+            theory = math.sin(qs.windowed_rabi_angle(w, T_G, floor) / 2) ** 2
+            gaps.append(abs(final.population(1) - theory))
+        record_property("gap", max(gaps))
+        assert max(gaps) <= bound
+
     # ragged 3-decimal windows, whose edges split lattice steps, and the
     # windows that reduce to one tree root (0, t_g and 60 ns)
     PIECEWISE_WINDOWS = [0.0, 3.517e-9, 12.345e-9, 27.089e-9, T_G, 60e-9]
