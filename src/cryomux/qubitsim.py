@@ -3,14 +3,18 @@
 Works in the rotating frame of the drive carrier under the rotating-wave
 approximation, for 2 or 3 levels. The master equation with relaxation and
 pure-dephasing channels is integrated with fixed-step RK4. evolve drives the
-full pulse; tdm_sweep gates it through windows, and no step straddles a
-window's switching time. A sweep takes one of two gated routes:
-- at a finite rise time, _evolve_batch steps every window's state on a grid
-  of its own, aligned with its switching times;
+full pulse; tdm_sweep gates it through windows. Every route steps on one
+lattice, the n = ceil(t_g/dt) steps k t_g/n. One rule (_lattice_pieces)
+places a window's switching times on it: a time within _SNAP_STEPS steps of
+a lattice point is moved onto it, and any other splits the lattice step that
+holds it into steps of its own, so no step straddles a switching time. A
+sweep takes one of two gated routes over those steps:
+- at a finite rise time, _evolve_batch steps every window's state through
+  its grid (_Grid);
 - at ideal switching (rise time 0) the gated drive is piecewise constant, and
-  _evolve_piecewise applies products of steps on one shared lattice, from
-  one pairwise tree per drive level, taking as steps of their own only the
-  lattice steps that a window's switching times split.
+  _evolve_piecewise covers each window's runs of whole lattice steps with
+  the nodes of one pairwise tree per drive level, and takes its split steps
+  one by one.
 On either route a window's p_e has the same bits whatever its batch.
 
 The master equation preserves Hermiticity, so in an orthonormal Hermitian
@@ -27,8 +31,9 @@ _stage_weights gives every step's weights of them at each stage, already
 scaled by half the step, from its stage times and length. All then take the
 same RK4 step, _rk4_increment: _evolve_batch applies it to state vectors,
 while gate channels and _evolve_piecewise apply it to the identity
-(_step_deltas), which gives each step's propagator less the identity, and
-multiply the steps pairwise in that delta form.
+(_step_deltas), which gives each step's propagator less the identity. Only
+_tree_nodes multiplies steps, pairwise in that delta form (_pair_products);
+a gate channel is the root of its pulse's full-drive tree.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -55,7 +60,7 @@ _TRACE_TOL = 1e-6
 _POSITIVITY_TOL = 1e-6
 _PULSE_SHAPES = ("cosine", "cosine_drag")
 _STAGES = np.array([0.0, 0.5, 1.0])  # RK4 stage times as fractions of a step
-_BLOCK_STEPS = 256  # steps whose gate-channel propagators are built at once
+_BLOCK_STEPS = 256  # tree leaves that _tree_nodes builds and pairs at once
 _FILL_PAIRS = 2048  # most (step, member) pairs filled, stepped and trace-checked in one pass
 # a switching time this many lattice steps from a lattice point is moved onto
 # it: the default windows miss the 20 ps lattice by rounding only (< 1e-12
@@ -222,9 +227,9 @@ def _liouvillian_parts(config: SimConfig):
 
 def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
     """In-phase, quadrature and number-operator coefficients at times t,
-    which lie in [0, t_g] (_Grid.block clamps every stage time to its
-    segment's last sampling time, and _evolve_piecewise's own steps end by
-    t_g), so the raised-cosine envelope is read without a mask. A
+    which lie in [0, t_g] up to rounding (_Grid.block clamps every stage
+    time into its half-open segment, and _evolve_piecewise's own steps end
+    by t_g), so the raised-cosine envelope is read without a mask. A
     cosine_drag pulse adds the DRAG quadrature -amplitude*denv*mod/alpha and
     detuning -wx^2/(2 alpha) only with a third level present.
     """
@@ -259,36 +264,88 @@ def _resolve_dt(pulse: PulseSpec, config: SimConfig) -> float:
     return dt
 
 
+def _lattice_time(k: int, t_g: float, n: int) -> float:
+    """Time of point k of the lattice of n steps k t_g/n; point n is t_g."""
+    return t_g if k == n else k * (t_g / n)
+
+
+def _lattice_pieces(segments, t_g: float, n: int):
+    """Pieces of the segments on the lattice of n steps k t_g/n, in time
+    order, as (segment, k0, k1, start, stop): a run of the whole lattice
+    steps k0 <= k < k1 from start to stop or, with k0 and k1 None, one step
+    of the segment's own from start to stop.
+
+    A segment end within _SNAP_STEPS steps of a lattice point is moved onto
+    it; any other splits the lattice step that holds it, and the parts are
+    steps of their own. The pieces depend on nothing but the segments, so
+    the stepped grid (_Grid) and the piecewise plan (_piecewise_plan) split
+    the same steps.
+    """
+    pieces = []
+    k, t = 0, None  # at lattice point k, or at time t inside lattice step k
+    for s, (_, end) in enumerate(segments):
+        u = end / (t_g / n)
+        if abs(u - round(u)) <= _SNAP_STEPS:
+            k_end, t_end = round(u), None
+        else:
+            k_end, t_end = math.floor(u), end
+        if t is not None and k_end == k:  # the segment ends inside step k
+            pieces.append((s, None, None, t, t_end))
+            t = t_end
+            continue
+        if t is not None:  # finish the split step k
+            pieces.append((s, None, None, t, _lattice_time(k + 1, t_g, n)))
+            k, t = k + 1, None
+        if k_end > k:
+            pieces.append((s, k, k_end, _lattice_time(k, t_g, n), _lattice_time(k_end, t_g, n)))
+        k = k_end
+        if t_end is not None:
+            pieces.append((s, None, None, _lattice_time(k, t_g, n), t_end))
+            t = t_end
+    return pieces
+
+
 class _Grid:
     """Step grids of a batch, one per member and stacked along a trailing
-    member axis: each segment between the member's breakpoints (one
-    sequence, or None, per member) gets a uniform step of at most dt_target.
-    n_steps[b] is member b's step count and n_max the largest."""
+    member axis, all on the lattice of n = ceil(t_g/dt_target) steps
+    k t_g/n: a member takes the lattice steps whole, except those that its
+    breakpoints (one sequence, or None, per member) split into steps of
+    their own (_lattice_pieces). n_steps[b] is member b's step count and
+    n_max the largest."""
 
     def __init__(self, t_g: float, dt_target: float, breakpoints):
-        members = [_segments(t_g, b) for b in breakpoints]
-        n_seg = max(map(len, members))
-        # each segment's first step, start, step, last sampling time, end and
-        # first step past it; a member with fewer segments is padded with
-        # ones that no step reaches
-        table = np.zeros((len(members), n_seg, 6))
+        n = max(1, math.ceil(t_g / dt_target))
+        members = []
+        for b in breakpoints:
+            segments = _segments(t_g, b)
+            # each piece's first step, the step its times count from, their
+            # origin and step, its segment's start and last sampling time,
+            # its end and its first step past it. A run counts from lattice
+            # point 0, so its stage times are the unsplit lattice's; sampling
+            # strictly inside the half-open segment reads a discontinuity at
+            # either end, moved onto the lattice or not, from the right side
+            rows, j = [], 0
+            for s, k0, k1, start, stop in _lattice_pieces(segments, t_g, n):
+                lo, hi = segments[s]
+                if k0 is None:
+                    origin, start, step, count = j, start, stop - start, 1
+                else:
+                    origin, start, step, count = j - k0, 0.0, t_g / n, k1 - k0
+                rows.append((j, origin, start, step, lo, np.nextafter(hi, lo), stop, j + count))
+                j += count
+            members.append(rows)
+        n_rows = max(map(len, members))
+        # a member with fewer pieces is padded with ones that no step reaches
+        table = np.zeros((len(members), n_rows, 8))
         table[..., 0] = np.inf
-        self.n_steps = np.empty(len(members), dtype=np.intp)
-        for b, segments in enumerate(members):
-            counts = [max(1, math.ceil((end - start) / dt_target)) for start, end in segments]
-            first = np.cumsum([0] + counts)
-            self.n_steps[b] = first[-1]
-            # sample strictly inside the half-open segment so a discontinuity
-            # at its end is never read from the wrong side
-            table[b, :len(segments)] = [
-                (j, start, (end - start) / n, np.nextafter(end, start), end, j + n)
-                for j, n, (start, end) in zip(first, counts, segments)
-            ]
+        for b, rows in enumerate(members):
+            table[b, :len(rows)] = rows
+        self.n_steps = np.array([rows[-1][-1] for rows in members], dtype=np.intp)
         self.n_max = int(self.n_steps.max())
-        # one row per field; member b's segment k is column b * n_seg + k
-        self._table = table.reshape(-1, 6).T.copy()
-        self._offsets = np.arange(len(members)) * n_seg
-        self._bounds = table[:, 1:, 0].T  # row k - 1: every member's first step of segment k
+        # one row per field; member b's piece k is column b * n_rows + k
+        self._table = table.reshape(-1, 8).T.copy()
+        self._offsets = np.arange(len(members)) * n_rows
+        self._bounds = table[:, 1:, 0].T  # row k - 1: every member's first step of piece k
 
     def block(self, j0: int, j1: int):
         """End times (n, member), stage sampling times (n, 3, member) and
@@ -296,14 +353,14 @@ class _Grid:
         in one pass over the batch; a member's steps past its own grid
         have length 0."""
         j = np.arange(j0, j1)[:, None]
-        # column of each step's segment; (member,) while no grid has a second
+        # column of each step's piece; (member,) while no grid has a second
         i = self._offsets
         for bound in self._bounds:
             i = i + (j >= bound)
-        first, start, dt, last, end, stop = self._table.take(i, axis=1)
-        stencil = (start + (j - first) * dt)[:, None] + _STAGES[:, None] * dt[..., None, :]
-        t_eval = np.minimum(stencil, last[..., None, :])
-        # a segment's last step ends exactly at its end, which the stencil's
+        _, origin, start, dt, lo, last, end, stop = self._table.take(i, axis=1)
+        stencil = (start + (j - origin) * dt)[:, None] + _STAGES[:, None] * dt[..., None, :]
+        t_eval = np.clip(stencil, lo[..., None, :], last[..., None, :])
+        # a piece's last step ends exactly at its end, which the stencil's
         # rounding can miss by an ulp
         t_end = np.where(j + 1 == stop, end, stencil[:, 2])
         return t_end, t_eval, np.where(j < self.n_steps, dt, 0.0)
@@ -408,8 +465,8 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
     modulator (or None, for the full drive) maps times (..., member) to
     member b's drive factor in column b; an elementwise callable serves a
     batch of one. breakpoints[b] (a sequence, or None) marks member b's
-    discontinuities, with which its step grid is aligned; labels[b] starts
-    its error messages.
+    discontinuities, which _Grid places on the shared lattice; labels[b]
+    starts its error messages.
 
     States are real coordinates in the Hermitian basis, so they stay
     Hermitian; each member's are a row x[b, 0]. Each RK4 stage is applied to
@@ -498,40 +555,20 @@ def _piecewise_plan(segments, levels, t_g: float, n: int, depth: int):
     level's tree over the n-step lattice, padded to 2**depth steps, and
     ("sub", level, start, stop) takes one RK4 step of its own.
 
-    The member's drive is levels[s] on segments[s]. A segment end within
-    _SNAP_STEPS steps of a lattice point is moved onto it; any other splits
-    the lattice step that holds it into steps of their own. The plan depends
-    on nothing but the member's segments and levels.
+    The member's drive is levels[s] on segments[s]. Each run of whole
+    lattice steps of _lattice_pieces is covered with tree nodes, and each of
+    its own steps is a "sub", so the plan depends on nothing but the
+    member's segments and levels.
     """
-    h = t_g / n
-
-    def point(k):
-        return t_g if k == n else k * h
-
     plan = []
-    k, t = 0, None  # the member stands at lattice point k, or at time t inside step k
-    for (_, end), level in zip(segments, levels):
-        u = end / h
-        if abs(u - round(u)) <= _SNAP_STEPS:
-            k_end, t_end = round(u), None
-        else:
-            k_end, t_end = math.floor(u), end
-        if t is not None:  # finish the split step k, or split it again
-            stop = t_end if k_end == k else point(k + 1)
-            plan.append((stop, ("sub", level, t, stop)))
-            if k_end == k:
-                t = stop
-                continue
-            k, t = k + 1, None
-        # the padding past the lattice is the identity, so a range that ends
+    for s, k0, k1, start, stop in _lattice_pieces(segments, t_g, n):
+        if k0 is None:
+            plan.append((stop, ("sub", levels[s], start, stop)))
+            continue
+        # the padding past the lattice is the identity, so a run that ends
         # at t_g may take its nodes up to the padded end
-        last = 1 << depth if k_end == n else k_end
-        for d, i in _tree_cover(k, last, depth):
-            plan.append((point(min((i + 1) << d, n)), ("node", level, (d, i))))
-        k = k_end
-        if t_end is not None:
-            plan.append((t_end, ("sub", level, point(k), t_end)))
-            t = t_end
+        for d, i in _tree_cover(k0, 1 << depth if k1 == n else k1, depth):
+            plan.append((_lattice_time(min((i + 1) << d, n), t_g, n), ("node", levels[s], (d, i))))
     return plan
 
 
@@ -542,11 +579,11 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, leve
     lattice steps i 2^k <= j < (i + 1) 2^k under the constant drive factor
     level, with steps past the lattice's n_max the identity (zero delta).
 
-    The leaves are _step_deltas of the lattice's own stage weights, as in
-    gate_channel, built _BLOCK_STEPS at a time; each block is paired up to
-    its root before the next is built, and the block roots then up to the
-    tree's, so memory does not grow with the steps and only wanted nodes
-    are kept.
+    The leaves are _step_deltas of the lattice's own stage weights, built
+    _BLOCK_STEPS at a time; each block is paired up to its root before the
+    next is built, and the block roots then up to the tree's, so memory
+    does not grow with the steps and only wanted nodes are kept. depth must
+    give whole blocks, 2**depth >= _BLOCK_STEPS.
     """
     by_depth = {}
     for (k, i), row in wanted.items():
@@ -584,10 +621,10 @@ def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, la
     modulator at the segment's midpoint; a sweep takes few distinct values
     (the leakage floor and the full drive). All members step on one uniform
     lattice, the one-segment grid of n steps that _Grid gives [0, t_g].
-    1. Each member's _piecewise_plan covers its constant-drive ranges of
-       whole lattice steps with the nodes of its level's pairwise tree, and
-       takes the lattice steps its own breakpoints split as steps of their
-       own, from _step_deltas of their own stage weights.
+    1. Each member's _piecewise_plan covers its runs of whole lattice steps
+       (_lattice_pieces, as _Grid places them) with the nodes of its level's
+       pairwise tree, and takes the lattice steps its own breakpoints split
+       as steps of their own, from _step_deltas of their own stage weights.
     2. _tree_nodes builds each level's tree over the lattice padded with
        identities to 2**depth >= n leaves, keeping the nodes the plans use.
        A window of 0 or >= t_g applies one tree root.
@@ -610,24 +647,18 @@ def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, la
     t_g = pulse.t_g
     lattice = _Grid(t_g, _resolve_dt(pulse, config), [None])
     n = lattice.n_max
-    depth = max(n - 1, _BLOCK_STEPS - 1).bit_length()  # 2**depth >= n leaves in whole blocks
+    depth = (n - 1).bit_length()  # n >= 200, so 2**depth >= n leaves in whole blocks
     members = [_segments(t_g, b) for b in breakpoints]
     mids = np.full((max(map(len, members)), len(members)), t_g / 2.0)
     for b, segments in enumerate(members):
         mids[:len(segments), b] = [(start + end) / 2.0 for start, end in segments]
     drive = np.asarray(modulator(mids), dtype=float)
-    # index of each distinct drive factor, keyed by its hex form so that
-    # every NaN is one; np.unique would page in 0.4 MiB of sorting code
-    levels = {}
+    # each segment's drive factor as its level, in hex form so that every
+    # NaN is one; np.unique would page in 0.4 MiB of sorting code
     plans = [
-        _piecewise_plan(
-            segments,
-            [levels.setdefault(v.hex(), len(levels)) for v in drive[:len(segments), b].tolist()],
-            t_g, n, depth,
-        )
-        for b, segments in enumerate(members)
+        _piecewise_plan(segments, [v.hex() for v in column[:len(segments)]], t_g, n, depth)
+        for segments, column in zip(members, drive.T.tolist())
     ]
-    values = [float.fromhex(key) for key in levels]
     # row of each distinct operation in one table of deltas; row 0 is the identity
     rows = {}
     for plan in plans:
@@ -643,19 +674,16 @@ def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, la
     xs = np.empty((n_ops + 1, len(plans), 1, dim * dim))
     xs[0] = (np.asarray(rho0).reshape(len(plans), 1, dim * dim) @ basis.T).real
     with np.errstate(over="ignore", invalid="ignore"):
-        subs = [(row, op[1:]) for op, row in rows.items() if op[0] == "sub"]
+        subs = {row: op[1:] for op, row in rows.items() if op[0] == "sub"}
         if subs:
-            sub_rows, sub_ops = zip(*subs)
-            sub_level, start, stop = (np.array(column) for column in zip(*sub_ops))
-            h = stop - start
-            t_eval = start[:, None] + _STAGES * h[:, None]
-            drive_at = np.array(values)[sub_level][:, None, None]
-            weights = _stage_weights(pulse, config, t_eval[..., None], h[:, None], lambda t: drive_at)
-            table[list(sub_rows)] = _step_deltas(weights[:, :, 0], parts)
-        for lv, value in enumerate(values):
-            wanted = {op[2]: row for op, row in rows.items() if op[:2] == ("node", lv)}
-            if wanted:
-                _tree_nodes(pulse, config, parts, lattice, value, depth, wanted, table)
+            level, start, stop = np.array([(float.fromhex(v), a, b) for v, a, b in subs.values()]).T
+            h = (stop - start)[:, None]
+            t_eval = (start[:, None] + _STAGES * h)[..., None]
+            weights = _stage_weights(pulse, config, t_eval, h, lambda t: level[:, None, None])
+            table[list(subs)] = _step_deltas(weights[:, :, 0], parts)
+        for key in {op[1] for op in rows if op[0] == "node"}:
+            wanted = {op[2]: row for op, row in rows.items() if op[:2] == ("node", key)}
+            _tree_nodes(pulse, config, parts, lattice, float.fromhex(key), depth, wanted, table)
         for i, x, x_next in zip(index, xs, xs[1:]):
             np.add(x, x @ table[i], out=x_next)
         traces = np.add.reduce(xs[1:, :, 0, :dim], axis=2)
@@ -703,35 +731,25 @@ def gate_channel(
     it is applied to the parts, Lx' = c Lx + s Ly and Ly' = c Ly - s Lx, so
     the drive samples are evolve's. The channel (row-major vec, as in
     evolve) is the product of the RK4 steps of evolve's grid, so composing
-    channels reproduces evolve() gate by gate, up to rounding. It is built
-    in float64 on the real Liouvillian parts, _BLOCK_STEPS steps at a time:
-    _step_deltas gives each step's row-form propagator I + delta, and
-    _pair_products multiplies a block's steps pairwise in that delta form,
-    an earlier A and a later B giving A + B + A @ B, the odd one out carried
-    up a level; the block products are then folded in order, so the
-    identity is added once at the end. The real row-form product I + delta
-    is returned as T^+ (I + delta)^T T. Raises IntegrationError unless every
-    entry is finite and the channel preserves trace to within _TRACE_TOL.
-    Useful when the same gate is applied many times, e.g. in benchmarking
-    sequences.
+    channels reproduces evolve() gate by gate, up to rounding. It is the
+    root of _tree_nodes' tree at drive factor 1.0 on the rotated real
+    Liouvillian parts: each step's row-form propagator I + delta, multiplied
+    pairwise in delta form, with identity (zero-delta) leaves padding the
+    steps to a power of two, so the identity is added once at the end. The
+    real row-form product I + delta is returned as T^+ (I + delta)^T T.
+    Raises IntegrationError unless every entry is finite and the channel
+    preserves trace to within _TRACE_TOL. Useful when the same gate is
+    applied many times, e.g. in benchmarking sequences.
     """
-    grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), [None])
+    lattice = _Grid(pulse.t_g, _resolve_dt(pulse, config), [None])
     basis = _hermitian_basis(config.levels)
-    dim = config.levels**2
     parts = _real_liouvillian_parts(config)
     c, s = math.cos(phase), math.sin(phase)
     parts[1:3] = c * parts[1] + s * parts[2], c * parts[2] - s * parts[1]
-    eye = np.eye(dim)
-    delta = np.zeros((dim, dim))
-    for j0 in range(0, grid.n_max, _BLOCK_STEPS):
-        n = min(_BLOCK_STEPS, grid.n_max - j0)
-        _, t_eval, h = grid.block(j0, j0 + n)
-        steps = _step_deltas(_stage_weights(pulse, config, t_eval, h, None)[:, :, 0], parts)
-        while len(steps) > 1:
-            paired = _pair_products(steps[:len(steps) // 2 * 2])
-            steps = np.concatenate([paired, steps[-1:]]) if len(steps) % 2 else paired
-        delta = delta + steps[0] + delta @ steps[0]
-    channel = basis.conj().T @ (eye + delta).T @ basis
+    depth = (lattice.n_max - 1).bit_length()  # n_max >= 200: whole blocks
+    delta = np.empty((1, config.levels**2, config.levels**2))
+    _tree_nodes(pulse, config, parts, lattice, 1.0, depth, {(depth, 0): 0}, delta)
+    channel = basis.conj().T @ (np.eye(config.levels**2) + delta[0]).T @ basis
     vec_identity = np.eye(config.levels).reshape(-1)
     drift = float(np.abs(vec_identity @ channel - vec_identity).max())
     if not (np.isfinite(channel).all() and drift <= _TRACE_TOL):

@@ -180,8 +180,8 @@ class TestGateChannel:
     def pulse(shape):
         return qs.PulseSpec(shape, T_G, 2 * math.pi / T_G)
 
-    # T_G/2002.5 gives 2,003 steps: 7 full 256-step blocks and a ragged,
-    # odd-length last one
+    # T_G/2002.5 gives 2,003 steps, an odd count that the channel's tree
+    # pads with 45 identity leaves to 2,048
     @pytest.mark.parametrize("dt", [None, T_G / 2002.5], ids=["default_grid", "ragged_grid"])
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
     def test_matches_evolve_batch(self, levels, shape, dt):
@@ -201,7 +201,7 @@ class TestGateChannel:
         evolved = np.array([final.density_matrix.reshape(-1) for final in finals])
         channel = qs.gate_channel(pulse, config)
         # measured gap: 1.6e-15 (default grid) and 1.9e-15 (ragged) at 2
-        # levels, 3.2e-15 and 1.9e-15 at 3 levels
+        # levels, 3.2e-15 and 2.1e-15 at 3 levels
         assert np.max(np.abs(vecs @ channel.T - evolved)) <= 1e-13
 
     @pytest.mark.skipif(
@@ -236,7 +236,7 @@ class TestGateChannel:
             k4 = l_c @ (want + step * k3)
             want = want + step / 6 * (k1 + 2 * k2 + 2 * k3 + k4)
         got = (basis @ qs.gate_channel(pulse, config) @ basis.conj().T).real
-        # measured gap: 3.6e-16 (2 levels, ragged grid) and 3.2e-15 (3
+        # measured gap: 3.6e-16 (2 levels, ragged grid) and 3.6e-15 (3
         # levels); products of the full step propagators gave 9.2e-14 and
         # 1.1e-14
         assert np.max(np.abs(got - want)) <= 1e-14
@@ -251,7 +251,7 @@ class TestGateChannel:
         u = np.diag(np.exp(1j * phase * np.arange(levels)))  # U(-phase)
         z = np.kron(u, u.conj())
         rotated = z @ qs.gate_channel(pulse, config) @ z.conj().T
-        # measured gap: 4.1e-16 at 2 levels, 1.7e-15 at 3 levels
+        # measured gap: 3.3e-16 at 2 levels, 1.8e-15 at 3 levels
         assert np.max(np.abs(qs.gate_channel(pulse, config, phase=phase) - rotated)) <= 1e-13
 
     @pytest.mark.parametrize("levels, shape, bound", [(2, "cosine", 1e-12), (3, "cosine_drag", 2e-7)])
@@ -439,9 +439,10 @@ class TestTdmSweep:
     @pytest.mark.parametrize(
         "windows, dt, steps",
         [
-            (list(np.linspace(0.0, 2 * T_G, 34)), T_G / 200, {200, 201, 202}),
-            # 0, t_g and > t_g take 2,000 steps; 12.345 ns cuts the grid into
-            # segments of 692 + 618 + 692 steps, so the others are padded
+            # a window whose edges split lattice steps takes two steps more
+            (list(np.linspace(0.0, 2 * T_G, 34)), T_G / 200, {200, 202}),
+            # 0, t_g and > t_g take 2,000 steps; 12.345 ns splits lattice
+            # steps 691 and 1308, 2,002 steps, so the others are padded
             ([0.0, 12.345e-9, T_G, 60e-9], None, {2000, 2002}),
         ],
         ids=["34_windows", "default_step"],
@@ -530,9 +531,10 @@ class TestTdmSweep:
 
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
     def test_piecewise_agrees_with_the_stepped_route(self, levels, shape):
-        """_evolve_piecewise (lattice steps, tree products, split steps)
-        against a one-member _evolve_batch (steps aligned with each segment)
-        of every window; the grids differ, so their truncation errors do."""
+        """_evolve_piecewise (tree products of lattice steps, and split
+        steps) against a one-member _evolve_batch of every window. Both
+        routes step on one grid (_lattice_pieces), so only their rounding
+        differs."""
         pulse = qs.calibrate_pi_pulse(T_G, shape, qs.SimConfig(levels=levels))
         config = qs.SimConfig(levels=levels, t1=30e-6, t_phi=20e-6)
         windows = self.PIECEWISE_WINDOWS
@@ -542,39 +544,63 @@ class TestTdmSweep:
             qs._evolve_batch(rho0, pulse, config, *gated_batch(self.MUX, [w]), [""])[0]
             for w in windows
         ]
-        # measured: 3.0e-15 at 2 levels and 2.4e-14 at 3 levels (12.345 ns).
-        # At 3 levels the gap follows the truncation error: over perfbench's
-        # 31 seed-0 windows it reached 3.5e-14 with this decay, and 9.9e-14
-        # (3.121 ns) without, where both routes are 4.1e-12 from a run at
-        # t_g/16000.
+        # measured: 1.3e-15 at 2 levels and 3.0e-15 at 3 levels (27.089
+        # ns); over perfbench's 31 seed-0 windows at 3 levels, 1.9e-15 with
+        # this decay and 3.6e-15 without. On segment-aligned grids of their
+        # own the stepped runs were 3.0e-15 and 2.4e-14 away.
         assert np.max(np.abs(swept - [state.population(1) for state in stepped])) <= 1e-13
 
     def test_piecewise_plan_splits_only_its_own_steps(self):
         """A 12.345 ns window's edges, 691.375 and 1308.625 steps of 20 ps
-        in, split lattice steps 691 and 1308 of 2,000 in two, and the rest
-        of its drive is whole tree nodes; a 20 ns window, whose edges miss
-        the lattice by rounding only, splits none."""
+        in, split lattice steps 691 and 1308 of 2,000 in two
+        (_lattice_pieces), and the rest of its drive is whole lattice runs,
+        which its plan covers with tree nodes; a 20 ns window, whose edges
+        miss the lattice by rounding only, splits none."""
         n, depth = 2000, 11
         mid = T_G / 2
 
-        def plan(w):
-            segments = qs._segments(T_G, [mid - w / 2, mid + w / 2])
-            return qs._piecewise_plan(segments, [0, 1, 0], T_G, n, depth)
+        def segments(w):
+            return qs._segments(T_G, [mid - w / 2, mid + w / 2])
 
-        ragged = plan(12.345e-9)
-        subs = [op for _, op in ragged if op[0] == "sub"]
+        ragged = qs._lattice_pieces(segments(12.345e-9), T_G, n)
+        own = [(start, stop) for _, k0, _, start, stop in ragged if k0 is None]
         h = T_G / n
-        assert [(round(start / h, 6), round(stop / h, 6)) for _, _, start, stop in subs] == [
+        assert [(round(start / h, 6), round(stop / h, 6)) for start, stop in own] == [
             (691, 691.375), (691.375, 692), (1308, 1308.625), (1308.625, 1309),
         ]
-        ends = [end for end, _ in ragged]
-        assert ends == sorted(ends) and ends[-1] == T_G
-        assert len(ragged) <= 4 + 3 * 2 * depth
-        snapped = [op for _, op in plan(20e-9)]
+        plan = qs._piecewise_plan(segments(12.345e-9), [0, 1, 0], T_G, n, depth)
+        assert [op[2:] for _, op in plan if op[0] == "sub"] == own
+        for ends in ([stop for *_, stop in ragged], [end for end, _ in plan]):
+            assert ends == sorted(ends) and ends[-1] == T_G
+        assert len(plan) <= 4 + 3 * 2 * depth
+        runs = qs._lattice_pieces(segments(20e-9), T_G, n)
+        assert [(k0, k1) for _, k0, k1, *_ in runs] == [(0, 500), (500, 1500), (1500, 2000)]
+        snapped = [op for _, op in qs._piecewise_plan(segments(20e-9), [0, 1, 0], T_G, n, depth)]
         assert all(op[0] == "node" for op in snapped)
         full = [(k, i) for _, level, (k, i) in snapped if level == 1]
         # the full drive tiles steps 500 <= j < 1500, from 10 ns to 30 ns
         assert (full[0][1] << full[0][0], sum(1 << k for k, _ in full)) == (500, 1000)
+
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_stepped_grid_splits_the_plans_steps(self, levels, shape):
+        """The stepped grid and the piecewise plans read one rule
+        (_lattice_pieces): every window's steps that are not whole lattice
+        steps are exactly its plan's own steps, start and stop."""
+        config = qs.SimConfig(levels=levels)
+        dt = qs._resolve_dt(qs.calibrate_pi_pulse(T_G, shape, config), config)
+        n = qs._Grid(T_G, dt, [None]).n_max
+        _, breakpoints = gated_batch(self.MUX, self.PIECEWISE_WINDOWS)
+        grid = qs._Grid(T_G, dt, breakpoints)
+        t_end, t_eval, h = grid.block(0, grid.n_max)
+        counts = []
+        for b, points in enumerate(breakpoints):
+            split = (h[:, b] > 0.0) & (h[:, b] != T_G / n)
+            segments = qs._segments(T_G, points)
+            plan = qs._piecewise_plan(segments, [0] * len(segments), T_G, n, (n - 1).bit_length())
+            subs = [op[2:] for _, op in plan if op[0] == "sub"]
+            assert list(zip(t_eval[split, 0, b].tolist(), t_end[split, b].tolist())) == subs
+            counts.append(len(subs))
+        assert counts == [0, 4, 4, 4, 0, 0]
 
     def test_empty_sweep(self, pi_pulse):
         assert qs.tdm_sweep([], self.MUX, pi_pulse).shape == (0,)
