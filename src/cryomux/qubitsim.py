@@ -318,12 +318,11 @@ class _Grid:
         members = []
         for b in breakpoints:
             segments = _segments(t_g, b)
-            # each piece's first step, the step its times count from, their
-            # origin and step, its segment's start and last sampling time,
-            # its end and its first step past it. A run counts from lattice
-            # point 0, so its stage times are the unsplit lattice's; sampling
-            # strictly inside the half-open segment reads a discontinuity at
-            # either end, moved onto the lattice or not, from the right side
+            # each piece's first step, the step and time its stage times
+            # count from (lattice point 0 for a run, so they are the unsplit
+            # lattice's), its step, its segment's start and last sampling
+            # time (read inside the half-open segment, a switch is never read
+            # from the wrong side), its end and its first step past it
             rows, j = [], 0
             for s, k0, k1, start, stop in _lattice_pieces(segments, t_g, n):
                 lo, hi = segments[s]
@@ -359,7 +358,7 @@ class _Grid:
             i = i + (j >= bound)
         _, origin, start, dt, lo, last, end, stop = self._table.take(i, axis=1)
         stencil = (start + (j - origin) * dt)[:, None] + _STAGES[:, None] * dt[..., None, :]
-        t_eval = np.clip(stencil, lo[..., None, :], last[..., None, :])
+        t_eval = np.minimum(np.maximum(stencil, lo[..., None, :]), last[..., None, :])
         # a piece's last step ends exactly at its end, which the stencil's
         # rounding can miss by an ulp
         t_end = np.where(j + 1 == stop, end, stencil[:, 2])

@@ -546,8 +546,7 @@ class TestTdmSweep:
         ]
         # measured: 1.3e-15 at 2 levels and 3.0e-15 at 3 levels (27.089
         # ns); over perfbench's 31 seed-0 windows at 3 levels, 1.9e-15 with
-        # this decay and 3.6e-15 without. On segment-aligned grids of their
-        # own the stepped runs were 3.0e-15 and 2.4e-14 away.
+        # this decay and 3.6e-15 without
         assert np.max(np.abs(swept - [state.population(1) for state in stepped])) <= 1e-13
 
     def test_piecewise_plan_splits_only_its_own_steps(self):
@@ -601,6 +600,22 @@ class TestTdmSweep:
             assert list(zip(t_eval[split, 0, b].tolist(), t_end[split, b].tolist())) == subs
             counts.append(len(subs))
         assert counts == [0, 4, 4, 4, 0, 0]
+
+    def test_no_step_reads_two_drive_levels(self):
+        """Switching times 5e-21 s (2.5e-10 steps) to either side of
+        lattice points are moved onto them, yet every stage of every step
+        reads the ideal-switching drive of the segment the step lies in,
+        as its midpoint does."""
+        h = T_G / 2000
+        events = [(950 * h + 5e-21, 1050 * h - 5e-21), (950 * h - 5e-21, 1050 * h + 5e-21)]
+        schedules = [
+            cm.GatingSchedule.from_mux(self.MUX, ((on, "RF1"), (off, "RF2"))) for on, off in events
+        ]
+        grid = qs._Grid(T_G, h, [list(pair) for pair in events])
+        assert list(grid.n_steps) == [2000, 2000]
+        _, t_eval, _ = grid.block(0, grid.n_max)
+        drive = cm.EnvelopeModulator(schedules, "RF1", 0.0)(t_eval)
+        assert np.array_equal(drive, np.broadcast_to(drive[:, 1:2], drive.shape))
 
     def test_empty_sweep(self, pi_pulse):
         assert qs.tdm_sweep([], self.MUX, pi_pulse).shape == (0,)
