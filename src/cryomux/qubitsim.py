@@ -4,11 +4,9 @@ Works in the rotating frame of the drive carrier under the rotating-wave
 approximation, for 2 or 3 levels. The master equation with relaxation and
 pure-dephasing channels is integrated with fixed-step RK4. evolve drives the
 full pulse; tdm_sweep gates it through windows. Every route steps on one
-lattice, the n = ceil(t_g/dt) steps k t_g/n. One rule (_lattice_pieces)
-places a window's switching times on it: a time within _SNAP_STEPS steps of
-a lattice point is moved onto it, and any other splits the lattice step that
-holds it into steps of its own, so no step straddles a switching time. A
-sweep takes one of two gated routes over those steps:
+lattice, the n = ceil(t_g/dt) steps k t_g/n; _lattice_pieces splits those
+that hold a window's switching times, so no step straddles one. A sweep
+takes one of two gated routes over those steps:
 - at a finite rise time, _evolve_batch steps every window's state through
   its grid (_Grid);
 - at ideal switching (rise time 0) the gated drive is piecewise constant, and
@@ -680,7 +678,7 @@ def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, la
             t_eval = (start[:, None] + _STAGES * h)[..., None]
             weights = _stage_weights(pulse, config, t_eval, h, lambda t: level[:, None, None])
             table[list(subs)] = _step_deltas(weights[:, :, 0], parts)
-        for key in {op[1] for op in rows if op[0] == "node"}:
+        for key in dict.fromkeys(op[1] for op in rows if op[0] == "node"):
             wanted = {op[2]: row for op, row in rows.items() if op[:2] == ("node", key)}
             _tree_nodes(pulse, config, parts, lattice, float.fromhex(key), depth, wanted, table)
         for i, x, x_next in zip(index, xs, xs[1:]):
