@@ -483,7 +483,7 @@ class TestTdmSweep:
     @pytest.mark.parametrize(
         "dt, bound", [(None, 5.3e-12), (T_G / 8000, 2.3e-14)], ids=["default_step", "t_g/8000"]
     )
-    def test_shipped_sweep_matches_closed_form(self, dt, bound, record_property):
+    def test_shipped_sweep_matches_closed_form(self, dt, bound):
         """The decay-free 2-level sweep of fig4b_tdm's windows against
         sin^2(theta/2) of windowed_rabi_angle; measured 5.3e-13 and 2.2e-15."""
         pulse = qs.calibrate_pi_pulse(T_G, "cosine")
@@ -491,13 +491,12 @@ class TestTdmSweep:
         floor = self.MUX.floor_amplitude()
         theory = [math.sin(qs.windowed_rabi_angle(w, T_G, floor) / 2) ** 2 for w in windows]
         gap = np.max(np.abs(qs.tdm_sweep(windows, self.MUX, pulse, qs.SimConfig(dt=dt)) - theory))
-        record_property("gap", float(gap))
-        assert gap <= bound
+        assert gap <= bound, f"gap {gap:.3g}"
 
     @pytest.mark.parametrize(
         "dt, bound", [(None, 5.3e-12), (T_G / 8000, 3.7e-14)], ids=["default_step", "t_g/8000"]
     )
-    def test_stepped_route_matches_closed_form(self, dt, bound, record_property):
+    def test_stepped_route_matches_closed_form(self, dt, bound):
         """The same windows, each through a one-member _evolve_batch under
         its ideal-switching modulator; measured 5.3e-13 and 3.7e-15."""
         pulse = qs.calibrate_pi_pulse(T_G, "cosine")
@@ -509,8 +508,7 @@ class TestTdmSweep:
             (final,) = qs._evolve_batch(rho0, pulse, config, *gated_batch(self.MUX, [w]), [""])
             theory = math.sin(qs.windowed_rabi_angle(w, T_G, floor) / 2) ** 2
             gaps.append(abs(final.population(1) - theory))
-        record_property("gap", max(gaps))
-        assert max(gaps) <= bound
+        assert max(gaps) <= bound, f"gap {max(gaps):.3g}"
 
     # ragged 3-decimal windows, whose edges split lattice steps, and the
     # windows that reduce to one tree root (0, t_g and 60 ns)
