@@ -141,7 +141,7 @@ def least_squares(
                 step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobianError(str(exc)) from exc
-            x_new = np.clip(x + step, lo, hi)
+            x_new = np.minimum(np.maximum(x + step, lo), hi)
             r_new = np.asarray(model(x_new), dtype=float) - y
             cost_new = float(r_new @ r_new)
             if cost_new <= cost:
@@ -168,7 +168,7 @@ def least_squares(
                 step = np.linalg.solve(jac.T @ jac, -(jac.T @ r))
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobianError(str(exc)) from exc
-            x = np.clip(x + step, lo, hi)
+            x = np.minimum(np.maximum(x + step, lo), hi)
             r = np.asarray(model(x), dtype=float) - y
         cost = float(r @ r)
     parameters = dict(zip(names, (float(v) for v in x)))

@@ -576,15 +576,42 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, leve
     lattice steps i 2^k <= j < (i + 1) 2^k under the constant drive factor
     level, with steps past the lattice's n_max the identity (zero delta).
 
-    The leaves are _step_deltas of the lattice's own stage weights, built
-    _BLOCK_STEPS at a time; each block is paired up to its root before the
-    next is built, and the block roots then up to the tree's, so memory
-    does not grow with the steps and only wanted nodes are kept. depth must
-    give whole blocks, 2**depth >= _BLOCK_STEPS.
+    The leaves are _step_deltas of the lattice's own stage weights, which
+    are built once for the whole lattice; the deltas are built _BLOCK_STEPS
+    at a time, each block is paired up to its root before the next is
+    built, and the block roots then up to the tree's, so only wanted nodes
+    are kept. depth must give whole blocks, 2**depth >= _BLOCK_STEPS.
+
+    Under zero drive (pulse.amplitude * level == 0.0) every lattice step is
+    the same, so a node is full ((i + 1) 2^k <= n_max), empty (the
+    identity) or the one per depth that holds the lattice's end. Each
+    depth's full and end node are then paired once from those of the depth
+    below, starting from one leaf, which gives the full tree's nodes up to
+    the sign of zero entries.
     """
     by_depth = {}
     for (k, i), row in wanted.items():
         by_depth.setdefault(k, []).append((i, row))
+    n = lattice.n_max
+    if pulse.amplitude * level == 0.0:
+        _, t_eval, h = lattice.block(0, 1)
+        weights = _stage_weights(pulse, config, t_eval, h, lambda t: level)
+        full = _step_deltas(weights[:, :, 0], parts)[0]
+        empty = end = np.zeros_like(full)
+
+        def node(k, i):
+            if (i + 1) << k <= n:
+                return full
+            return empty if i << k >= n else end
+
+        for k in range(depth + 1):
+            if k:  # the end node (k, i) pairs nodes (k - 1, 2 i) and (k - 1, 2 i + 1)
+                i = n >> k
+                below = node(k - 1, 2 * i), node(k - 1, 2 * i + 1)
+                full, end = _pair_products(np.stack([full, full, *below]))
+            for i, row in by_depth.get(k, ()):
+                out[row] = node(k, i)
+        return
 
     def climb(steps, k, first):
         # steps are the nodes first <= i < first + len(steps) at depth k
@@ -596,14 +623,13 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, leve
                 return steps[0]
             steps, k, first = _pair_products(steps), k + 1, first // 2
 
+    _, t_eval, h = lattice.block(0, n)
+    weights = _stage_weights(pulse, config, t_eval, h, lambda t: level)[:, :, 0]
     roots = []
     for j0 in range(0, 1 << depth, _BLOCK_STEPS):
         steps = np.zeros((_BLOCK_STEPS, *out.shape[1:]))
-        j1 = min(j0 + _BLOCK_STEPS, lattice.n_max)
-        if j1 > j0:
-            _, t_eval, h = lattice.block(j0, j1)
-            weights = _stage_weights(pulse, config, t_eval, h, lambda t: level)
-            steps[:j1 - j0] = _step_deltas(weights[:, :, 0], parts)
+        if j0 < n:
+            steps[:min(_BLOCK_STEPS, n - j0)] = _step_deltas(weights[j0:j0 + _BLOCK_STEPS], parts)
         roots.append(climb(steps, 0, j0))
     climb(np.array(roots), _BLOCK_STEPS.bit_length() - 1, 0)
 

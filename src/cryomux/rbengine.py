@@ -9,11 +9,12 @@ once from the pulse simulator and composes the 24 Clifford channels. By
 linearity a sequence's survival is their product applied to the ground
 state. The channels act on real coordinates in a Hermitian operator basis,
 and the run is one pass: every sequence of every length and noise advances
-in one loop over Clifford positions, in which the sequences still running
-take one batched step, each with its own noise's channels, and a length's
-sequences take their recovery element when they end. Noise i draws its
-sequences from SeedSequence(seed + i), so its survivals are those of a
-one-noise run at seed + i.
+in one loop over pairs of Clifford positions, in which the sequences still
+running take one batched step by the product of their pair, each with its
+own noise's channels (a segment of odd length takes its last position
+alone), and a length's sequences take their recovery element when they end.
+Noise i draws its sequences from SeedSequence(seed + i), so its survivals
+are those of a one-noise run at seed + i.
 """
 from __future__ import annotations
 
@@ -176,8 +177,11 @@ def run_rb(
     not depend on the other noises and equals a one-noise call at seed + i;
     the recovery element inverts the ideal product of the draws.
     Survival is computed on the real coordinates of _hermitian_basis, in one
-    pass: one loop of max(lengths) positions advances every running sequence
-    of every noise.
+    pass: one loop advances every running sequence of every noise two
+    positions at a time, by the product of their two Cliffords from a
+    per-noise table of all 24 x 24 ordered pairs that each call builds. The
+    positions between two lengths whose count is odd end with one position
+    applied alone, so the loop takes about max(lengths) / 2 steps.
     """
     lengths = list(lengths)
     if any(m2 <= m1 for m1, m2 in zip([0] + lengths, lengths)):
@@ -198,7 +202,10 @@ def run_rb(
             (basis @ sequence_unitary(seq, channels) @ basis.conj().T).real
             for seq in CLIFFORD_DECOMPOSITIONS
         ]
-    # noise i's Clifford c is row n_cliffords * i + c
+    # noise i's Clifford a then b, C[i, b] @ C[i, a], is row
+    # n_cliffords * (n_cliffords * i + a) + b of the pair table, and its
+    # Clifford c is row n_cliffords * i + c of cliffords
+    pairs = (cliffords[:, None] @ cliffords[:, :, None]).reshape(-1, len(basis), len(basis))
     cliffords = cliffords.reshape(-1, len(basis), len(basis))
     # one row per sequence, ordered by length, then noise, then repeat, so
     # the sequences still running at any position are a suffix of the rows.
@@ -221,11 +228,17 @@ def run_rb(
     survivals = np.empty((len(noises), len(lengths)))
     for a, (start, m) in enumerate(zip([0] + lengths[:-1], lengths)):
         running = offsets[a * block:]
+        paired = running * n_cliffords
         # positions start <= k < m of every running row, as one contiguous
         # (position, running row) array
         segment = np.concatenate([d[:, start:m].T for d in draws[a:]], axis=1)
-        for step in segment:
-            states = np.einsum("rij,rj->ri", cliffords.take(running + step, axis=0), states)
+        # each pass applies the pair of positions 2q and 2q + 1, and an odd
+        # segment its last position alone
+        codes = segment[0:-1:2].astype(np.int16) * n_cliffords + segment[1::2]
+        for code in codes:
+            states = np.einsum("rij,rj->ri", pairs.take(paired + code, axis=0), states)
+        if len(segment) % 2:
+            states = np.einsum("rij,rj->ri", cliffords.take(running + segment[-1], axis=0), states)
         # the recovery element inverts the ideal product of each row's draws
         net = _products(table.composition, draws[a])
         recovery = cliffords[running[:block] + table.inverses[net], 0]

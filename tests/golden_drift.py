@@ -5,7 +5,8 @@ configs/fig4b_tdm_3level.json, and compares each table with its file in
 tests/golden/. For every table and column it prints, as a Markdown table,
 the number of changed cells and the largest absolute and relative drift,
 then lists each changed header line (whose config_sha256 moves with the
-parameter set) and each changed cell, old and new. It only reports; the
+parameter set) and each changed cell, old and new, by its data row number
+(1 for the first row under the column names) and first column. It only reports; the
 golden tests decide what passes.
 
     PYTHONPATH=src python3 tests/golden_drift.py
@@ -54,12 +55,13 @@ def compare(table: str, got: list[str], want: list[str]):
     want_rows = [row.split(",") for row in want[2:]]
     for col, name in enumerate(columns):
         changed, max_abs, max_rel = 0, 0.0, 0.0
-        for new_row, old_row in zip(got_rows, want_rows):
+        for number, (new_row, old_row) in enumerate(zip(got_rows, want_rows), 1):
             old, new = old_row[col], new_row[col]
             if new == old:
                 continue
             changed += 1
-            cells.append(f"- {table} `{name}` at {columns[0]} = {old_row[0]}: {old} → {new}")
+            label = f"row {number} ({columns[0]} = {old_row[0]})"
+            cells.append(f"- {table} `{name}` in {label}: {old} → {new}")
             gaps = drift(old, new)
             if gaps is None:
                 max_abs = max_rel = math.nan

@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 QUBITSIM = "src/cryomux/qubitsim.py"
 FITKIT = "src/cryomux/fitkit.py"
+RBENGINE = "src/cryomux/rbengine.py"
 SWEEP = "tests/test_qubitsim.py::TestTdmSweep"
 CHANNEL = "tests/test_qubitsim.py::TestGateChannel"
 
@@ -45,6 +46,20 @@ MUTANTS = [
         "steps = np.zeros((_BLOCK_STEPS, *out.shape[1:]))",
         "steps = np.full((_BLOCK_STEPS, *out.shape[1:]), 1e-12)",
         [f"{CHANNEL}::test_matches_evolve_batch"],
+    ),
+    (
+        "zero-drive end node taken as full",
+        QUBITSIM,
+        "if (i + 1) << k <= n:",
+        "if i << k < n:",
+        [f"{CHANNEL}::test_zero_drive_tree_matches_pairwise_reduction"],
+    ),
+    (
+        "reversed RB pair table order",
+        RBENGINE,
+        "pairs = (cliffords[:, None] @ cliffords[:, :, None])",
+        "pairs = (cliffords[:, :, None] @ cliffords[:, None])",
+        ["tests/test_rbengine.py::TestRunRb::test_batched_run_matches_gate_by_gate_reference"],
     ),
     (
         "_SNAP_STEPS 1e-9 -> 0.5",

@@ -297,6 +297,38 @@ class TestGateChannel:
             # 3 levels, whose anharmonicity entries are 1.1e9 rad/s)
             assert discarded <= 1e-15 * np.max(np.abs(part))
 
+    # 2,000 steps pad to 2,048 leaves, 200 to 256 (one block) and 3,000 to
+    # 4,096 (a tree past its last whole block of steps)
+    @pytest.mark.parametrize("steps", [2000, 200, 3000])
+    @pytest.mark.parametrize("decay", [{}, CONFIG], ids=["no_decay", "decay"])
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    @pytest.mark.parametrize("amplitude, level", [(0.0, 1.0), (2 * math.pi / T_G, 0.0)],
+                             ids=["idle", "zero_level"])
+    def test_zero_drive_tree_matches_pairwise_reduction(
+        self, amplitude, level, levels, shape, decay, steps
+    ):
+        """Under zero drive _tree_nodes squares one leaf; every node it
+        writes (full, empty or holding the lattice's end) equals the plain
+        pairwise reduction of the padded stack of lattice steps."""
+        config = qs.SimConfig(levels=levels, dt=T_G / steps, **decay)
+        pulse = qs.PulseSpec(shape, T_G, amplitude)
+        lattice = qs._Grid(T_G, T_G / steps, [None])
+        assert lattice.n_max == steps
+        depth = (steps - 1).bit_length()
+        parts = qs._real_liouvillian_parts(config)
+        _, t_eval, h = lattice.block(0, steps)
+        weights = qs._stage_weights(pulse, config, t_eval, h, lambda t: level)
+        tree = [np.zeros((1 << depth, levels**2, levels**2))]
+        tree[0][:steps] = qs._step_deltas(weights[:, :, 0], parts)
+        while len(tree[-1]) > 1:
+            tree.append(qs._pair_products(tree[-1]))
+        nodes = [(k, i) for k, level_nodes in enumerate(tree) for i in range(len(level_nodes))]
+        out = np.full((len(nodes), *tree[0].shape[1:]), np.nan)
+        wanted = {node: row for row, node in enumerate(nodes)}
+        qs._tree_nodes(pulse, config, parts, lattice, level, depth, wanted, out)
+        for (k, i), got in zip(nodes, out):
+            assert np.array_equal(got, tree[k][i]), (k, i)
+
 
 class TestValidation:
     @pytest.mark.parametrize("t_g, amplitude", [(math.nan, 1.0), (T_G, math.nan)])

@@ -150,10 +150,15 @@ class TestRunRb:
         p_weak = rb.fit_rb(lengths, surv_weak).p
         assert p_weak < p_strong
 
-    def test_batched_run_matches_gate_by_gate_reference(self, pi_pulse):
+    # the second ladder's segments of 1, 1, 3, 3 and 5 positions each end
+    # in a position applied alone
+    @pytest.mark.parametrize(
+        "lengths", [[1, 5, 20, 64], [1, 2, 5, 8, 13]], ids=["ladder", "odd_segments"]
+    )
+    def test_batched_run_matches_gate_by_gate_reference(self, pi_pulse, lengths):
         # each sequence applied one generator channel at a time to rho_0,
         # with the same spawned stream per (length, repeat)
-        lengths, repeats, seed = [1, 5, 20, 64], 6, 9
+        repeats, seed = 6, 9
         noise = CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6)
         table = rb.build_clifford_table()
         channels = rb.generator_channels(pi_pulse, qs.SimConfig.from_coherence(noise))
