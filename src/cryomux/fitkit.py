@@ -124,21 +124,22 @@ def least_squares(
         if not np.all(np.isfinite(jac)):
             raise FitError("Jacobian evaluated to non-finite values")
         grad = jac.T @ r
-        col_norms = np.sqrt((jac * jac).sum(axis=0))
-        scaled_grad = np.abs(grad) / np.maximum(col_norms * math.sqrt(cost), 1e-300)
+        jtj = jac.T @ jac
+        diag = jtj.diagonal()  # the squared column norms of jac
+        scaled_grad = np.abs(grad) / np.maximum(np.sqrt(diag) * math.sqrt(cost), 1e-300)
         if np.max(scaled_grad) < _GTOL:
             status, converged = "gradient", True
             break
-        jtj = jac.T @ jac
-        diag = np.diag(jtj).copy()
         if np.any(diag <= 0.0):
             raise SingularJacobianError(
                 f"parameter {names[int(np.argmin(diag))]!r} has no effect on the model"
             )
         accepted = False
         while lam <= _MAX_LAMBDA:
+            damped = jtj.copy()
+            damped.flat[:: x.size + 1] += lam * diag
             try:
-                step = np.linalg.solve(jtj + lam * np.diag(diag), -grad)
+                step = np.linalg.solve(damped, -grad)
             except np.linalg.LinAlgError as exc:
                 raise SingularJacobianError(str(exc)) from exc
             x_new = np.minimum(np.maximum(x + step, lo), hi)
@@ -202,6 +203,15 @@ def least_squares(
 # Shipped models with analytic Jacobians
 # ---------------------------------------------------------------------------
 
+def _columns(*columns) -> np.ndarray:
+    """The (n, p) array with these columns: the first an array of n values,
+    the others arrays or scalars."""
+    out = np.empty((columns[0].size, len(columns)))
+    for j, column in enumerate(columns):
+        out[:, j] = column
+    return out
+
+
 def _exp_model(t):
     def model(x):
         a, tau, c = x
@@ -210,7 +220,7 @@ def _exp_model(t):
     def jac(x):
         a, tau, c = x
         e = np.exp(-t / tau)
-        return np.column_stack([e, a * e * t / tau**2, np.ones_like(t)])
+        return _columns(e, a * e * t / tau**2, 1.0)
 
     return model, jac
 
@@ -225,14 +235,12 @@ def _ramsey_model(t):
         e = np.exp(-t / tau)
         arg = 2 * np.pi * f * t + phi
         cos, sin = np.cos(arg), np.sin(arg)
-        return np.column_stack(
-            [
-                e * cos,
-                a * e * cos * t / tau**2,
-                -a * e * sin * 2 * np.pi * t,
-                -a * e * sin,
-                np.ones_like(t),
-            ]
+        return _columns(
+            e * cos,
+            a * e * cos * t / tau**2,
+            -a * e * sin * 2 * np.pi * t,
+            -a * e * sin,
+            1.0,
         )
 
     return model, jac
@@ -245,8 +253,7 @@ def _rb_model(m):
 
     def jac(x):
         a, p, b = x
-        pm = p**m
-        return np.column_stack([pm, a * m * p ** (m - 1), np.ones_like(pm)])
+        return _columns(p**m, a * m * p ** (m - 1), 1.0)
 
     return model, jac
 
@@ -260,15 +267,17 @@ def _qp_model(t):
         n_qp, t1_qp, t1_r = x
         eq = np.exp(-t / t1_qp)
         y = np.exp(n_qp * (eq - 1.0)) * np.exp(-t / t1_r)
-        return np.column_stack(
-            [
-                y * (eq - 1.0),
-                y * n_qp * eq * t / t1_qp**2,
-                y * t / t1_r**2,
-            ]
-        )
+        return _columns(y * (eq - 1.0), y * n_qp * eq * t / t1_qp**2, y * t / t1_r**2)
 
     return model, jac
+
+
+def _slope(x, y) -> float:
+    """Least-squares slope of y against x (np.polyfit's degree-1 term, in
+    closed form); NaN when x has no spread, so a `slope < 0` test fails."""
+    dx = x - np.mean(x)
+    spread = float(dx @ dx)
+    return float(dx @ (y - np.mean(y))) / spread if spread > 0.0 else math.nan
 
 
 def _exp_tail_init(t, y):
@@ -279,11 +288,8 @@ def _exp_tail_init(t, y):
     resid = y - c0
     scale = abs(a0) if a0 != 0 else 1.0
     mask = resid * np.sign(a0 if a0 != 0 else 1.0) > 0.05 * scale
-    if np.count_nonzero(mask) >= 3:
-        slope = np.polyfit(t[mask], np.log(np.abs(resid[mask])), 1)[0]
-        tau0 = -1.0 / slope if slope < 0 else span / 2.0
-    else:
-        tau0 = span / 2.0
+    slope = _slope(t[mask], np.log(np.abs(resid[mask]))) if np.count_nonzero(mask) >= 3 else math.nan
+    tau0 = -1.0 / slope if slope < 0 else span / 2.0
     tau0 = min(max(tau0, span / 200.0), span * 100.0)
     return a0, tau0, c0
 
@@ -345,15 +351,14 @@ def fit_rb_decay(lengths, fidelities) -> FitResult:
     y = np.asarray(fidelities, dtype=float)
     if m.size != y.size or m.size < 3:
         raise FitError("need at least three (length, fidelity) points")
+    _require_finite(m, y)
     b0 = float(np.mean(y[-max(2, y.size // 4):]))
     a0 = float(y[0] - b0)
     resid = y - b0
     mask = resid > max(1e-6, 0.02 * abs(a0))
-    if np.count_nonzero(mask) >= 2:
-        slope = np.polyfit(m[mask], np.log(resid[mask]), 1)[0]
-        p0 = float(np.exp(slope))
-    else:
-        p0 = 0.99
+    # repeated lengths can leave the masked points without spread
+    slope = _slope(m[mask], np.log(resid[mask])) if np.count_nonzero(mask) >= 2 else math.nan
+    p0 = math.exp(slope) if math.isfinite(slope) else 0.99
     p0 = min(max(p0, 1e-6), 1.0)
     model, jac = _rb_model(m)
     return least_squares(
@@ -380,7 +385,7 @@ def fit_qp_double_exp(times, signal) -> tuple[QpModelParams, FitResult]:
         raise FitError("quasiparticle model expects y(0) near 1")
     tail = slice(t.size // 2, None)
     logy = np.log(np.clip(y, 1e-12, None))
-    slope = np.polyfit(t[tail], logy[tail], 1)[0]
+    slope = _slope(t[tail], logy[tail])
     t1_r0 = -1.0 / slope if slope < 0 else float(t[-1] - t[0])
     n_qp0 = max(float(np.mean(-logy[tail] - t[tail] / t1_r0)), 0.01)
     model, jac = _qp_model(t)
@@ -424,7 +429,7 @@ def fit_qp_double_exp(times, signal) -> tuple[QpModelParams, FitResult]:
 def _fit_qp_no_transient(t, y):
     """Degenerate quasiparticle fit: no transient, pure exp(-t/t1_r)."""
     tail = slice(t.size // 2, None)
-    slope = np.polyfit(t[tail], np.log(np.clip(y[tail], 1e-12, None)), 1)[0]
+    slope = _slope(t[tail], np.log(np.clip(y[tail], 1e-12, None)))
     tau0 = -1.0 / slope if slope < 0 else float(t[-1] - t[0])
 
     def model(x):
@@ -446,9 +451,17 @@ def _validated_trace(times, signal):
         raise FitError("time and signal arrays differ in length")
     if t.size < 4:
         raise FitError("need at least four samples")
+    _require_finite(t, y)
     if np.any(np.diff(t) <= 0):
         raise FitError("time axis must be strictly increasing")
     return t, y
+
+
+def _require_finite(x, y) -> None:
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if bad.size:
+        i = int(bad[0])
+        raise FitError(f"sample {i} is not finite: ({float(x[i])!r}, {float(y[i])!r})")
 
 
 def _require_converged(result: FitResult, label: str) -> None:
@@ -460,13 +473,16 @@ def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (time_s, signal) CSV, skipping comment/header rows."""
     times, signal = [], []
     with open(path, newline="") as fh:
-        for row in csv.reader(fh):
+        reader = csv.reader(fh)
+        for row in reader:
             if not row or row[0].lstrip().startswith("#"):
                 continue
             try:
                 t, y = float(row[0]), float(row[1])
             except ValueError:
                 continue  # header row
+            except IndexError:
+                raise FitError(f"{path}, line {reader.line_num}: a numeric row needs two cells") from None
             times.append(t)
             signal.append(y)
     if not times:

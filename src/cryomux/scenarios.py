@@ -17,6 +17,7 @@ import os
 import reprlib
 import sys
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import UnionType
 from typing import Annotated, Callable, Literal, Mapping, Union, get_args, get_origin
@@ -33,7 +34,12 @@ from .errors import ConfigError, SingularityError
 
 def format_number(value) -> str:
     """Shortest round-trip decimal, scientific beyond 1e+-6; NaN and
-    infinities raise SingularityError instead of being written."""
+    infinities raise SingularityError instead of being written.
+
+    The digits are repr's (shortest round-trip), laid out as numpy's
+    format_float_positional and format_float_scientific write them with
+    unique=True and trim="-": no trailing ".0", at least two exponent digits.
+    """
     if isinstance(value, (int, np.integer)):
         return str(int(value))
     x = float(value)
@@ -41,9 +47,33 @@ def format_number(value) -> str:
         return "0"
     if not math.isfinite(x):
         raise SingularityError(f"non-finite result {x!r} cannot be written")
-    if abs(x) >= 1e6 or abs(x) < 1e-6:
-        return np.format_float_scientific(x, unique=True, trim="-")
-    return np.format_float_positional(x, unique=True, trim="-")
+    text = repr(x)
+    magnitude = abs(x)
+    # repr is positional from 1e-4 up to 1e16 and scientific outside
+    if 1e-4 <= magnitude < 1e6:
+        return text[:-2] if text.endswith(".0") else text
+    if magnitude < 1e-6 or magnitude >= 1e16:
+        return text
+    sign = "-" if x < 0.0 else ""
+    if magnitude < 1e-4:  # 1.5e-05 -> 0.000015
+        mantissa, _, exponent = text.lstrip("-").partition("e")
+        return f"{sign}0.{'0' * (-int(exponent) - 1)}{mantissa.replace('.', '')}"
+    whole, _, fraction = text.lstrip("-").partition(".")  # 1234567.5 -> 1.2345675e+06
+    digits = (whole + fraction).rstrip("0")
+    mantissa = f"{digits[0]}.{digits[1:]}" if len(digits) > 1 else digits
+    return f"{sign}{mantissa}e+{len(whole) - 1:02d}"
+
+
+_NON_FINITE = frozenset(("nan", "inf", "-inf"))  # repr of the non-finite floats
+
+
+def _json_list(items: list[str], indent: str, brackets: str = "[]") -> str:
+    """Encoded items laid out as json.dumps(indent=2) writes a list (or,
+    with brackets "{}", an object) that starts at this indent."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
 @dataclass
@@ -63,18 +93,38 @@ class Table:
         return "\n".join(lines) + "\n"
 
     def render_json(self, meta: Mapping) -> str:
-        payload = {
-            "meta": dict(meta),
-            "columns": list(self.columns),
-            "rows": [
-                [cell if isinstance(cell, str) else float(cell) for cell in row]
-                for row in self.rows
-            ],
-        }
+        """The bytes of json.dumps(payload, indent=2, sort_keys=True,
+        allow_nan=False) + "\\n" for payload {"meta", "columns", "rows"},
+        where meta maps names to JSON scalars and every non-string cell is
+        written as a float, built without json's pure-Python indenting
+        encoder."""
         try:
-            return json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
+            meta_items = [
+                f"{encode_basestring_ascii(key)}: {json.dumps(value, allow_nan=False)}"
+                for key, value in sorted(meta.items())
+            ]
         except ValueError as exc:
             raise SingularityError(f"non-finite result in table {self.name!r}") from exc
+        rows = []
+        for row in self.rows:
+            cells = [
+                encode_basestring_ascii(cell) if isinstance(cell, str) else repr(float(cell))
+                for cell in row
+            ]
+            # repr writes a non-finite float bare; string cells are quoted
+            if not _NON_FINITE.isdisjoint(cells):
+                raise SingularityError(f"non-finite result in table {self.name!r}")
+            rows.append(_json_list(cells, "    "))
+        columns = [encode_basestring_ascii(column) for column in self.columns]
+        return _json_list(
+            [
+                f'"columns": {_json_list(columns, "  ")}',
+                f'"meta": {_json_list(meta_items, "  ", "{}")}',
+                f'"rows": {_json_list(rows, "  ")}',
+            ],
+            "",
+            "{}",
+        ) + "\n"
 
 
 def config_hash(name: str, params: Mapping, seed: int) -> str:

@@ -28,6 +28,7 @@ ROOT = Path(__file__).resolve().parents[1]
 QUBITSIM = "src/cryomux/qubitsim.py"
 FITKIT = "src/cryomux/fitkit.py"
 RBENGINE = "src/cryomux/rbengine.py"
+SCENARIOS = "src/cryomux/scenarios.py"
 SWEEP = "tests/test_qubitsim.py::TestTdmSweep"
 CHANNEL = "tests/test_qubitsim.py::TestGateChannel"
 
@@ -111,6 +112,27 @@ MUTANTS = [
         "_POLISH_STEPS = 3",
         "_POLISH_STEPS = 0",
         ["tests/test_fitkit.py::TestLeastSquaresCore"],
+    ),
+    (
+        "RB Jacobian's p column without its amplitude",
+        FITKIT,
+        "_columns(p**m, a * m * p ** (m - 1), 1.0)",
+        "_columns(p**m, m * p ** (m - 1), 1.0)",
+        ["tests/test_fitkit.py::TestLeastSquaresCore::test_rb_jacobian_matches_finite_differences"],
+    ),
+    (
+        "format_number's 1e-4 <= boundary taken as <",
+        SCENARIOS,
+        "if 1e-4 <= magnitude < 1e6:",
+        "if 1e-4 < magnitude < 1e6:",
+        ["tests/test_output_format.py::TestFormatNumber::test_matches_numpy_at_the_boundaries"],
+    ),
+    (
+        "render_json's row indent 4 -> 3 spaces",
+        SCENARIOS,
+        'rows.append(_json_list(cells, "    "))',
+        'rows.append(_json_list(cells, "   "))',
+        ["tests/test_output_format.py::TestRenderJson::test_matches_json_dumps"],
     ),
     (
         "batch-dependent start state",

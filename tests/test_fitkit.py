@@ -156,6 +156,17 @@ class TestLeastSquaresCore:
         analytic = jac(x0)
         assert np.max(np.abs(analytic - numeric)) <= 1e-6 * np.max(np.abs(numeric))
 
+    def test_rb_jacobian_matches_finite_differences(self):
+        m = np.array([1, 2, 5, 10, 20, 50, 100, 200, 400], dtype=float)
+        model, jac = fitkit._rb_model(m)
+        x0 = np.array([0.45, 0.993, 0.52])
+        numeric = finite_difference_jacobian(model, x0)
+        analytic = jac(x0)
+        assert analytic.shape == (m.size, 3)
+        # column by column, so one wrong column cannot hide behind a larger one
+        gap = np.max(np.abs(analytic - numeric), axis=0)
+        assert np.all(gap <= 1e-6 * np.max(np.abs(numeric), axis=0)), gap
+
 
 class TestCoherenceFits:
     TRUTH = CoherenceRecord(t1=30e-6, t2_star=25e-6, t2_echo=35e-6)
@@ -285,6 +296,50 @@ class TestBenchmarkingDecayFit:
         with pytest.raises(FitError):
             fitkit.fit_rb_decay([1, 2], [0.9, 0.8])
 
+    def test_repeated_lengths_take_the_fallback_start(self, monkeypatch):
+        """Only the three m = 2 points stand clear of the tail, so the masked
+        lengths have no spread: the start is p0 = 0.99, with no warning."""
+        m = np.array([2, 2, 2, 50, 100, 200], dtype=float)
+        y = 0.5 * 0.9**m + 0.5
+        starts = []
+        least_squares = fitkit.least_squares
+
+        def spy(model, data, initial, *args, **kwargs):
+            starts.append(list(initial))
+            return least_squares(model, data, initial, *args, **kwargs)
+
+        monkeypatch.setattr(fitkit, "least_squares", spy)
+        result = fitkit.fit_rb_decay(m, y)
+        assert starts[0][1] == 0.99
+        assert result.converged
+        assert result.parameters["p"] == pytest.approx(0.9, abs=1e-9)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_fidelity_names_its_index(self, bad):
+        m = np.array([1, 2, 5, 10, 20, 50, 100], dtype=float)
+        y = 0.5 * 0.99**m + 0.5
+        y[4] = bad
+        with pytest.raises(FitError, match="sample 4 is not finite"):
+            fitkit.fit_rb_decay(m, y)
+
+
+class TestNonFiniteTraces:
+    @pytest.mark.parametrize("fit", [fitkit.fit_t1, fitkit.fit_echo, fitkit.fit_ramsey, fitkit.fit_qp_double_exp])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_signal_sample_names_its_index(self, fit, bad):
+        t = np.linspace(0.0, 100e-6, 40)
+        y = 0.5 * (1.0 + np.exp(-t / 30e-6))
+        y[7] = bad
+        with pytest.raises(FitError, match="sample 7 is not finite"):
+            fit(t, y)
+
+    def test_time_sample_names_its_index(self):
+        t = np.linspace(0.0, 100e-6, 40)
+        y = np.exp(-t / 30e-6)
+        t[-1] = np.inf
+        with pytest.raises(FitError, match="sample 39 is not finite"):
+            fitkit.fit_t1(t, y)
+
 
 class TestCsvIo:
     def test_trace_roundtrip(self, tmp_path):
@@ -295,6 +350,12 @@ class TestCsvIo:
         t, y = fitkit.read_trace_csv(path)
         assert np.array_equal(t, [0.0, 1e-6, 2e-6])
         assert np.array_equal(y, [1.0, 0.9, 0.82])
+
+    def test_one_cell_numeric_row_names_its_line(self, tmp_path):
+        path = tmp_path / "short.csv"
+        path.write_text("# comment line\ntime_s\n0.0,1.0\n1e-06\n2e-06,0.82\n")
+        with pytest.raises(FitError, match="line 4"):
+            fitkit.read_trace_csv(path)
 
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
