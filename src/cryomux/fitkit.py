@@ -470,7 +470,8 @@ def _require_converged(result: FitResult, label: str) -> None:
 
 
 def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    """Read a two-column (time_s, signal) CSV, skipping comment/header rows."""
+    """Read a two-column (time_s, signal) CSV, skipping blank and comment
+    rows and the header rows before the first numeric row."""
     times, signal = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -480,6 +481,10 @@ def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
             try:
                 t, y = float(row[0]), float(row[1])
             except ValueError:
+                if times:
+                    raise FitError(
+                        f"{path}, line {reader.line_num}: a row after the first numeric row is not numeric"
+                    ) from None
                 continue  # header row
             except IndexError:
                 raise FitError(f"{path}, line {reader.line_num}: a numeric row needs two cells") from None

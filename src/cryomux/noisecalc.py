@@ -114,6 +114,8 @@ def dephasing_from_occupancy(n: float, params: TransmonParams) -> float:
         raise SingularityError("dispersive shift chi = 0: no photon-number sensitivity")
     k, x = params.kappa_r, params.chi
     rate = float(n) * (4 * x * x * k) / (k * k + 4 * x * x)  # a float overflows without a warning
+    if math.isinf(rate):  # n * 4 chi^2 kappa overflowed first: take the ratio first
+        rate = float(n) * ((4 * x * x * k) / (k * k + 4 * x * x))
     if math.isinf(rate):  # its lifetime 1/rate would read 0 s
         raise SingularityError(f"occupancy {n:g} gives a dephasing rate past the float range")
     return rate

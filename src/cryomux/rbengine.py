@@ -14,7 +14,10 @@ running take one batched step by the product of their pair, each with its
 own noise's channels (a segment of odd length takes its last position
 alone), and a length's sequences take their recovery element when they end.
 Noise i draws its sequences from SeedSequence(seed + i), so its survivals
-are those of a one-noise run at seed + i.
+are those of a one-noise run at seed + i. Each sequence's Cliffords are
+numpy's integers(0, 24) from default_rng of its own spawned child, which
+clifford_draws computes for all children at once from their spawn keys,
+bit for bit, without a generator per sequence.
 """
 from __future__ import annotations
 
@@ -145,6 +148,112 @@ def _products(composition: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return draws[:, 0]
 
 
+# numpy's SeedSequence (bit_generator.pyx) and PCG64 (pcg64.h) constants: a
+# spawned child's stream is fixed integer arithmetic on its spawn key
+_POOL_SIZE = 4
+_HASH_INIT_A, _HASH_MULT_A = 0x43B0D7E5, 0x931E8875  # hashmix
+_HASH_INIT_B, _HASH_MULT_B = 0x8B51F9DD, 0x58F38DED  # generate_state
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK32 = 0xFFFFFFFF
+_MASK128 = (1 << 128) - 1
+# integers(0, 24) takes (24 x) >> 32 of a 32-bit x (Lemire's multiply-shift)
+# unless 24 x mod 2^32 falls below this, 2^32 mod 24; then it draws again
+_REJECT_BELOW = (1 << 32) % len(CLIFFORD_DECOMPOSITIONS)
+# halves of draw words mapped per block of rows, which bounds the uint64
+# temporaries of the map at 128 KiB each
+_MAP_HALVES = 1 << 14
+
+
+def _hashmix(value, hash_const: int, mult: int):
+    """SeedSequence's hash of uint32 values (hashmix with _HASH_MULT_A, a
+    generate_state word with _HASH_MULT_B), and the next hash constant."""
+    value = value ^ hash_const
+    hash_const = hash_const * mult & _MASK32
+    value = value * hash_const & _MASK32
+    return value ^ value >> 16, hash_const
+
+
+def _child_seed_words(root: np.random.SeedSequence, n_children: int) -> np.ndarray:
+    """generate_state(4, np.uint64) of root's children 0, 1, ...,
+    n_children - 1, as root.spawn(n_children) would make them: a
+    (4, n_children) uint64 array.
+
+    A child's entropy is root's run entropy, padded to the pool size, then
+    its spawn key; root.pool has already mixed all but the key, each padded
+    run word taking 4 hashmix calls.
+    """
+    n_run_words = max(1, -(-int(root.entropy).bit_length() // 32))
+    n_calls = _POOL_SIZE * max(_POOL_SIZE, n_run_words)
+    hash_const = _HASH_INIT_A * pow(_HASH_MULT_A, n_calls, 1 << 32) & _MASK32
+    keys = np.arange(n_children, dtype=np.uint32)
+    pool = [np.full(n_children, word, dtype=np.uint32) for word in root.pool]
+    for dst in range(_POOL_SIZE):
+        mixed, hash_const = _hashmix(keys, hash_const, _HASH_MULT_A)
+        pool[dst] = _MIX_MULT_L * pool[dst] - _MIX_MULT_R * mixed
+        pool[dst] ^= pool[dst] >> 16
+    # 8 uint32 words cycling through the pool, paired low word first
+    hash_const = _HASH_INIT_B
+    words = []
+    for i in range(2 * _POOL_SIZE):
+        value, hash_const = _hashmix(pool[i % _POOL_SIZE], hash_const, _HASH_MULT_B)
+        words.append(value.astype(np.uint64))
+    return np.array([words[i] | words[i + 1] << 32 for i in range(0, len(words), 2)])
+
+
+def clifford_draws(lengths: Sequence[int], repeats: int, n_noises: int, seed: int) -> list[np.ndarray]:
+    """Each length's (n_noises * repeats, m) int8 Clifford draws of run_rb.
+
+    Row i * repeats + r of length a's array is
+    default_rng(child).integers(0, 24, size=m), bit for bit, where child is
+    SeedSequence(seed + i)'s child a * repeats + r in spawn order. One
+    reused PCG64, set to each child's seeded state, gives its raw 64-bit
+    words, whose 32-bit halves, low half first, map to Cliffords by
+    multiply-shift. A row with a half that integers would redraw is drawn by
+    integers itself. Rows are drawn and mapped a block at a time, so no
+    uint64 array spans a whole length.
+    """
+    n_cliffords = len(CLIFFORD_DECOMPOSITIONS)
+    roots = [np.random.SeedSequence(seed + i) for i in range(n_noises)]
+    # each root's children's generate_state(4, np.uint64) by (word, length, repeat)
+    seed_words = [
+        _child_seed_words(root, len(lengths) * repeats).reshape(4, len(lengths), repeats) for root in roots
+    ]
+    bitgen = np.random.PCG64(0)
+    draws = []
+    for a, m in enumerate(lengths):
+        rows = [row for root_words in seed_words for row in zip(*root_words[:, a].tolist())]
+        length_draws = np.empty((len(rows), m), dtype=np.int8)
+        step = max(1, _MAP_HALVES // m)
+        words = np.empty((step, (m + 1) // 2), dtype=np.uint64)
+        for start in range(0, len(rows), step):
+            # PCG64 seeds its state from words 0 and 1 and its sequence from
+            # words 2 and 3, high word first: pcg_setseq_128_srandom_r takes
+            # two LCG steps from state 0, adding the seed state between them
+            for row, (s_hi, s_lo, q_hi, q_lo) in enumerate(rows[start:start + step]):
+                inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
+                state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+                bitgen.state = {
+                    "bit_generator": "PCG64",
+                    "state": {"state": state, "inc": inc},
+                    "has_uint32": 0,
+                    "uinteger": 0,
+                }
+                words[row] = bitgen.random_raw(words.shape[1])
+            block = words[:len(rows) - start]
+            halves = np.empty((len(block), 2 * block.shape[1]), dtype=np.uint64)
+            halves[:, 0::2] = block & _MASK32  # PCG64's next32 hands out the low half first
+            halves[:, 1::2] = block >> 32
+            scaled = halves[:, :m] * n_cliffords
+            length_draws[start:start + len(block)] = scaled >> 32
+            for row in start + np.flatnonzero(((scaled & _MASK32) < _REJECT_BELOW).any(axis=1)):
+                i, r = divmod(row, repeats)
+                child = np.random.SeedSequence(roots[i].entropy, spawn_key=(a * repeats + r,))
+                length_draws[row] = np.random.default_rng(child).integers(0, n_cliffords, size=m)
+        draws.append(length_draws)
+    return draws
+
+
 def generator_channels(
     pulse: PulseSpec, config: SimConfig
 ) -> dict[str, np.ndarray]:
@@ -175,7 +284,8 @@ def run_rb(
     (length, repeat)'s m Cliffords from its own child of
     SeedSequence(seed + i), spawned in (length, repeat) order, so row i does
     not depend on the other noises and equals a one-noise call at seed + i;
-    the recovery element inverts the ideal product of the draws.
+    clifford_draws gives those draws, bit for bit, without building the
+    children. The recovery element inverts the ideal product of the draws.
     Survival is computed on the real coordinates of _hermitian_basis, in one
     pass: one loop advances every running sequence of every noise two
     positions at a time, by the product of their two Cliffords from a
@@ -211,14 +321,7 @@ def run_rb(
     # the sequences still running at any position are a suffix of the rows.
     # Each length's draws are one (row, position) array of its block of rows.
     block = len(noises) * repeats  # the rows of one length
-    # spawning one length's streams at a time continues each root's child
-    # counter, so the streams are those of a single spawn of all of them
-    roots = [np.random.SeedSequence(seed + i) for i in range(len(noises))]
-    draws = [np.empty((block, m), dtype=np.int8) for m in lengths]
-    for length_draws, m in zip(draws, lengths):
-        streams = [stream for root in roots for stream in root.spawn(repeats)]
-        for row, stream in enumerate(streams):
-            length_draws[row] = np.random.default_rng(stream).integers(0, n_cliffords, size=m)
+    draws = clifford_draws(lengths, repeats, len(noises), seed)
     # each row's offset to its noise's Clifford channels
     offsets = np.tile(np.arange(len(noises)).repeat(repeats) * n_cliffords, len(lengths))
     # states hold only the running sequences; those of the shortest running

@@ -28,9 +28,11 @@ ROOT = Path(__file__).resolve().parents[1]
 QUBITSIM = "src/cryomux/qubitsim.py"
 FITKIT = "src/cryomux/fitkit.py"
 RBENGINE = "src/cryomux/rbengine.py"
+NOISECALC = "src/cryomux/noisecalc.py"
 SCENARIOS = "src/cryomux/scenarios.py"
 SWEEP = "tests/test_qubitsim.py::TestTdmSweep"
 CHANNEL = "tests/test_qubitsim.py::TestGateChannel"
+DRAWS = "tests/test_rbengine.py::TestCliffordDraws"
 
 # (name, file, old text, new text, test selection)
 MUTANTS = [
@@ -141,6 +143,43 @@ MUTANTS = [
         "xs[0] = (np.asarray(rho0).reshape(len(plans), 1, dim * dim) @ basis.T).real"
         " * (1.0 + 1e-15 * (len(plans) > 1))",
         [f"{SWEEP}::test_piecewise_member_does_not_depend_on_its_batch"],
+    ),
+    (
+        "RB draw word's high half drawn first",
+        RBENGINE,
+        "halves[:, 0::2] = block & _MASK32  # PCG64's next32 hands out the low half first\n"
+        "            halves[:, 1::2] = block >> 32",
+        "halves[:, 0::2] = block >> 32\n"
+        "            halves[:, 1::2] = block & _MASK32",
+        [f"{DRAWS}::test_equal_numpy_streams"],
+    ),
+    (
+        "PCG64 increment left even",
+        RBENGINE,
+        "inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128",
+        "inc = ((q_hi << 64 | q_lo) << 1) & _MASK128",
+        [f"{DRAWS}::test_equal_numpy_streams"],
+    ),
+    (
+        "redrawn RB row without its block offset",
+        RBENGINE,
+        "for row in start + np.flatnonzero(",
+        "for row in np.flatnonzero(",
+        [f"{DRAWS}::test_redrawn_rows_equal_numpy_streams"],
+    ),
+    (
+        "dephasing rate without its ratio-first fallback",
+        NOISECALC,
+        "        rate = float(n) * ((4 * x * x * k) / (k * k + 4 * x * x))\n",
+        "        pass\n",
+        ["tests/test_noisecalc.py::TestShotNoiseOccupancy"],
+    ),
+    (
+        "non-numeric trace row after the data skipped",
+        FITKIT,
+        "                if times:\n",
+        "                if False:\n",
+        ["tests/test_fitkit.py::TestCsvIo"],
     ),
 ]
 

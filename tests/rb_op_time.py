@@ -1,0 +1,101 @@
+"""Time the paper-scale fig4a_rb op, split into its stages.
+
+perfbench's rb_paper workload runs fig4a_rb at 3 T2* values x 10 lengths x
+80 repeats (2,400 sequences) per op. This script builds that workload's
+inputs (seed 901), runs one warm-up op and then OPS ops, and prints the
+median milliseconds of the op and of its stages:
+
+- calibration: from the op's start to calibrate_pi_pulse's return (the
+  parameter checks, the config hash and the calibration evolve);
+- channels: the 21 generator channel builds, with the Clifford channels and
+  pair tables composed from them (up to clifford_draws' call);
+- draws: clifford_draws, the 2,400 sequences' Clifford draws;
+- positions: the loop over Clifford positions with each length's recovery
+  (up to run_rb's return);
+- fits: fit_rb and the model for each T2*, up to the runner's return;
+- render/write: the rest of run_scenario.
+
+The stages are read from time stamps that wrappers take around those calls.
+Each op is checked as the benchmark checks it. It only reports; the
+benchmark decides what passes.
+
+    python3 tests/rb_op_time.py
+
+pytest does not collect this file (its name does not start with test_).
+"""
+import dataclasses
+import statistics
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import run  # noqa: E402
+
+run.load_cryomux()
+
+import workloads  # noqa: E402
+
+from cryomux import qubitsim, rbengine, scenarios  # noqa: E402
+
+SEED = 901
+OPS = 15
+STAGES = ("calibration", "channels", "draws", "positions", "fits", "render/write")
+# the stamps that end each stage but the last, in order
+ENDS = ("calibrated", "draws_start", "draws_end", "rb_end", "computed")
+
+stamps: dict[str, float] = {}
+
+
+def stamped(name: str, call, start: str | None = None):
+    """call, recording when it returned under name, and when it began
+    under start if one is given."""
+    def wrapper(*args, **kwargs):
+        if start:
+            stamps[start] = time.perf_counter()
+        result = call(*args, **kwargs)
+        stamps[name] = time.perf_counter()
+        return result
+    return wrapper
+
+
+def op_stages(bench, i: int) -> list[float]:
+    stamps.clear()
+    begin = time.perf_counter()
+    paths = bench.op(i)
+    end = time.perf_counter()
+    problems = bench.check(i, paths)
+    if problems:
+        raise RuntimeError(f"op {i} failed its check: {problems[0]}")
+    times = [begin, *(stamps[name] for name in ENDS), end]
+    return [later - earlier for earlier, later in zip(times, times[1:])]
+
+
+def main() -> int:
+    scenario = scenarios.REGISTRY["fig4a_rb"]
+    scenarios.REGISTRY["fig4a_rb"] = dataclasses.replace(scenario, runner=stamped("computed", scenario.runner))
+    qubitsim.calibrate_pi_pulse = stamped("calibrated", qubitsim.calibrate_pi_pulse)
+    rbengine.clifford_draws = stamped("draws_end", rbengine.clifford_draws, start="draws_start")
+    rbengine.run_rb = stamped("rb_end", rbengine.run_rb)
+
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = workloads.make_inputs("rb_paper", SEED, Path(tmp))
+        bench = workloads.build("rb_paper", inputs, Path(tmp), run.ROOT)
+        bench.prepare()
+        op_stages(bench, 0)  # warm-up
+        samples = [op_stages(bench, i) for i in range(1, OPS + 1)]
+    print(f"paper-scale fig4a_rb op ({bench.items_per_op} sequences, seed {SEED}), median ms")
+    print()
+    print("| op | runs | total | " + " | ".join(STAGES) + " |")
+    print("|---" * (len(STAGES) + 3) + "|")
+    columns = [[sum(sample) for sample in samples], *zip(*samples)]
+    cells = " | ".join(f"{1e3 * statistics.median(column):.1f}" for column in columns)
+    print(f"| fig4a_rb | {len(samples)} | {cells} |")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -357,6 +357,14 @@ class TestCsvIo:
         with pytest.raises(FitError, match="line 4"):
             fitkit.read_trace_csv(path)
 
+    def test_non_numeric_row_after_the_data_names_its_line(self, tmp_path):
+        # only rows before the first numeric row may be headers; a later
+        # row that does not parse is not dropped from the trace
+        path = tmp_path / "garbled.csv"
+        path.write_text("# comment line\ntime_s,signal\n0.0,1.0\n1e-06,abc\n2e-06,0.82\n")
+        with pytest.raises(FitError, match=r"garbled\.csv, line 4"):
+            fitkit.read_trace_csv(path)
+
     def test_empty_csv_rejected(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("# nothing\n")

@@ -65,6 +65,15 @@ class TestShotNoiseOccupancy:
         with pytest.raises(SingularityError, match="float range"):
             noisecalc.dephasing_from_occupancy(1e303, DEVICE)
 
+    def test_rate_is_finite_until_the_rate_itself_overflows(self):
+        # n * 4 chi^2 kappa overflows from n ~ 3.9e288, the rate only from
+        # n ~ 1.15e302
+        gamma = noisecalc.dephasing_from_occupancy(1e295, DEVICE)
+        assert math.isfinite(gamma)
+        assert gamma == pytest.approx(1e295 / N_PER_GAMMA, rel=1e-12)
+        with pytest.raises(SingularityError, match="float range"):
+            noisecalc.dephasing_from_occupancy(1.2e302, DEVICE)
+
 
 class TestBoseEinstein:
     def test_analytic_point(self):

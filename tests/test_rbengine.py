@@ -1,5 +1,6 @@
 """Clifford group verification, benchmarking runs and the fidelity model."""
 import math
+import re
 
 import numpy as np
 import pytest
@@ -127,6 +128,70 @@ class TestSequences:
     def test_noise_free_execution_returns_to_ground(self, pi_pulse):
         lengths, (survival,) = rb.run_rb([1, 5, 20], 4, [None], pi_pulse, seed=11)
         assert np.all(survival >= 1 - 1e-9)
+
+
+def _numpy_draws(lengths, repeats, n_noises, seed):
+    """run_rb's draws as numpy makes them: each length spawns the next
+    `repeats` children of every SeedSequence(seed + i), and each child draws
+    default_rng(child).integers(0, 24, size=m)."""
+    roots = [np.random.SeedSequence(seed + i) for i in range(n_noises)]
+    draws = []
+    for m in lengths:
+        children = [child for root in roots for child in root.spawn(repeats)]
+        rows = [np.random.default_rng(child).integers(0, 24, size=m) for child in children]
+        draws.append(np.array(rows, dtype=np.int8).reshape(len(children), m))
+    return draws
+
+
+def _assert_same_draws(actual, expected):
+    assert len(actual) == len(expected)
+    for got, want in zip(actual, expected):
+        assert got.dtype == np.int8
+        assert np.array_equal(got, want)
+
+
+class TestCliffordDraws:
+    # odd lengths leave the high half of each row's last word unused
+    LENGTHS = [1, 5, 13, 64]
+
+    # with two noises the second root's seed crosses a word boundary too
+    @pytest.mark.parametrize(
+        "seed, repeats, n_noises",
+        [(0, 4, 2), (2**32 - 1, 4, 2), (2**32, 4, 2), (2**63 - 1, 4, 2), (2**64 - 1, 4, 2), (17, 1, 3)],
+    )
+    def test_equal_numpy_streams(self, seed, repeats, n_noises):
+        _assert_same_draws(
+            rb.clifford_draws(self.LENGTHS, repeats, n_noises, seed),
+            _numpy_draws(self.LENGTHS, repeats, n_noises, seed),
+        )
+
+    @pytest.mark.parametrize("threshold", [1 << 30, (1 << 32) - 1])
+    def test_redrawn_rows_equal_numpy_streams(self, monkeypatch, threshold):
+        # a raised threshold sends most rows to integers' own redraw, and
+        # rows mapped one at a time put each in a block of its own. Every
+        # row's fast draws are right at numpy's real threshold, so a redraw
+        # written to the wrong row shows only as a child redrawn twice
+        repeats, n_noises, seed = 5, 2, 41
+        expected = _numpy_draws(self.LENGTHS, repeats, n_noises, seed)
+        redraws = []
+        default_rng = np.random.default_rng
+
+        def counted(child):
+            redraws.append(child)
+            return default_rng(child)
+
+        monkeypatch.setattr(rb, "_REJECT_BELOW", threshold)
+        monkeypatch.setattr(rb, "_MAP_HALVES", 1)
+        monkeypatch.setattr(np.random, "default_rng", counted)
+        _assert_same_draws(rb.clifford_draws(self.LENGTHS, repeats, n_noises, seed), expected)
+        children = {(child.entropy, child.spawn_key) for child in redraws}
+        assert len(children) == len(redraws) > len(self.LENGTHS) * repeats * n_noises / 2
+
+    def test_negative_seed_raises_as_seed_sequence_does(self):
+        with pytest.raises(ValueError) as expected:
+            np.random.SeedSequence(-1)
+        with pytest.raises(ValueError, match=re.escape(str(expected.value))):
+            rb.clifford_draws(self.LENGTHS, 2, 1, -1)
 
 
 class TestRunRb:
