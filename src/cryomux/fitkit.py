@@ -471,7 +471,9 @@ def _require_converged(result: FitResult, label: str) -> None:
 
 def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     """Read a two-column (time_s, signal) CSV, skipping blank and comment
-    rows and the header rows before the first numeric row."""
+    rows and the header rows before the first numeric row. A numeric row
+    with fewer or more than two cells, or a non-numeric row after the first
+    numeric one, raises FitError naming its file and line."""
     times, signal = [], []
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -488,6 +490,8 @@ def read_trace_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
                 continue  # header row
             except IndexError:
                 raise FitError(f"{path}, line {reader.line_num}: a numeric row needs two cells") from None
+            if len(row) > 2:
+                raise FitError(f"{path}, line {reader.line_num}: a numeric row has {len(row)} cells, not two")
             times.append(t)
             signal.append(y)
     if not times:

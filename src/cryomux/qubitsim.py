@@ -19,7 +19,10 @@ The master equation preserves Hermiticity, so in an orthonormal Hermitian
 operator basis every Liouvillian, propagator and density matrix is real.
 States and gate channels are both integrated in float64 there, on the
 Liouvillian parts mapped into that basis, and mapped back to row-major
-vec(rho) at the end (trajectories at each recorded step).
+vec(rho) at the end (trajectories at each recorded step). The basis and
+the drive parts Lx, Ly and Ln depend on the level count alone and are built
+once per level count (_level_constants); only L0, which the decay rates
+set, is built per call.
 
 _evolve_batch steps a batch of density matrices that share the pulse but
 each have their own gating in one loop; gate channels act on all d*d basis
@@ -30,8 +33,10 @@ scaled by half the step, from its stage times and length. All then take the
 same RK4 step, _rk4_increment: _evolve_batch applies it to state vectors,
 while gate channels and _evolve_piecewise apply it to the identity
 (_step_deltas), which gives each step's propagator less the identity. Only
-_tree_nodes multiplies steps, pairwise in that delta form (_pair_products);
-a gate channel is the root of its pulse's full-drive tree.
+_tree_nodes multiplies steps, pairwise in that delta form (_pair_products):
+it builds the leaves a block of at most _BLOCK_BYTES at a time, pairs each
+block down to _BLOCK_TOPS nodes and then the tops of all blocks in one
+climb. A gate channel is the root of its pulse's full-drive tree.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -42,6 +47,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -58,7 +64,10 @@ _TRACE_TOL = 1e-6
 _POSITIVITY_TOL = 1e-6
 _PULSE_SHAPES = ("cosine", "cosine_drag")
 _STAGES = np.array([0.0, 0.5, 1.0])  # RK4 stage times as fractions of a step
-_BLOCK_STEPS = 256  # tree leaves that _tree_nodes builds and pairs at once
+# bytes of one block of tree leaves that _tree_nodes builds and pairs at
+# once: 512 leaves of 128 B at 2 levels, 64 of 648 B (41 KiB) at 3 levels
+_BLOCK_BYTES = 1 << 16
+_BLOCK_TOPS = 16  # nodes each block is paired down to before all blocks' are paired at once
 _FILL_PAIRS = 2048  # most (step, member) pairs filled, stepped and trace-checked in one pass
 # a switching time this many lattice steps from a lattice point is moved onto
 # it: the default windows miss the 20 ps lattice by rounding only (< 1e-12
@@ -201,17 +210,11 @@ def _dissipator_superop(c: np.ndarray) -> np.ndarray:
     return _kron(c, c.conj()) - 0.5 * (_kron(cdc, eye) + _kron(eye, cdc.T))
 
 
-def _liouvillian_parts(config: SimConfig):
-    """Static Liouvillian plus the three drive generators.
-
-    L(t) = L0 + wx(t) Lx + wy(t) Ly + wn(t) Ln, where Ln couples to the
-    excitation-number operator (the DRAG detuning term).
-    """
+def _static_liouvillian(config: SimConfig) -> np.ndarray:
+    """L0: the anharmonicity (3 levels only) plus relaxation and pure
+    dephasing, the one part of the Liouvillian that config's rates set."""
     levels = config.levels
     a = _lowering(levels)
-    nmat = a.conj().T @ a
-    hx = (a + a.conj().T) / 2.0
-    hy = 1j * (a.conj().T - a) / 2.0
     h0 = np.zeros((levels, levels), dtype=complex)
     if levels == 3:
         h0[2, 2] = DEFAULT_ANHARMONICITY
@@ -219,8 +222,24 @@ def _liouvillian_parts(config: SimConfig):
     if config.t1 is not None:
         l0 = l0 + _dissipator_superop(a / math.sqrt(config.t1))
     if config.t_phi is not None:
-        l0 = l0 + _dissipator_superop(math.sqrt(2.0 / config.t_phi) * nmat)
-    return l0, _hamiltonian_superop(hx), _hamiltonian_superop(hy), _hamiltonian_superop(nmat)
+        l0 = l0 + _dissipator_superop(math.sqrt(2.0 / config.t_phi) * (a.conj().T @ a))
+    return l0
+
+
+def _drive_liouvillians(levels: int):
+    """Lx, Ly and Ln, the drive generators, which depend on the level count
+    alone; Ln couples to the excitation-number operator (the DRAG detuning
+    term)."""
+    a = _lowering(levels)
+    hx = (a + a.conj().T) / 2.0
+    hy = 1j * (a.conj().T - a) / 2.0
+    return tuple(_hamiltonian_superop(h) for h in (hx, hy, a.conj().T @ a))
+
+
+def _liouvillian_parts(config: SimConfig):
+    """Static Liouvillian plus the three drive generators:
+    L(t) = L0 + wx(t) Lx + wy(t) Ly + wn(t) Ln."""
+    return (_static_liouvillian(config), *_drive_liouvillians(config.levels))
 
 
 def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
@@ -382,15 +401,33 @@ def _hermitian_basis(levels: int) -> np.ndarray:
     return np.array([b.reshape(-1) for b in basis]).conj()
 
 
+def _real_part_row(basis: np.ndarray, part: np.ndarray) -> np.ndarray:
+    """Flattened transpose of the superoperator part in the Hermitian basis,
+    T L T^+. The part preserves Hermiticity, so T L T^+ is real and only
+    rounding is dropped with its imaginary part."""
+    return (basis @ part @ basis.conj().T).real.T.reshape(-1)
+
+
+@lru_cache(maxsize=None)
+def _level_constants(levels: int):
+    """The level count's _hermitian_basis and its real drive parts Lx, Ly
+    and Ln as rows of _real_liouvillian_parts, read-only: built on first
+    use, not at import, because their complex products page in library
+    code (0.7 MiB of resident memory) that a process running no simulation
+    would carry."""
+    basis = _hermitian_basis(levels)
+    drive = np.stack([_real_part_row(basis, part) for part in _drive_liouvillians(levels)])
+    basis.flags.writeable = drive.flags.writeable = False
+    return basis, drive
+
+
 def _real_liouvillian_parts(config: SimConfig) -> np.ndarray:
     """L0, Lx, Ly and Ln of _liouvillian_parts in the Hermitian basis of
     _hermitian_basis, stacked as rows of flattened transposes, so that
-    weights @ parts gives sum_p w_p L_p^T. Each part preserves Hermiticity,
-    so T L T^+ is real and only rounding is dropped with its imaginary part."""
-    basis = _hermitian_basis(config.levels)
-    return np.stack([
-        (basis @ part @ basis.conj().T).real.T.reshape(-1) for part in _liouvillian_parts(config)
-    ])
+    weights @ parts gives sum_p w_p L_p^T: a new array, whose L0 row comes
+    from config and whose drive rows are copied from _level_constants."""
+    basis, drive = _level_constants(config.levels)
+    return np.concatenate([_real_part_row(basis, _static_liouvillian(config))[None], drive])
 
 
 def _stage_weights(pulse: PulseSpec, config: SimConfig, t_eval, h, modulator):
@@ -412,12 +449,12 @@ def _stage_weights(pulse: PulseSpec, config: SimConfig, t_eval, h, modulator):
     return weights
 
 
-def _rk4_increment(x, m_a, m_b, m_c):
+def _rk4_increment(x, a1, m_b, m_c):
     """Increment of one RK4 step of rows x under the stage operators
-    m_a, m_b and m_c, each (h/2) L^T at the step's start, midpoint and end:
-    a_s = x_s @ m = (h/2) k_s on stage inputs x, x + a1, x + a2 and
-    x + 2 a3, and the step adds (a1 + a4 + 2 (a2 + a3)) / 3."""
-    a1 = x @ m_a
+    m_a, m_b and m_c, each (h/2) L^T at the step's start, midpoint and end,
+    given its first stage a1 = x @ m_a: a_s = x_s @ m = (h/2) k_s on stage
+    inputs x, x + a1, x + a2 and x + 2 a3, and the step adds
+    (a1 + a4 + 2 (a2 + a3)) / 3."""
     a2 = (x + a1) @ m_b
     a3 = (x + a2) @ m_b
     a4 = (x + 2.0 * a3) @ m_c
@@ -426,9 +463,10 @@ def _rk4_increment(x, m_a, m_b, m_c):
 
 def _step_deltas(weights, parts):
     """Row-form propagators less the identity, (n, D, D), of n RK4 steps
-    from their stage weights (n, 3, 4): _rk4_increment on the identity.
-    Every step is its own (3, 4) @ (4, D^2) and D x D products, so its bits
-    do not depend on how many steps are built at once."""
+    from their stage weights (n, 3, 4): _rk4_increment on the identity,
+    whose first stage I @ m_a is m_a itself and is taken as it is, with no
+    product. Every step is its own (3, 4) @ (4, D^2) and D x D products, so
+    its bits do not depend on how many steps are built at once."""
     dim = math.isqrt(parts.shape[1])
     m_a, m_b, m_c = (weights @ parts).reshape(len(weights), 3, dim, dim).swapaxes(0, 1)
     return _rk4_increment(np.eye(dim), m_a, m_b, m_c)
@@ -497,7 +535,7 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
     starts with the member's label.
     """
     dim = config.levels
-    basis = _hermitian_basis(dim)
+    basis, _ = _level_constants(dim)
     grid = _Grid(pulse.t_g, _resolve_dt(pulse, config), breakpoints)
     parts = _real_liouvillian_parts(config)
     n_members = len(labels)
@@ -516,7 +554,7 @@ def _evolve_batch(rho0, pulse, config: SimConfig, modulator, breakpoints, labels
             # a row per step holds every (stage, member) of its weights
             for row, x, x_next in zip(weights.reshape(n, -1, len(parts)), xs[:n], xs[1:n + 1]):
                 np.matmul(row, parts, out=ops_flat)
-                np.add(x, _rk4_increment(x, m_a, m_b, m_c), out=x_next)
+                np.add(x, _rk4_increment(x, x @ m_a, m_b, m_c), out=x_next)
             traces = np.add.reduce(xs[1:n + 1, :, 0, :dim], axis=2)
             drift = np.abs(traces - 1.0)
         if not drift.max() <= _TRACE_TOL:  # max propagates NaN
@@ -577,10 +615,13 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, leve
     level, with steps past the lattice's n_max the identity (zero delta).
 
     The leaves are _step_deltas of the lattice's own stage weights, which
-    are built once for the whole lattice; the deltas are built _BLOCK_STEPS
-    at a time, each block is paired up to its root before the next is
-    built, and the block roots then up to the tree's, so only wanted nodes
-    are kept. depth must give whole blocks, 2**depth >= _BLOCK_STEPS.
+    are built once for the whole lattice. The deltas are built a block at a
+    time, the most leaves, a power of two up to 2**depth, that fit in
+    _BLOCK_BYTES; each block is paired down to _BLOCK_TOPS nodes before the
+    next is built, and then the tops of all blocks, side by side, are paired
+    up to the root in one climb. Either climb pairs the same nodes in the
+    same order as one climb over all the leaves would, and writes the
+    wanted nodes of every depth it passes, so only those are kept.
 
     Under zero drive (pulse.amplitude * level == 0.0) every lattice step is
     the same, so a node is full ((i + 1) 2^k <= n_max), empty (the
@@ -613,25 +654,36 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, leve
                 out[row] = node(k, i)
         return
 
-    def climb(steps, k, first):
-        # steps are the nodes first <= i < first + len(steps) at depth k
-        while True:
-            for i, row in by_depth.get(k, ()):
-                if first <= i < first + len(steps):
-                    out[row] = steps[i - first]
-            if len(steps) == 1:
-                return steps[0]
-            steps, k, first = _pair_products(steps), k + 1, first // 2
+    def keep(nodes, k, first):
+        # nodes are the nodes first <= i < first + len(nodes) at depth k
+        for i, row in by_depth.get(k, ()):
+            if first <= i < first + len(nodes):
+                out[row] = nodes[i - first]
+
+    def climb(nodes, k, first, until):
+        # pair until `until` nodes remain, keeping the wanted nodes of every
+        # depth below the last
+        while len(nodes) > until:
+            keep(nodes, k, first)
+            nodes, k, first = _pair_products(nodes), k + 1, first // 2
+        return nodes
 
     _, t_eval, h = lattice.block(0, n)
     weights = _stage_weights(pulse, config, t_eval, h, lambda t: level)[:, :, 0]
-    roots = []
-    for j0 in range(0, 1 << depth, _BLOCK_STEPS):
-        steps = np.zeros((_BLOCK_STEPS, *out.shape[1:]))
-        if j0 < n:
-            steps[:min(_BLOCK_STEPS, n - j0)] = _step_deltas(weights[j0:j0 + _BLOCK_STEPS], parts)
-        roots.append(climb(steps, 0, j0))
-    climb(np.array(roots), _BLOCK_STEPS.bit_length() - 1, 0)
+    leaves = min(1 << depth, 1 << (_BLOCK_BYTES // out[0].nbytes).bit_length() - 1)
+    tops = min(leaves, _BLOCK_TOPS)
+    tops_depth = (leaves // tops).bit_length() - 1
+    blocks = []
+    for j0 in range(0, 1 << depth, leaves):
+        if j0 + leaves <= n:
+            steps = _step_deltas(weights[j0:j0 + leaves], parts)
+        else:  # identity (zero-delta) leaves pad the lattice
+            steps = np.zeros((leaves, *out.shape[1:]))
+            if j0 < n:
+                steps[:n - j0] = _step_deltas(weights[j0:n], parts)
+        blocks.append(climb(steps, 0, j0, tops))
+    root = climb(np.concatenate(blocks), tops_depth, 0, 1)
+    keep(root, depth, 0)
 
 
 def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, labels):
@@ -665,12 +717,12 @@ def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, la
     batch.
     """
     dim = config.levels
-    basis = _hermitian_basis(dim)
+    basis, _ = _level_constants(dim)
     parts = _real_liouvillian_parts(config)
     t_g = pulse.t_g
     lattice = _Grid(t_g, _resolve_dt(pulse, config), [None])
     n = lattice.n_max
-    depth = (n - 1).bit_length()  # n >= 200, so 2**depth >= n leaves in whole blocks
+    depth = (n - 1).bit_length()  # 2**depth >= n leaves
     members = [_segments(t_g, b) for b in breakpoints]
     mids = np.full((max(map(len, members)), len(members)), t_g / 2.0)
     for b, segments in enumerate(members):
@@ -765,11 +817,11 @@ def gate_channel(
     applied many times, e.g. in benchmarking sequences.
     """
     lattice = _Grid(pulse.t_g, _resolve_dt(pulse, config), [None])
-    basis = _hermitian_basis(config.levels)
+    basis, _ = _level_constants(config.levels)
     parts = _real_liouvillian_parts(config)
     c, s = math.cos(phase), math.sin(phase)
     parts[1:3] = c * parts[1] + s * parts[2], c * parts[2] - s * parts[1]
-    depth = (lattice.n_max - 1).bit_length()  # n_max >= 200: whole blocks
+    depth = (lattice.n_max - 1).bit_length()  # 2**depth >= n_max leaves
     delta = np.empty((1, config.levels**2, config.levels**2))
     _tree_nodes(pulse, config, parts, lattice, 1.0, depth, {(depth, 0): 0}, delta)
     channel = basis.conj().T @ (np.eye(config.levels**2) + delta[0]).T @ basis

@@ -46,9 +46,16 @@ MUTANTS = [
     (
         "non-identity padding leaves",
         QUBITSIM,
-        "steps = np.zeros((_BLOCK_STEPS, *out.shape[1:]))",
-        "steps = np.full((_BLOCK_STEPS, *out.shape[1:]), 1e-12)",
+        "steps = np.zeros((leaves, *out.shape[1:]))",
+        "steps = np.full((leaves, *out.shape[1:]), 1e-12)",
         [f"{CHANNEL}::test_matches_evolve_batch"],
+    ),
+    (
+        "joint climb over the block tops one depth too high",
+        QUBITSIM,
+        "root = climb(np.concatenate(blocks), tops_depth, 0, 1)",
+        "root = climb(np.concatenate(blocks), tops_depth + 1, 0, 1)",
+        [f"{CHANNEL}::test_driven_tree_matches_pairwise_reduction"],
     ),
     (
         "zero-drive end node taken as full",
@@ -145,6 +152,20 @@ MUTANTS = [
         [f"{SWEEP}::test_piecewise_member_does_not_depend_on_its_batch"],
     ),
     (
+        "flat Clifford table read with stride 23",
+        RBENGINE,
+        "codes = block[:, 0:-1:2].astype(np.intp) * n",
+        "codes = block[:, 0:-1:2].astype(np.intp) * 23",
+        ["tests/test_rbengine.py::TestSequences::test_net_cliffords_equal_the_left_fold"],
+    ),
+    (
+        "each block of _products' rows written from row 0",
+        RBENGINE,
+        "nets[start:start + step] = block[:, 0]",
+        "nets[:len(block)] = block[:, 0]",
+        ["tests/test_rbengine.py::TestSequences::test_net_cliffords_equal_the_left_fold"],
+    ),
+    (
         "RB draw word's high half drawn first",
         RBENGINE,
         "halves[:, 0::2] = block & _MASK32  # PCG64's next32 hands out the low half first\n"
@@ -179,6 +200,13 @@ MUTANTS = [
         FITKIT,
         "                if times:\n",
         "                if False:\n",
+        ["tests/test_fitkit.py::TestCsvIo"],
+    ),
+    (
+        "third cell of a numeric trace row dropped",
+        FITKIT,
+        "            if len(row) > 2:\n",
+        "            if False:\n",
         ["tests/test_fitkit.py::TestCsvIo"],
     ),
 ]

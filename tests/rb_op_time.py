@@ -16,8 +16,12 @@ median milliseconds of the op and of its stages:
 - render/write: the rest of run_scenario.
 
 The stages are read from time stamps that wrappers take around those calls.
-Each op is checked as the benchmark checks it. It only reports; the
-benchmark decides what passes.
+Each op is checked as the benchmark checks it. Last it prints the min and
+median milliseconds of CHANNEL_CALLS warm calls of one gate_channel at
+fig4a_rb's defaults (40 ns pulse, T1 30 us, T2* 12 us), the channel
+construction layer: a 2-level X90, like the 6 driven generator channels
+that each op builds per T2*, and a 3-level DRAG pi pulse, which no op
+builds. It only reports; the benchmark decides what passes.
 
     python3 tests/rb_op_time.py
 
@@ -39,10 +43,11 @@ run.load_cryomux()
 
 import workloads  # noqa: E402
 
-from cryomux import qubitsim, rbengine, scenarios  # noqa: E402
+from cryomux import noisecalc, qubitsim, rbengine, scenarios  # noqa: E402
 
 SEED = 901
 OPS = 15
+CHANNEL_CALLS = 15
 STAGES = ("calibration", "channels", "draws", "positions", "fits", "render/write")
 # the stamps that end each stage but the last, in order
 ENDS = ("calibrated", "draws_start", "draws_end", "rb_end", "computed")
@@ -74,6 +79,28 @@ def op_stages(bench, i: int) -> list[float]:
     return [later - earlier for earlier, later in zip(times, times[1:])]
 
 
+def channel_times() -> list[tuple[str, float, float]]:
+    """(label, min ms, median ms) of CHANNEL_CALLS warm gate_channel calls
+    of each channel."""
+    pi_pulse = qubitsim.calibrate_pi_pulse(40e-9)
+    noise = qubitsim.SimConfig.from_coherence(noisecalc.CoherenceRecord(30e-6, 12e-6, 12e-6))
+    channels = (
+        ("2-level X90", dataclasses.replace(pi_pulse, amplitude=pi_pulse.amplitude / 2), noise),
+        ("3-level DRAG pi pulse", dataclasses.replace(pi_pulse, shape="cosine_drag"),
+         dataclasses.replace(noise, levels=3)),
+    )
+    rows = []
+    for label, pulse, config in channels:
+        qubitsim.gate_channel(pulse, config)  # warm-up
+        seconds = []
+        for _ in range(CHANNEL_CALLS):
+            start = time.perf_counter()
+            qubitsim.gate_channel(pulse, config)
+            seconds.append(time.perf_counter() - start)
+        rows.append((label, 1e3 * min(seconds), 1e3 * statistics.median(seconds)))
+    return rows
+
+
 def main() -> int:
     scenario = scenarios.REGISTRY["fig4a_rb"]
     scenarios.REGISTRY["fig4a_rb"] = dataclasses.replace(scenario, runner=stamped("computed", scenario.runner))
@@ -94,6 +121,13 @@ def main() -> int:
     columns = [[sum(sample) for sample in samples], *zip(*samples)]
     cells = " | ".join(f"{1e3 * statistics.median(column):.1f}" for column in columns)
     print(f"| fig4a_rb | {len(samples)} | {cells} |")
+    print()
+    print(f"one gate_channel at fig4a_rb's defaults, {CHANNEL_CALLS} warm calls, ms")
+    print()
+    print("| channel | min | median |")
+    print("|---|---|---|")
+    for label, fastest, median in channel_times():
+        print(f"| {label} | {fastest:.2f} | {median:.2f} |")
     return 0
 
 

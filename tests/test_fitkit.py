@@ -357,6 +357,13 @@ class TestCsvIo:
         with pytest.raises(FitError, match="line 4"):
             fitkit.read_trace_csv(path)
 
+    def test_three_cell_numeric_row_names_its_line(self, tmp_path):
+        # a third cell is not dropped: 0,1,7 is not read as 0,1
+        path = tmp_path / "wide.csv"
+        path.write_text("# comment line\ntime_s,signal\n0.0,1.0\n1e-06,0.9,7\n2e-06,0.82\n")
+        with pytest.raises(FitError, match=r"wide\.csv, line 4: a numeric row has 3 cells"):
+            fitkit.read_trace_csv(path)
+
     def test_non_numeric_row_after_the_data_names_its_line(self, tmp_path):
         # only rows before the first numeric row may be headers; a later
         # row that does not parse is not dropped from the trace

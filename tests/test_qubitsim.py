@@ -329,6 +329,38 @@ class TestGateChannel:
         for (k, i), got in zip(nodes, out):
             assert np.array_equal(got, tree[k][i]), (k, i)
 
+    # at 2 levels a block holds 512 leaves, at 3 levels 64: 200 steps give
+    # one block, 2,000 blocks that all hold steps and 3,000 some past the
+    # lattice's end
+    @pytest.mark.parametrize("steps", [200, 2000, 3000])
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_driven_tree_matches_pairwise_reduction(self, levels, shape, steps):
+        """Under a drive _tree_nodes builds the leaves a block at a time,
+        pairs each block down to its tops and then all the tops in one
+        climb; every node it writes, at every depth, equals the plain
+        pairwise reduction of the padded stack of all lattice steps at
+        once."""
+        config = qs.SimConfig(levels=levels, dt=T_G / steps, **self.CONFIG)
+        pulse = self.pulse(shape)
+        level = 0.3
+        lattice = qs._Grid(T_G, T_G / steps, [None])
+        assert lattice.n_max == steps
+        depth = (steps - 1).bit_length()
+        parts = qs._real_liouvillian_parts(config)
+        _, t_eval, h = lattice.block(0, steps)
+        weights = qs._stage_weights(pulse, config, t_eval, h, lambda t: level)
+        tree = [np.zeros((1 << depth, levels**2, levels**2))]
+        tree[0][:steps] = qs._step_deltas(weights[:, :, 0], parts)
+        while len(tree[-1]) > 1:
+            tree.append(qs._pair_products(tree[-1]))
+        nodes = [(k, i) for k, level_nodes in enumerate(tree) for i in range(len(level_nodes))]
+        # every node, each to a row of its own in shuffled order
+        rows = np.random.default_rng(steps).permutation(len(nodes))
+        out = np.full((len(nodes), *tree[0].shape[1:]), np.nan)
+        qs._tree_nodes(pulse, config, parts, lattice, level, depth, dict(zip(nodes, rows)), out)
+        for (k, i), row in zip(nodes, rows):
+            assert np.array_equal(out[row], tree[k][i]), (k, i)
+
 
 class TestValidation:
     @pytest.mark.parametrize("t_g, amplitude", [(math.nan, 1.0), (T_G, math.nan)])

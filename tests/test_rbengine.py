@@ -125,6 +125,19 @@ class TestSequences:
         lengths, (survival,) = rb.run_rb([], 2, [None], pi_pulse)
         assert lengths.shape == survival.shape == (0,)
 
+    def test_net_cliffords_equal_the_left_fold(self, table):
+        """_products of run_rb's own draws, lengths of odd and even width,
+        equals composing each row's Cliffords one by one from the identity.
+        The 80 rows of 1,000 Cliffords are composed in blocks of 32, 32
+        and 16 rows."""
+        assert 2 * rb._PRODUCT_CODES // 1000 == 32
+        lengths = (1, 2, 5, 64, 333, 1000)
+        for m, draws in zip(lengths, rb.clifford_draws(lengths, 40, 2, seed=17)):
+            net = np.zeros(len(draws), dtype=np.int8)  # the identity
+            for step in draws.T:
+                net = table.composition[net, step]
+            assert np.array_equal(rb._products(table.composition, draws), net), m
+
     def test_noise_free_execution_returns_to_ground(self, pi_pulse):
         lengths, (survival,) = rb.run_rb([1, 5, 20], 4, [None], pi_pulse, seed=11)
         assert np.all(survival >= 1 - 1e-9)
