@@ -21,8 +21,8 @@ States and gate channels are both integrated in float64 there, on the
 Liouvillian parts mapped into that basis, and mapped back to row-major
 vec(rho) at the end (trajectories at each recorded step). The basis and
 the drive parts Lx, Ly and Ln depend on the level count alone and are built
-once per level count (_level_constants); only L0, which the decay rates
-set, is built per call.
+once per level count (_level_constants); L0, which the decay rates set, is
+built once per config (_real_liouvillian_parts).
 
 _evolve_batch steps a batch of density matrices that share the pulse but
 each have their own gating in one loop; gate channels act on all d*d basis
@@ -243,22 +243,24 @@ def _liouvillian_parts(config: SimConfig):
 
 
 def _drive_waveforms(pulse: PulseSpec, config: SimConfig, t, modulator):
-    """In-phase, quadrature and number-operator coefficients at times t,
-    which lie in [0, t_g] up to rounding (_Grid.block clamps every stage
+    """In-phase coefficient wx at times t and, for a cosine_drag pulse with
+    a third level present, the quadrature and number-operator ones: the
+    DRAG quadrature -amplitude*denv*mod/alpha and detuning -wx^2/(2 alpha).
+    Any other pulse drives Ly and Ln with zero, and only (wx,) is returned.
+    The times lie in [0, t_g] up to rounding (_Grid.block clamps every stage
     time into its half-open segment, and _evolve_piecewise's own steps end
-    by t_g), so the raised-cosine envelope is read without a mask. A
-    cosine_drag pulse adds the DRAG quadrature -amplitude*denv*mod/alpha and
-    detuning -wx^2/(2 alpha) only with a third level present.
+    by t_g), so the raised-cosine envelope is read without a mask.
     """
     t = np.asarray(t, dtype=float)
     t_g = pulse.t_g
-    env = 0.5 * (1.0 - np.cos(TWO_PI * t / t_g))
+    phase = TWO_PI * t / t_g
+    env = 0.5 * (1.0 - np.cos(phase))
     mod = np.ones_like(env) if modulator is None else np.asarray(modulator(t), dtype=float)
     wx = pulse.amplitude * env * mod
     if pulse.shape != "cosine_drag" or config.levels != 3:
-        return wx, np.zeros_like(wx), np.zeros_like(wx)
+        return (wx,)
     alpha = DEFAULT_ANHARMONICITY
-    denv = 0.5 * (TWO_PI / t_g) * np.sin(TWO_PI * t / t_g)
+    denv = 0.5 * (TWO_PI / t_g) * np.sin(phase)
     wy = -pulse.amplitude * denv * mod / alpha
     wn = -0.5 * wx * wx / alpha
     return wx, wy, wn
@@ -272,6 +274,11 @@ def _segments(t_g: float, breakpoints: Sequence[float] | None):
             cuts.append(float(b))
     cuts = sorted(set(cuts))
     return list(zip(cuts[:-1], cuts[1:]))
+
+
+def _lattice_steps(t_g: float, dt: float) -> int:
+    """n of the lattice of n = ceil(t_g/dt) steps k t_g/n."""
+    return max(1, math.ceil(t_g / dt))
 
 
 def _resolve_dt(pulse: PulseSpec, config: SimConfig) -> float:
@@ -331,7 +338,7 @@ class _Grid:
     n_max the largest."""
 
     def __init__(self, t_g: float, dt_target: float, breakpoints):
-        n = max(1, math.ceil(t_g / dt_target))
+        n = _lattice_steps(t_g, dt_target)
         members = []
         for b in breakpoints:
             segments = _segments(t_g, b)
@@ -421,13 +428,17 @@ def _level_constants(levels: int):
     return basis, drive
 
 
+@lru_cache(maxsize=16)
 def _real_liouvillian_parts(config: SimConfig) -> np.ndarray:
     """L0, Lx, Ly and Ln of _liouvillian_parts in the Hermitian basis of
     _hermitian_basis, stacked as rows of flattened transposes, so that
-    weights @ parts gives sum_p w_p L_p^T: a new array, whose L0 row comes
-    from config and whose drive rows are copied from _level_constants."""
+    weights @ parts gives sum_p w_p L_p^T. Read-only and built once per
+    config: the L0 row comes from config's rates, and the drive rows are
+    copied from _level_constants."""
     basis, drive = _level_constants(config.levels)
-    return np.concatenate([_real_part_row(basis, _static_liouvillian(config))[None], drive])
+    parts = np.concatenate([_real_part_row(basis, _static_liouvillian(config))[None], drive])
+    parts.flags.writeable = False
+    return parts
 
 
 def _stage_weights(pulse: PulseSpec, config: SimConfig, t_eval, h, modulator):
@@ -438,7 +449,8 @@ def _stage_weights(pulse: PulseSpec, config: SimConfig, t_eval, h, modulator):
 
     _drive_waveforms and the modulator (or None, for the full drive) run
     once on all the steps, with no loop over members. A zero-length step
-    keeps all-zero weights, whatever its drive.
+    keeps all-zero weights, whatever its drive, and so do the Ly and Ln
+    columns of a pulse that does not drive them.
     """
     half_h = 0.5 * h[:, None]  # (step, 1, member)
     weights = np.zeros((*t_eval.shape, 4))
@@ -446,6 +458,23 @@ def _stage_weights(pulse: PulseSpec, config: SimConfig, t_eval, h, modulator):
     live = half_h > 0.0
     for p, w in enumerate(_drive_waveforms(pulse, config, t_eval, modulator), 1):
         np.multiply(half_h, w, out=weights[..., p], where=live)
+    return weights
+
+
+@lru_cache(maxsize=8)
+def _tree_weights(pulse: PulseSpec, levels: int, dt: float, level: float) -> np.ndarray:
+    """Read-only stage weights (n, 3, 4) of the steps of the lattice of
+    n = ceil(t_g/dt) steps under the constant drive factor level: the
+    leaves of that tree. They depend on these four keys alone, not on the
+    decay rates (which enter through L0) or the drive phase (which
+    gate_channel rotates into the parts), so each is built once, on first
+    use. Under zero drive (pulse.amplitude * level == 0.0) every step is
+    the same, and only the first step's (1, 3, 4) are built."""
+    lattice = _Grid(pulse.t_g, dt, [None])
+    n = 1 if pulse.amplitude * level == 0.0 else lattice.n_max
+    _, t_eval, h = lattice.block(0, n)
+    weights = _stage_weights(pulse, SimConfig(levels), t_eval, h, lambda t: level)[:, :, 0]
+    weights.flags.writeable = False
     return weights
 
 
@@ -607,15 +636,17 @@ def _piecewise_plan(segments, levels, t_g: float, n: int, depth: int):
     return plan
 
 
-def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, level, depth: int,
-                wanted, out):
+def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, level, depth: int, wanted, out):
     """Write each wanted node (k, i) of the level's pairwise tree to
     out[wanted[(k, i)]]: the delta-form product, earliest first, of the
-    lattice steps i 2^k <= j < (i + 1) 2^k under the constant drive factor
-    level, with steps past the lattice's n_max the identity (zero delta).
+    steps i 2^k <= j < (i + 1) 2^k of the pulse's lattice of n steps at
+    config's step, under the constant drive factor level, with steps past
+    n the identity (zero delta).
 
-    The leaves are _step_deltas of the lattice's own stage weights, which
-    are built once for the whole lattice. The deltas are built a block at a
+    The leaves are _step_deltas of the lattice's stage weights, which
+    _tree_weights builds once per (pulse, level count, step, level) and
+    every tree on those keys shares, whatever its parts' decay rates or
+    drive phase. The deltas are built a block at a
     time, the most leaves, a power of two up to 2**depth, that fit in
     _BLOCK_BYTES; each block is paired down to _BLOCK_TOPS nodes before the
     next is built, and then the tops of all blocks, side by side, are paired
@@ -624,7 +655,7 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, leve
     wanted nodes of every depth it passes, so only those are kept.
 
     Under zero drive (pulse.amplitude * level == 0.0) every lattice step is
-    the same, so a node is full ((i + 1) 2^k <= n_max), empty (the
+    the same, so a node is full ((i + 1) 2^k <= n), empty (the
     identity) or the one per depth that holds the lattice's end. Each
     depth's full and end node are then paired once from those of the depth
     below, starting from one leaf, which gives the full tree's nodes up to
@@ -633,11 +664,11 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, leve
     by_depth = {}
     for (k, i), row in wanted.items():
         by_depth.setdefault(k, []).append((i, row))
-    n = lattice.n_max
+    dt = _resolve_dt(pulse, config)
+    n = _lattice_steps(pulse.t_g, dt)
+    weights = _tree_weights(pulse, config.levels, dt, level)
     if pulse.amplitude * level == 0.0:
-        _, t_eval, h = lattice.block(0, 1)
-        weights = _stage_weights(pulse, config, t_eval, h, lambda t: level)
-        full = _step_deltas(weights[:, :, 0], parts)[0]
+        full = _step_deltas(weights, parts)[0]
         empty = end = np.zeros_like(full)
 
         def node(k, i):
@@ -668,8 +699,6 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, lattice: _Grid, leve
             nodes, k, first = _pair_products(nodes), k + 1, first // 2
         return nodes
 
-    _, t_eval, h = lattice.block(0, n)
-    weights = _stage_weights(pulse, config, t_eval, h, lambda t: level)[:, :, 0]
     leaves = min(1 << depth, 1 << (_BLOCK_BYTES // out[0].nbytes).bit_length() - 1)
     tops = min(leaves, _BLOCK_TOPS)
     tops_depth = (leaves // tops).bit_length() - 1
@@ -720,8 +749,7 @@ def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, la
     basis, _ = _level_constants(dim)
     parts = _real_liouvillian_parts(config)
     t_g = pulse.t_g
-    lattice = _Grid(t_g, _resolve_dt(pulse, config), [None])
-    n = lattice.n_max
+    n = _lattice_steps(t_g, _resolve_dt(pulse, config))
     depth = (n - 1).bit_length()  # 2**depth >= n leaves
     members = [_segments(t_g, b) for b in breakpoints]
     mids = np.full((max(map(len, members)), len(members)), t_g / 2.0)
@@ -758,7 +786,7 @@ def _evolve_piecewise(rho0, pulse, config: SimConfig, modulator, breakpoints, la
             table[list(subs)] = _step_deltas(weights[:, :, 0], parts)
         for key in dict.fromkeys(op[1] for op in rows if op[0] == "node"):
             wanted = {op[2]: row for op, row in rows.items() if op[:2] == ("node", key)}
-            _tree_nodes(pulse, config, parts, lattice, float.fromhex(key), depth, wanted, table)
+            _tree_nodes(pulse, config, parts, float.fromhex(key), depth, wanted, table)
         for i, x, x_next in zip(index, xs, xs[1:]):
             np.add(x, x @ table[i], out=x_next)
         traces = np.add.reduce(xs[1:, :, 0, :dim], axis=2)
@@ -803,27 +831,31 @@ def gate_channel(
     """Quantum channel of one ungated pulse as a superoperator on vec(rho).
 
     phase rotates the drive IQ pair, giving gates about axes other than x;
-    it is applied to the parts, Lx' = c Lx + s Ly and Ly' = c Ly - s Lx, so
-    the drive samples are evolve's. The channel (row-major vec, as in
-    evolve) is the product of the RK4 steps of evolve's grid, so composing
-    channels reproduces evolve() gate by gate, up to rounding. It is the
-    root of _tree_nodes' tree at drive factor 1.0 on the rotated real
-    Liouvillian parts: each step's row-form propagator I + delta, multiplied
-    pairwise in delta form, with identity (zero-delta) leaves padding the
-    steps to a power of two, so the identity is added once at the end. The
-    real row-form product I + delta is returned as T^+ (I + delta)^T T.
+    it is applied to the parts, Lx' = c Lx + s Ly and Ly' = c Ly - s Lx, in
+    a new stack (the config's parts are built once and shared), so the
+    drive samples are evolve's. The channel (row-major vec, as in evolve)
+    is the product of the RK4 steps of evolve's grid, so composing channels
+    reproduces evolve() gate by gate, up to rounding. It is the root of
+    _tree_nodes' tree at drive factor 1.0 on the rotated real Liouvillian
+    parts: each step's row-form propagator I + delta, multiplied pairwise
+    in delta form, with identity (zero-delta) leaves padding the steps to a
+    power of two, so the identity is added once at the end. The tree's
+    stage weights are built once per (pulse, level count, step), whatever
+    the decay rates and phase, and L0 once per config, so a call rebuilds
+    neither. The real row-form product I + delta is returned as
+    T^+ (I + delta)^T T.
     Raises IntegrationError unless every entry is finite and the channel
     preserves trace to within _TRACE_TOL. Useful when the same gate is
     applied many times, e.g. in benchmarking sequences.
     """
-    lattice = _Grid(pulse.t_g, _resolve_dt(pulse, config), [None])
     basis, _ = _level_constants(config.levels)
-    parts = _real_liouvillian_parts(config)
+    l0, lx, ly, ln = _real_liouvillian_parts(config)
     c, s = math.cos(phase), math.sin(phase)
-    parts[1:3] = c * parts[1] + s * parts[2], c * parts[2] - s * parts[1]
-    depth = (lattice.n_max - 1).bit_length()  # 2**depth >= n_max leaves
+    parts = np.stack([l0, c * lx + s * ly, c * ly - s * lx, ln])
+    n = _lattice_steps(pulse.t_g, _resolve_dt(pulse, config))
+    depth = (n - 1).bit_length()  # 2**depth >= n leaves
     delta = np.empty((1, config.levels**2, config.levels**2))
-    _tree_nodes(pulse, config, parts, lattice, 1.0, depth, {(depth, 0): 0}, delta)
+    _tree_nodes(pulse, config, parts, 1.0, depth, {(depth, 0): 0}, delta)
     channel = basis.conj().T @ (np.eye(config.levels**2) + delta[0]).T @ basis
     vec_identity = np.eye(config.levels).reshape(-1)
     drift = float(np.abs(vec_identity @ channel - vec_identity).max())

@@ -237,6 +237,9 @@ def clifford_draws(lengths: Sequence[int], repeats: int, n_noises: int, seed: in
         _child_seed_words(root, len(lengths) * repeats).reshape(4, len(lengths), repeats) for root in roots
     ]
     bitgen = np.random.PCG64(0)
+    # one state dict, whose inner state and inc each child overwrites
+    pcg_state = {"state": 0, "inc": 0}
+    bitgen_state = {"bit_generator": "PCG64", "state": pcg_state, "has_uint32": 0, "uinteger": 0}
     draws = []
     for a, m in enumerate(lengths):
         rows = [row for root_words in seed_words for row in zip(*root_words[:, a].tolist())]
@@ -249,13 +252,9 @@ def clifford_draws(lengths: Sequence[int], repeats: int, n_noises: int, seed: in
             # two LCG steps from state 0, adding the seed state between them
             for row, (s_hi, s_lo, q_hi, q_lo) in enumerate(rows[start:start + step]):
                 inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128
-                state = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-                bitgen.state = {
-                    "bit_generator": "PCG64",
-                    "state": {"state": state, "inc": inc},
-                    "has_uint32": 0,
-                    "uinteger": 0,
-                }
+                pcg_state["state"] = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+                pcg_state["inc"] = inc
+                bitgen.state = bitgen_state
                 words[row] = bitgen.random_raw(words.shape[1])
             block = words[:len(rows) - start]
             halves = np.empty((len(block), 2 * block.shape[1]), dtype=np.uint64)

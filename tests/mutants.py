@@ -30,6 +30,7 @@ FITKIT = "src/cryomux/fitkit.py"
 RBENGINE = "src/cryomux/rbengine.py"
 NOISECALC = "src/cryomux/noisecalc.py"
 SCENARIOS = "src/cryomux/scenarios.py"
+CHAINMODEL = "src/cryomux/chainmodel.py"
 SWEEP = "tests/test_qubitsim.py::TestTdmSweep"
 CHANNEL = "tests/test_qubitsim.py::TestGateChannel"
 DRAWS = "tests/test_rbengine.py::TestCliffordDraws"
@@ -84,12 +85,39 @@ MUTANTS = [
     (
         "sign of gate_channel's phase rotation",
         QUBITSIM,
-        "c * parts[1] + s * parts[2], c * parts[2] - s * parts[1]",
-        "c * parts[1] - s * parts[2], c * parts[2] + s * parts[1]",
+        "c * lx + s * ly, c * ly - s * lx",
+        "c * lx - s * ly, c * ly + s * lx",
         [
             f"{CHANNEL}::test_phase_is_a_frame_rotation",
             "tests/test_rbengine.py::TestGeneratorChannels",
         ],
+    ),
+    (
+        "tree weights memo keyed without the step",
+        QUBITSIM,
+        "    weights = _tree_weights(pulse, config.levels, dt, level)\n",
+        '    any_step = type("AnyStep", (float,), {"__hash__": lambda self: 0, "__eq__": lambda self, other: True})\n'
+        "    weights = _tree_weights(pulse, config.levels, any_step(dt), level)\n",
+        [f"{CHANNEL}::test_memos_give_the_channels_built_cold"],
+    ),
+    (
+        "gate_channel rotating the shared parts in place",
+        QUBITSIM,
+        "    l0, lx, ly, ln = _real_liouvillian_parts(config)\n"
+        "    c, s = math.cos(phase), math.sin(phase)\n"
+        "    parts = np.stack([l0, c * lx + s * ly, c * ly - s * lx, ln])\n",
+        "    parts = _real_liouvillian_parts(config)\n"
+        "    parts.flags.writeable = True\n"
+        "    c, s = math.cos(phase), math.sin(phase)\n"
+        "    parts[1:3] = c * parts[1] + s * parts[2], c * parts[2] - s * parts[1]\n",
+        [f"{CHANNEL}::test_memos_give_the_channels_built_cold"],
+    ),
+    (
+        "modulator's time constant 1 % long",
+        CHAINMODEL,
+        "self._tau = rise_time * _RISE_TO_TAU",
+        "self._tau = 1.01 * rise_time * _RISE_TO_TAU",
+        [f"{SWEEP}::test_finite_rise_sweep_matches_closed_form"],
     ),
     (
         "split step on the previous segment's drive level",

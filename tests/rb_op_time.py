@@ -17,11 +17,17 @@ median milliseconds of the op and of its stages:
 
 The stages are read from time stamps that wrappers take around those calls.
 Each op is checked as the benchmark checks it. Last it prints the min and
-median milliseconds of CHANNEL_CALLS warm calls of one gate_channel at
+median milliseconds of CHANNEL_CALLS calls of one gate_channel at
 fig4a_rb's defaults (40 ns pulse, T1 30 us, T2* 12 us), the channel
-construction layer: a 2-level X90, like the 6 driven generator channels
-that each op builds per T2*, and a 3-level DRAG pi pulse, which no op
-builds. It only reports; the benchmark decides what passes.
+construction layer:
+- a 2-level X90, like the 6 driven generator channels that each op builds
+  per T2*, cold (its tree's stage weights and the config's Liouvillian
+  parts built anew, as a tree's first call builds them) and warm (both
+  read from their memo, as the op's other driven calls read them), and the
+  cold median less the warm one, the saving per warm call;
+- the 2-level idle, the one undriven generator;
+- a 3-level DRAG pi pulse, which no op builds, warm.
+It only reports; the benchmark decides what passes.
 
     python3 tests/rb_op_time.py
 
@@ -80,20 +86,26 @@ def op_stages(bench, i: int) -> list[float]:
 
 
 def channel_times() -> list[tuple[str, float, float]]:
-    """(label, min ms, median ms) of CHANNEL_CALLS warm gate_channel calls
-    of each channel."""
+    """(label, min ms, median ms) of CHANNEL_CALLS gate_channel calls of
+    each channel, with the memos cleared before each call when cold."""
     pi_pulse = qubitsim.calibrate_pi_pulse(40e-9)
+    x90 = dataclasses.replace(pi_pulse, amplitude=pi_pulse.amplitude / 2)
     noise = qubitsim.SimConfig.from_coherence(noisecalc.CoherenceRecord(30e-6, 12e-6, 12e-6))
     channels = (
-        ("2-level X90", dataclasses.replace(pi_pulse, amplitude=pi_pulse.amplitude / 2), noise),
-        ("3-level DRAG pi pulse", dataclasses.replace(pi_pulse, shape="cosine_drag"),
-         dataclasses.replace(noise, levels=3)),
+        ("2-level X90, cold", x90, noise, True),
+        ("2-level X90, warm", x90, noise, False),
+        ("2-level idle, warm", dataclasses.replace(pi_pulse, amplitude=0.0), noise, False),
+        ("3-level DRAG pi pulse, warm", dataclasses.replace(pi_pulse, shape="cosine_drag"),
+         dataclasses.replace(noise, levels=3), False),
     )
     rows = []
-    for label, pulse, config in channels:
+    for label, pulse, config, cold in channels:
         qubitsim.gate_channel(pulse, config)  # warm-up
         seconds = []
         for _ in range(CHANNEL_CALLS):
+            if cold:
+                qubitsim._tree_weights.cache_clear()
+                qubitsim._real_liouvillian_parts.cache_clear()
             start = time.perf_counter()
             qubitsim.gate_channel(pulse, config)
             seconds.append(time.perf_counter() - start)
@@ -122,12 +134,16 @@ def main() -> int:
     cells = " | ".join(f"{1e3 * statistics.median(column):.1f}" for column in columns)
     print(f"| fig4a_rb | {len(samples)} | {cells} |")
     print()
-    print(f"one gate_channel at fig4a_rb's defaults, {CHANNEL_CALLS} warm calls, ms")
+    print(f"one gate_channel at fig4a_rb's defaults, {CHANNEL_CALLS} calls, ms")
     print()
     print("| channel | min | median |")
     print("|---|---|---|")
-    for label, fastest, median in channel_times():
+    rows = channel_times()
+    for label, fastest, median in rows:
         print(f"| {label} | {fastest:.2f} | {median:.2f} |")
+    print()
+    saving = rows[0][2] - rows[1][2]
+    print(f"saving per warm 2-level X90 call (cold median - warm median): {saving:.2f} ms")
     return 0
 
 

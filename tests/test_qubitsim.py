@@ -226,6 +226,8 @@ class TestGateChannel:
             (basis @ part @ basis.conj().T).real.astype(np.longdouble)
             for part in qs._liouvillian_parts(config)
         )
+        # a pulse without DRAG drives Ly and Ln with zero
+        drive += (np.zeros_like(drive[0]),) * (3 - len(drive))
         wx, wy, wn = (w.astype(np.longdouble)[..., None, None] for w in drive)
         l_stages = l0 + wx * lx + wy * ly + wn * ln
         want = np.eye(levels**2, dtype=np.longdouble)
@@ -269,8 +271,13 @@ class TestGateChannel:
             return drive(pulse, config, t, ConstantModulator(math.nan))
 
         monkeypatch.setattr(qs, "_drive_waveforms", nan_modulated)
-        with pytest.raises(IntegrationError, match="trace-preserving"):
-            qs.gate_channel(pi_pulse)
+        # the tree weights are built afresh from the NaN drive, and not kept
+        qs._tree_weights.cache_clear()
+        try:
+            with pytest.raises(IntegrationError, match="trace-preserving"):
+                qs.gate_channel(pi_pulse)
+        finally:
+            qs._tree_weights.cache_clear()
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_hermitian_basis_gives_real_coordinates(self, levels):
@@ -325,7 +332,7 @@ class TestGateChannel:
         nodes = [(k, i) for k, level_nodes in enumerate(tree) for i in range(len(level_nodes))]
         out = np.full((len(nodes), *tree[0].shape[1:]), np.nan)
         wanted = {node: row for row, node in enumerate(nodes)}
-        qs._tree_nodes(pulse, config, parts, lattice, level, depth, wanted, out)
+        qs._tree_nodes(pulse, config, parts, level, depth, wanted, out)
         for (k, i), got in zip(nodes, out):
             assert np.array_equal(got, tree[k][i]), (k, i)
 
@@ -357,9 +364,48 @@ class TestGateChannel:
         # every node, each to a row of its own in shuffled order
         rows = np.random.default_rng(steps).permutation(len(nodes))
         out = np.full((len(nodes), *tree[0].shape[1:]), np.nan)
-        qs._tree_nodes(pulse, config, parts, lattice, level, depth, dict(zip(nodes, rows)), out)
+        qs._tree_nodes(pulse, config, parts, level, depth, dict(zip(nodes, rows)), out)
         for (k, i), row in zip(nodes, rows):
             assert np.array_equal(out[row], tree[k][i]), (k, i)
+
+    def test_memos_give_the_channels_built_cold(self):
+        """Channels built one after another in one process, reading the
+        tree weights and Liouvillian parts that earlier calls left in their
+        memos, have the bits of the same channels built right after both
+        memos are cleared: one pulse at phase 0.7 and then 0, at a second
+        step, at a second t_g, and a 3-level DRAG pulse. The memos hand out
+        read-only arrays."""
+        decay = qs.SimConfig(**self.CONFIG)
+        cases = [
+            (self.pulse("cosine"), decay, 0.7),
+            (self.pulse("cosine"), decay, 0.0),
+            (self.pulse("cosine"), qs.SimConfig(dt=T_G / 2002.5, **self.CONFIG), 0.0),
+            (qs.PulseSpec("cosine", 2 * T_G, math.pi / T_G), decay, 0.0),
+            (self.pulse("cosine_drag"), qs.SimConfig(levels=3, **self.CONFIG), 0.7),
+        ]
+
+        def clear():
+            qs._tree_weights.cache_clear()
+            qs._real_liouvillian_parts.cache_clear()
+
+        cold = []
+        for pulse, config, phase in cases:
+            clear()
+            cold.append(qs.gate_channel(pulse, config, phase=phase))
+        clear()
+        warm = [qs.gate_channel(pulse, config, phase=phase) for pulse, config, phase in cases]
+        assert qs._tree_weights.cache_info().hits > 0
+        assert qs._real_liouvillian_parts.cache_info().hits > 0
+        for case, want, got in zip(cases, cold, warm):
+            assert np.array_equal(got, want), case
+        for pulse, config, _ in cases:
+            dt = qs._resolve_dt(pulse, config)
+            memos = (
+                qs._tree_weights(pulse, config.levels, dt, 1.0),
+                qs._real_liouvillian_parts(config),
+                *qs._level_constants(config.levels),
+            )
+            assert not any(array.flags.writeable for array in memos)
 
 
 class TestValidation:
@@ -478,6 +524,46 @@ def gated_batch(mux, windows):
     return cm.EnvelopeModulator(schedules, "RF1", mux.rise_time), breakpoints
 
 
+def modulated_rabi_angle(window, pulse, floor, rise_time):
+    """Rotation angle of a resonant raised-cosine pulse gated through a
+    window centered on it, with first-order switching.
+
+    A 2-level cosine pulse drives only sigma_x/2, so without decay p_e =
+    sin^2(theta/2) with theta = amplitude * int_0^t_g env(t) m(t) dt, env =
+    (1 - cos(omega t))/2 and omega = 2 pi/t_g. The transmission m is the floor
+    until the window opens at t1 = (t_g - window)/2; there it relaxes
+    toward 1 from the floor, and from t2 = t1 + window back toward the
+    floor from the value it reached, each with tau = rise time/ln 9. On
+    each such piece m = level + (start - level) e^(-(t - t0)/tau), and the
+    integral of env times it is closed form.
+    """
+    t_g, omega = pulse.t_g, 2 * math.pi / pulse.t_g
+    tau = rise_time / math.log(9.0)
+    lam = 1.0 / tau
+    # (from, to, level, start, t0) of each piece of m
+    pieces = [(-math.inf, math.inf, floor, floor, 0.0)]
+    if window > 0.0:
+        t1 = (t_g - window) / 2
+        t2 = t1 + window
+        top = 1.0 + (floor - 1.0) * math.exp(-(t2 - t1) / tau)
+        pieces = [(-math.inf, t1, floor, floor, t1), (t1, t2, 1.0, floor, t1), (t2, math.inf, floor, top, t2)]
+
+    def env_integral(t):  # antiderivative of env
+        return t / 2 - math.sin(omega * t) / (2 * omega)
+
+    def env_exp_integral(t, t0):  # antiderivative of env(t) e^(-(t - t0)/tau)
+        e = math.exp(-(t - t0) / tau)
+        return -tau * e / 2 - e * (omega * math.sin(omega * t) - lam * math.cos(omega * t)) / (2 * (omega**2 + lam**2))
+
+    theta = 0.0
+    for lo, hi, level, start, t0 in pieces:
+        a, b = max(lo, 0.0), min(hi, t_g)
+        if a < b:
+            theta += level * (env_integral(b) - env_integral(a))
+            theta += (start - level) * (env_exp_integral(b, t0) - env_exp_integral(a, t0))
+    return pulse.amplitude * theta
+
+
 class TestTdmSweep:
     MUX = cm.MuxModel(isolation_db=30.0, rise_time=0.0)
 
@@ -573,6 +659,34 @@ class TestTdmSweep:
             theory = math.sin(qs.windowed_rabi_angle(w, T_G, floor) / 2) ** 2
             gaps.append(abs(final.population(1) - theory))
         assert max(gaps) <= bound, f"gap {max(gaps):.3g}"
+
+    # bounds are 10x the gaps measured under the default, Haswell BLAS and
+    # numpy AVX2 kernels, which agree to the last digit: 6.8e-13 and
+    # 5.6e-15 at 2.6 ns and 30 dB, 5.3e-12 and 1.9e-14 at 1.1 ns and 20 dB,
+    # RK4's h^4 truncation (256x smaller at t_g/8000) plus rounding
+    @pytest.mark.parametrize(
+        "rise_time, isolation_db, dt, bound",
+        [
+            (2.6e-9, 30.0, None, 6.8e-12),
+            (2.6e-9, 30.0, T_G / 8000, 5.6e-14),
+            (1.1e-9, 20.0, None, 5.3e-11),
+            (1.1e-9, 20.0, T_G / 8000, 1.9e-13),
+        ],
+        ids=["2.6ns_30dB_default_step", "2.6ns_30dB_t_g/8000", "1.1ns_20dB_default_step",
+             "1.1ns_20dB_t_g/8000"],
+    )
+    def test_finite_rise_sweep_matches_closed_form(self, rise_time, isolation_db, dt, bound):
+        """The decay-free 2-level sweep of fig4b_tdm's windows at a finite
+        rise time against sin^2(theta/2), theta the closed-form integral of
+        the modulated drive (modulated_rabi_angle)."""
+        pulse = qs.calibrate_pi_pulse(T_G, "cosine")
+        mux = cm.MuxModel(isolation_db=isolation_db, rise_time=rise_time)
+        theory = [
+            math.sin(modulated_rabi_angle(w, pulse, mux.floor_amplitude(), rise_time) / 2) ** 2
+            for w in self.SHIPPED_WINDOWS
+        ]
+        gap = np.max(np.abs(qs.tdm_sweep(self.SHIPPED_WINDOWS, mux, pulse, qs.SimConfig(dt=dt)) - theory))
+        assert gap <= bound, f"gap {gap:.3g}, bound {bound:.3g}"
 
     # ragged 3-decimal windows, whose edges split lattice steps, and the
     # windows that reduce to one tree root (0, t_g and 60 ns)
