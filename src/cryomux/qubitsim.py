@@ -36,7 +36,10 @@ while gate channels and _evolve_piecewise apply it to the identity
 _tree_nodes multiplies steps, pairwise in that delta form (_pair_products):
 it builds the leaves a block of at most _BLOCK_BYTES at a time, pairs each
 block down to _BLOCK_TOPS nodes and then the tops of all blocks in one
-climb. A gate channel is the root of its pulse's full-drive tree.
+climb. A gate channel is the root of its pulse's full-drive tree at drive
+phase 0 (_phase_free_channel, which keeps the last one); any other drive
+phase is a change of frame, which gate_channel applies to that channel
+entry by entry, so the phases of one pulse and config share one tree.
 
 Pulse corrections for leakage (derivative quadrature plus Stark-tracking
 detuning) are physical only when a third level exists; in a 2-level
@@ -466,10 +469,10 @@ def _tree_weights(pulse: PulseSpec, levels: int, dt: float, level: float) -> np.
     """Read-only stage weights (n, 3, 4) of the steps of the lattice of
     n = ceil(t_g/dt) steps under the constant drive factor level: the
     leaves of that tree. They depend on these four keys alone, not on the
-    decay rates (which enter through L0) or the drive phase (which
-    gate_channel rotates into the parts), so each is built once, on first
-    use. Under zero drive (pulse.amplitude * level == 0.0) every step is
-    the same, and only the first step's (1, 3, 4) are built."""
+    decay rates (which enter through L0) or the drive phase (a frame
+    rotation that gate_channel applies to the channel), so each is built
+    once, on first use. Under zero drive (pulse.amplitude * level == 0.0)
+    every step is the same, and only the first step's (1, 3, 4) are built."""
     lattice = _Grid(pulse.t_g, dt, [None])
     n = 1 if pulse.amplitude * level == 0.0 else lattice.n_max
     _, t_eval, h = lattice.block(0, n)
@@ -483,21 +486,34 @@ def _rk4_increment(x, a1, m_b, m_c):
     m_a, m_b and m_c, each (h/2) L^T at the step's start, midpoint and end,
     given its first stage a1 = x @ m_a: a_s = x_s @ m = (h/2) k_s on stage
     inputs x, x + a1, x + a2 and x + 2 a3, and the step adds
-    (a1 + a4 + 2 (a2 + a3)) / 3."""
-    a2 = (x + a1) @ m_b
-    a3 = (x + a2) @ m_b
-    a4 = (x + 2.0 * a3) @ m_c
-    return (a1 + a4 + 2.0 * (a2 + a3)) / 3.0
+    (a1 + a4 + 2 (a2 + a3)) / 3. One buffer holds each stage input in turn
+    and the sums are taken in a2 and a4, with the operations and order of
+    the plain expressions, so their bits."""
+    x_s = x + a1
+    a2 = x_s @ m_b
+    np.add(x, a2, out=x_s)
+    a3 = x_s @ m_b
+    np.multiply(2.0, a3, out=x_s)
+    np.add(x, x_s, out=x_s)
+    a4 = x_s @ m_c
+    a2 += a3
+    a2 *= 2.0
+    a4 += a1
+    a4 += a2
+    a4 /= 3.0
+    return a4
 
 
 def _step_deltas(weights, parts):
     """Row-form propagators less the identity, (n, D, D), of n RK4 steps
     from their stage weights (n, 3, 4): _rk4_increment on the identity,
     whose first stage I @ m_a is m_a itself and is taken as it is, with no
-    product. Every step is its own (3, 4) @ (4, D^2) and D x D products, so
-    its bits do not depend on how many steps are built at once."""
+    product. The stage operators come from one product of the weights,
+    stage by stage, with the parts, each entry a sum of 4 products; every
+    step's D x D products are its own, so its bits do not depend on how
+    many steps are built at once."""
     dim = math.isqrt(parts.shape[1])
-    m_a, m_b, m_c = (weights @ parts).reshape(len(weights), 3, dim, dim).swapaxes(0, 1)
+    m_a, m_b, m_c = np.matmul(weights.swapaxes(0, 1), parts).reshape(3, len(weights), dim, dim)
     return _rk4_increment(np.eye(dim), m_a, m_b, m_c)
 
 
@@ -506,7 +522,9 @@ def _pair_products(steps):
     steps: an earlier A and a later B give A + B + A @ B, the product
     (I + A)(I + B) less the identity."""
     earlier, later = steps[0::2], steps[1::2]
-    return earlier + later + earlier @ later
+    pairs = earlier + later
+    pairs += earlier @ later
+    return pairs
 
 
 def _final_states(x, basis, labels):
@@ -645,14 +663,14 @@ def _tree_nodes(pulse: PulseSpec, config: SimConfig, parts, level, depth: int, w
 
     The leaves are _step_deltas of the lattice's stage weights, which
     _tree_weights builds once per (pulse, level count, step, level) and
-    every tree on those keys shares, whatever its parts' decay rates or
-    drive phase. The deltas are built a block at a
-    time, the most leaves, a power of two up to 2**depth, that fit in
-    _BLOCK_BYTES; each block is paired down to _BLOCK_TOPS nodes before the
-    next is built, and then the tops of all blocks, side by side, are paired
-    up to the root in one climb. Either climb pairs the same nodes in the
-    same order as one climb over all the leaves would, and writes the
-    wanted nodes of every depth it passes, so only those are kept.
+    every tree on those keys shares, whatever its parts' decay rates. The
+    deltas are built a block at a time, the most leaves, a power of two up
+    to 2**depth, that fit in _BLOCK_BYTES; each block is paired down to
+    _BLOCK_TOPS nodes before the next is built, and then the tops of all
+    blocks, side by side, are paired up to the root in one climb. Either
+    climb pairs the same nodes in the same order as one climb over all the
+    leaves would, and writes the wanted nodes of every depth it passes, so
+    only those are kept.
 
     Under zero drive (pulse.amplitude * level == 0.0) every lattice step is
     the same, so a node is full ((i + 1) 2^k <= n), empty (the
@@ -822,6 +840,28 @@ def evolve(
     return final
 
 
+@lru_cache(maxsize=1)
+def _phase_free_channel(pulse: PulseSpec, config: SimConfig) -> np.ndarray:
+    """Read-only channel of the pulse at drive phase 0 under config, on
+    row-major vec(rho): the root of _tree_nodes' tree at drive factor 1.0 on
+    the real Liouvillian parts, each step's row-form propagator I + delta
+    multiplied pairwise in delta form, with identity (zero-delta) leaves
+    padding the steps to a power of two, so the identity is added once at
+    the end, returned as T^+ (I + delta)^T T.
+
+    Only the last pair is kept: gate_channel's callers ask for one pulse's
+    phases one after another (a generator family), and every call rotates
+    this same array, so a hit or a miss changes no bit of any channel."""
+    basis, _ = _level_constants(config.levels)
+    n = _lattice_steps(pulse.t_g, _resolve_dt(pulse, config))
+    depth = (n - 1).bit_length()  # 2**depth >= n leaves
+    delta = np.empty((1, config.levels**2, config.levels**2))
+    _tree_nodes(pulse, config, _real_liouvillian_parts(config), 1.0, depth, {(depth, 0): 0}, delta)
+    channel = basis.conj().T @ (np.eye(config.levels**2) + delta[0]).T @ basis
+    channel.flags.writeable = False
+    return channel
+
+
 def gate_channel(
     pulse: PulseSpec,
     config: SimConfig = SimConfig(),
@@ -830,33 +870,29 @@ def gate_channel(
 ) -> np.ndarray:
     """Quantum channel of one ungated pulse as a superoperator on vec(rho).
 
-    phase rotates the drive IQ pair, giving gates about axes other than x;
-    it is applied to the parts, Lx' = c Lx + s Ly and Ly' = c Ly - s Lx, in
-    a new stack (the config's parts are built once and shared), so the
-    drive samples are evolve's. The channel (row-major vec, as in evolve)
-    is the product of the RK4 steps of evolve's grid, so composing channels
-    reproduces evolve() gate by gate, up to rounding. It is the root of
-    _tree_nodes' tree at drive factor 1.0 on the rotated real Liouvillian
-    parts: each step's row-form propagator I + delta, multiplied pairwise
-    in delta form, with identity (zero-delta) leaves padding the steps to a
-    power of two, so the identity is added once at the end. The tree's
-    stage weights are built once per (pulse, level count, step), whatever
-    the decay rates and phase, and L0 once per config, so a call rebuilds
-    neither. The real row-form product I + delta is returned as
-    T^+ (I + delta)^T T.
+    The channel (row-major vec, as in evolve) is the product of the RK4
+    steps of evolve's grid and drive samples, so composing channels
+    reproduces evolve() gate by gate, up to rounding. Its tree
+    (_phase_free_channel) is integrated at drive phase 0 only. phase
+    rotates the drive IQ pair, giving gates about axes other than x, and a
+    drive phase is a change of frame: G(phase) = Z G(0) Z^+ with
+    Z = U kron U* and U = diag(exp(i phase k)), which for a diagonal Z is
+    the elementwise z_j G(0)_jk z_k*. Each call returns that rotation in a
+    new array (at phase 0, a copy). The tree's stage weights are built once
+    per (pulse, level count, step), whatever the decay rates, L0 once per
+    config, and the last pulse and config's phase-0 channel is kept, so a
+    call for another phase of it integrates nothing.
     Raises IntegrationError unless every entry is finite and the channel
     preserves trace to within _TRACE_TOL. Useful when the same gate is
     applied many times, e.g. in benchmarking sequences.
     """
-    basis, _ = _level_constants(config.levels)
-    l0, lx, ly, ln = _real_liouvillian_parts(config)
-    c, s = math.cos(phase), math.sin(phase)
-    parts = np.stack([l0, c * lx + s * ly, c * ly - s * lx, ln])
-    n = _lattice_steps(pulse.t_g, _resolve_dt(pulse, config))
-    depth = (n - 1).bit_length()  # 2**depth >= n leaves
-    delta = np.empty((1, config.levels**2, config.levels**2))
-    _tree_nodes(pulse, config, parts, 1.0, depth, {(depth, 0): 0}, delta)
-    channel = basis.conj().T @ (np.eye(config.levels**2) + delta[0]).T @ basis
+    channel = _phase_free_channel(pulse, config)
+    if phase == 0.0:
+        channel = channel.copy()
+    else:
+        u = np.exp(1j * phase * np.arange(config.levels))
+        z = np.outer(u, u.conj()).reshape(-1)  # U kron U*'s diagonal
+        channel = z[:, None] * channel * z.conj()[None, :]
     vec_identity = np.eye(config.levels).reshape(-1)
     drift = float(np.abs(vec_identity @ channel - vec_identity).max())
     if not (np.isfinite(channel).all() and drift <= _TRACE_TOL):

@@ -4,20 +4,22 @@ The 24-element Clifford group is shipped as a literal decomposition table
 over the physical generator set {I, +-X90, +-Y90, X180, Y180} (45 generator
 gates in total, MEAN_GENERATOR_COUNT = 1.875 per Clifford) and verified by
 the test suite rather than asserted. A run takes a list of noise records
-(one per T2* of Fig. 4a); for each it integrates every generator's channel
-once from the pulse simulator and composes the 24 Clifford channels. By
-linearity a sequence's survival is their product applied to the ground
-state. The channels act on real coordinates in a Hermitian operator basis,
-and the run is one pass: every sequence of every length and noise advances
-in one loop over pairs of Clifford positions, in which the sequences still
-running take one batched step by the product of their pair, each with its
-own noise's channels (a segment of odd length takes its last position
-alone), and a length's sequences take their recovery element when they end.
-Noise i draws its sequences from SeedSequence(seed + i), so its survivals
-are those of a one-noise run at seed + i. Each sequence's Cliffords are
-numpy's integers(0, 24) from default_rng of its own spawned child, which
-clifford_draws computes for all children at once from their spawn keys,
-bit for bit, without a generator per sequence.
+(one per T2* of Fig. 4a); for each it takes every generator's channel from
+the pulse simulator, which integrates only the idle, X90 and X180 and gives
+X90m, Y90, Y90m and Y180 by rotating the drive phase of the X90 or X180 it
+has just integrated, and composes the 24 Clifford channels. By linearity a
+sequence's survival is their product applied to the ground state. The
+channels act on real coordinates in a Hermitian operator basis, and the run
+is one pass: every sequence of every length and noise advances in one loop
+over pairs of Clifford positions, in which the sequences still running take
+one batched step by the product of their pair, each with its own noise's
+channels (a segment of odd length takes its last position alone), and a
+length's sequences take their recovery element when they end. Noise i draws
+its sequences from SeedSequence(seed + i), so its survivals are those of a
+one-noise run at seed + i. Each sequence's Cliffords are numpy's
+integers(0, 24) from default_rng of its own spawned child, which
+clifford_draws computes for all children at once from their spawn keys, bit
+for bit, without a generator per sequence.
 """
 from __future__ import annotations
 
@@ -277,6 +279,8 @@ def generator_channels(
 
     `pulse` is the calibrated pi pulse; 90-degree gates use half amplitude,
     the identity is an idle of the same duration (decay still applies).
+    Each 90- and 180-degree family is asked for in turn, phase 0 first, so
+    gate_channel integrates one tree per family and rotates the others.
     """
     channels = {}
     for name, (angle_frac, phase) in _GENERATOR_DRIVE.items():

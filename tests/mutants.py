@@ -40,9 +40,16 @@ MUTANTS = [
     (
         "reversed _pair_products order",
         QUBITSIM,
-        "return earlier + later + earlier @ later",
-        "return earlier + later + later @ earlier",
+        "pairs += earlier @ later",
+        "pairs += later @ earlier",
         [f"{CHANNEL}::test_matches_evolve_batch"],
+    ),
+    (
+        "RK4 stage buffer not reset to x before the third stage",
+        QUBITSIM,
+        "np.add(x, a2, out=x_s)",
+        "x_s += a2",
+        [f"{CHANNEL}::test_matches_longdouble_steps"],
     ),
     (
         "non-identity padding leaves",
@@ -83,10 +90,10 @@ MUTANTS = [
         ],
     ),
     (
-        "sign of gate_channel's phase rotation",
+        "gate_channel's phase rotation by the conjugate of U",
         QUBITSIM,
-        "c * lx + s * ly, c * ly - s * lx",
-        "c * lx - s * ly, c * ly + s * lx",
+        "u = np.exp(1j * phase * np.arange(config.levels))",
+        "u = np.exp(-1j * phase * np.arange(config.levels))",
         [
             f"{CHANNEL}::test_phase_is_a_frame_rotation",
             "tests/test_rbengine.py::TestGeneratorChannels",
@@ -101,16 +108,33 @@ MUTANTS = [
         [f"{CHANNEL}::test_memos_give_the_channels_built_cold"],
     ),
     (
-        "gate_channel rotating the shared parts in place",
+        "gate_channel rotating the memo's channel in place",
         QUBITSIM,
-        "    l0, lx, ly, ln = _real_liouvillian_parts(config)\n"
-        "    c, s = math.cos(phase), math.sin(phase)\n"
-        "    parts = np.stack([l0, c * lx + s * ly, c * ly - s * lx, ln])\n",
-        "    parts = _real_liouvillian_parts(config)\n"
-        "    parts.flags.writeable = True\n"
-        "    c, s = math.cos(phase), math.sin(phase)\n"
-        "    parts[1:3] = c * parts[1] + s * parts[2], c * parts[2] - s * parts[1]\n",
+        "        channel = z[:, None] * channel * z.conj()[None, :]\n",
+        "        channel.flags.writeable = True\n"
+        "        channel *= z[:, None]\n"
+        "        channel *= z.conj()[None, :]\n"
+        "        channel = channel.copy()\n",
         [f"{CHANNEL}::test_memos_give_the_channels_built_cold"],
+    ),
+    (
+        "phase-0 channel memo keyed on the pulse alone",
+        QUBITSIM,
+        "@lru_cache(maxsize=1)\ndef _phase_free_channel(",
+        "def _pulse_keyed(build):\n"
+        "    passed = {}\n"
+        "    memo = lru_cache(maxsize=1)(lambda pulse: build(pulse, passed['config']))\n"
+        "\n"
+        "    def call(pulse, config):\n"
+        "        passed['config'] = config\n"
+        "        return memo(pulse)\n"
+        "\n"
+        "    call.cache_clear, call.cache_info = memo.cache_clear, memo.cache_info\n"
+        "    return call\n"
+        "\n"
+        "\n"
+        "@_pulse_keyed\ndef _phase_free_channel(",
+        [f"{CHANNEL}::test_channel_does_not_depend_on_call_history"],
     ),
     (
         "modulator's time constant 1 % long",

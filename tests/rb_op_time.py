@@ -7,8 +7,10 @@ median milliseconds of the op and of its stages:
 
 - calibration: from the op's start to calibrate_pi_pulse's return (the
   parameter checks, the config hash and the calibration evolve);
-- channels: the 21 generator channel builds, with the Clifford channels and
-  pair tables composed from them (up to clifford_draws' call);
+- channels: the 21 generator channel calls (9 tree builds: each T2*'s
+  idle, X90 and X180; the other phases are rotations of the X90 or X180
+  channel just built), with the Clifford channels and pair tables
+  composed from them (up to clifford_draws' call);
 - draws: clifford_draws, the 2,400 sequences' Clifford draws;
 - positions: the loop over Clifford positions with each length's recovery
   (up to run_rb's return);
@@ -20,13 +22,17 @@ Each op is checked as the benchmark checks it. Last it prints the min and
 median milliseconds of CHANNEL_CALLS calls of one gate_channel at
 fig4a_rb's defaults (40 ns pulse, T1 30 us, T2* 12 us), the channel
 construction layer:
-- a 2-level X90, like the 6 driven generator channels that each op builds
-  per T2*, cold (its tree's stage weights and the config's Liouvillian
-  parts built anew, as a tree's first call builds them) and warm (both
-  read from their memo, as the op's other driven calls read them), and the
-  cold median less the warm one, the saving per warm call;
+- a 2-level X90, like the 2 driven tree builds that each op makes per
+  T2*, cold (its tree's stage weights and the config's Liouvillian parts
+  built anew, as a tree's first call builds them) and warm (both read from
+  their memo, as the op's other driven builds read them), and the cold
+  median less the warm one, the saving per warm call;
+- a 2-level Y90 right after the X90, rotated from the X90's phase-0
+  channel with no tree built, as 4 of each T2*'s 7 calls are;
 - the 2-level idle, the one undriven generator;
 - a 3-level DRAG pi pulse, which no op builds, warm.
+Every row but the rotated one clears the phase-0 channel memo before each
+call, so that it times a tree build.
 It only reports; the benchmark decides what passes.
 
     python3 tests/rb_op_time.py
@@ -34,6 +40,7 @@ It only reports; the benchmark decides what passes.
 pytest does not collect this file (its name does not start with test_).
 """
 import dataclasses
+import math
 import statistics
 import sys
 import tempfile
@@ -87,27 +94,30 @@ def op_stages(bench, i: int) -> list[float]:
 
 def channel_times() -> list[tuple[str, float, float]]:
     """(label, min ms, median ms) of CHANNEL_CALLS gate_channel calls of
-    each channel, with the memos cleared before each call when cold."""
+    each channel, with the memos that its row names cleared before each
+    call."""
     pi_pulse = qubitsim.calibrate_pi_pulse(40e-9)
     x90 = dataclasses.replace(pi_pulse, amplitude=pi_pulse.amplitude / 2)
     noise = qubitsim.SimConfig.from_coherence(noisecalc.CoherenceRecord(30e-6, 12e-6, 12e-6))
+    channel = qubitsim._phase_free_channel
+    cold = (channel, qubitsim._tree_weights, qubitsim._real_liouvillian_parts)
     channels = (
-        ("2-level X90, cold", x90, noise, True),
-        ("2-level X90, warm", x90, noise, False),
-        ("2-level idle, warm", dataclasses.replace(pi_pulse, amplitude=0.0), noise, False),
+        ("2-level X90, cold", x90, noise, 0.0, cold),
+        ("2-level X90, warm", x90, noise, 0.0, (channel,)),
+        ("2-level Y90 after X90 (rotated)", x90, noise, math.pi / 2.0, ()),
+        ("2-level idle, warm", dataclasses.replace(pi_pulse, amplitude=0.0), noise, 0.0, (channel,)),
         ("3-level DRAG pi pulse, warm", dataclasses.replace(pi_pulse, shape="cosine_drag"),
-         dataclasses.replace(noise, levels=3), False),
+         dataclasses.replace(noise, levels=3), 0.0, (channel,)),
     )
     rows = []
-    for label, pulse, config, cold in channels:
+    for label, pulse, config, phase, memos in channels:
         qubitsim.gate_channel(pulse, config)  # warm-up
         seconds = []
         for _ in range(CHANNEL_CALLS):
-            if cold:
-                qubitsim._tree_weights.cache_clear()
-                qubitsim._real_liouvillian_parts.cache_clear()
+            for memo in memos:
+                memo.cache_clear()
             start = time.perf_counter()
-            qubitsim.gate_channel(pulse, config)
+            qubitsim.gate_channel(pulse, config, phase=phase)
             seconds.append(time.perf_counter() - start)
         rows.append((label, 1e3 * min(seconds), 1e3 * statistics.median(seconds)))
     return rows

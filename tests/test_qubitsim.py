@@ -246,15 +246,52 @@ class TestGateChannel:
     @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
     def test_phase_is_a_frame_rotation(self, levels, shape):
         """A drive phase phi rotates the frame: G(phi) = Z(-phi) G(0) Z(-phi)^+
-        with Z(phi) = U kron U* and U = diag(exp(-i phi k))."""
+        with Z(phi) = U kron U* and U = diag(exp(-i phi k)). gate_channel
+        applies this rotation to its phase-0 channel; the reference instead
+        integrates the tree on the rotated drive parts, Lx' = c Lx + s Ly
+        and Ly' = c Ly - s Lx, and maps its root back to vec(rho)."""
         config = qs.SimConfig(levels=levels, **self.CONFIG)
         pulse = self.pulse(shape)
         phase = 0.7
         u = np.diag(np.exp(1j * phase * np.arange(levels)))  # U(-phase)
         z = np.kron(u, u.conj())
         rotated = z @ qs.gate_channel(pulse, config) @ z.conj().T
+        got = qs.gate_channel(pulse, config, phase=phase)
+        # measured gap: 2.8e-17 at 2 levels, 1.6e-16 at 3 levels
+        assert np.max(np.abs(got - rotated)) <= 1e-13
+        l0, lx, ly, ln = qs._real_liouvillian_parts(config)
+        c, s = math.cos(phase), math.sin(phase)
+        parts = np.stack([l0, c * lx + s * ly, c * ly - s * lx, ln])
+        depth = (qs._lattice_steps(T_G, qs._resolve_dt(pulse, config)) - 1).bit_length()
+        delta = np.empty((1, levels**2, levels**2))
+        qs._tree_nodes(pulse, config, parts, 1.0, depth, {(depth, 0): 0}, delta)
+        basis = qs._hermitian_basis(levels)
+        want = basis.conj().T @ (np.eye(levels**2) + delta[0]).T @ basis
         # measured gap: 3.3e-16 at 2 levels, 1.8e-15 at 3 levels
-        assert np.max(np.abs(qs.gate_channel(pulse, config, phase=phase) - rotated)) <= 1e-13
+        assert np.max(np.abs(got - want)) <= 1e-13
+
+    @pytest.mark.parametrize("phase", [0.0, math.pi / 2, 0.7])
+    @pytest.mark.parametrize("levels, shape", [(2, "cosine"), (3, "cosine_drag")])
+    def test_channel_does_not_depend_on_call_history(self, levels, shape, phase):
+        """A channel has the same bits built cold (every memo cleared),
+        right after another phase of the same pulse and config, and right
+        after the same pulse under another config."""
+        config = qs.SimConfig(levels=levels, **self.CONFIG)
+        pulse = self.pulse(shape)
+
+        def after(*first):
+            qs._phase_free_channel.cache_clear()
+            qs._tree_weights.cache_clear()
+            qs._real_liouvillian_parts.cache_clear()
+            for first_config, first_phase in first:
+                qs.gate_channel(pulse, first_config, phase=first_phase)
+            return qs.gate_channel(pulse, config, phase=phase)
+
+        cold = after()
+        other_phase = after((config, math.pi - phase))
+        other_config = after((qs.SimConfig(levels=levels, t1=10e-6), phase))
+        assert other_phase.tobytes() == cold.tobytes()
+        assert other_config.tobytes() == cold.tobytes()
 
     @pytest.mark.parametrize("levels, shape, bound", [(2, "cosine", 1e-12), (3, "cosine_drag", 2e-7)])
     def test_converges_to_finer_step(self, levels, shape, bound):
@@ -271,13 +308,16 @@ class TestGateChannel:
             return drive(pulse, config, t, ConstantModulator(math.nan))
 
         monkeypatch.setattr(qs, "_drive_waveforms", nan_modulated)
-        # the tree weights are built afresh from the NaN drive, and not kept
+        # the tree weights and channel are built afresh from the NaN drive,
+        # and not kept
         qs._tree_weights.cache_clear()
+        qs._phase_free_channel.cache_clear()
         try:
             with pytest.raises(IntegrationError, match="trace-preserving"):
                 qs.gate_channel(pi_pulse)
         finally:
             qs._tree_weights.cache_clear()
+            qs._phase_free_channel.cache_clear()
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_hermitian_basis_gives_real_coordinates(self, levels):
@@ -370,15 +410,17 @@ class TestGateChannel:
 
     def test_memos_give_the_channels_built_cold(self):
         """Channels built one after another in one process, reading the
-        tree weights and Liouvillian parts that earlier calls left in their
-        memos, have the bits of the same channels built right after both
-        memos are cleared: one pulse at phase 0.7 and then 0, at a second
-        step, at a second t_g, and a 3-level DRAG pulse. The memos hand out
-        read-only arrays."""
+        tree weights, Liouvillian parts and phase-0 channel that earlier
+        calls left in their memos, have the bits of the same channels built
+        right after all three memos are cleared: one pulse at phase 0.7 and
+        then 0, under a second config at the same step, at a second step, at
+        a second t_g, and a 3-level DRAG pulse. The memos hand out read-only
+        arrays."""
         decay = qs.SimConfig(**self.CONFIG)
         cases = [
             (self.pulse("cosine"), decay, 0.7),
             (self.pulse("cosine"), decay, 0.0),
+            (self.pulse("cosine"), qs.SimConfig(t1=10e-6), 0.0),
             (self.pulse("cosine"), qs.SimConfig(dt=T_G / 2002.5, **self.CONFIG), 0.0),
             (qs.PulseSpec("cosine", 2 * T_G, math.pi / T_G), decay, 0.0),
             (self.pulse("cosine_drag"), qs.SimConfig(levels=3, **self.CONFIG), 0.7),
@@ -387,6 +429,7 @@ class TestGateChannel:
         def clear():
             qs._tree_weights.cache_clear()
             qs._real_liouvillian_parts.cache_clear()
+            qs._phase_free_channel.cache_clear()
 
         cold = []
         for pulse, config, phase in cases:
@@ -396,6 +439,7 @@ class TestGateChannel:
         warm = [qs.gate_channel(pulse, config, phase=phase) for pulse, config, phase in cases]
         assert qs._tree_weights.cache_info().hits > 0
         assert qs._real_liouvillian_parts.cache_info().hits > 0
+        assert qs._phase_free_channel.cache_info().hits > 0
         for case, want, got in zip(cases, cold, warm):
             assert np.array_equal(got, want), case
         for pulse, config, _ in cases:
@@ -403,6 +447,7 @@ class TestGateChannel:
             memos = (
                 qs._tree_weights(pulse, config.levels, dt, 1.0),
                 qs._real_liouvillian_parts(config),
+                qs._phase_free_channel(pulse, config),
                 *qs._level_constants(config.levels),
             )
             assert not any(array.flags.writeable for array in memos)
