@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import rb_oracle
+
 from cryomux import qubitsim as qs
 from cryomux import rbengine as rb
 from cryomux.errors import ConfigError, FitError
@@ -295,6 +297,52 @@ class TestRunRb:
             fitted.append(result.f_1q)
             errors.append(result.f_1q_stderr)
         assert abs(np.mean(fitted) - predicted) <= np.mean(errors)
+
+
+class TestExactOracle:
+    """run_rb and fit_rb against the exact mean survival of rb_oracle, at
+    fig4a_rb's defaults (T1 30 us, lengths 2 to 256) unless a test says
+    otherwise. Bounds are 10x the measured gaps."""
+
+    LENGTHS = [2, 4, 8, 16, 32, 64, 128, 256]
+
+    @staticmethod
+    def noise(t2_star, t1=30e-6):
+        return CoherenceRecord(t1=t1, t2_star=t2_star, t2_echo=t2_star)
+
+    @pytest.mark.parametrize(
+        "t2_star, bound", [(6e-6, 4.5e-9), (12e-6, 5.8e-10), (25e-6, 7.6e-11)]
+    )
+    def test_fitted_decay_is_the_second_eigenvalue(self, pi_pulse, t2_star, bound):
+        """The fit of the exact curve gives |lambda_2(T)|: measured gaps
+        4.5e-10, 5.8e-11 and 7.6e-12 at T2* 6, 12 and 25 us."""
+        cliffords = rb_oracle.clifford_channels(pi_pulse, self.noise(t2_star))
+        exact = rb_oracle.expected_survival(self.LENGTHS, cliffords)
+        gap = abs(rb.fit_rb(self.LENGTHS, exact).p - rb_oracle.decay_eigenvalue(cliffords))
+        assert gap <= bound, f"|p - |lambda_2|| = {gap:.3g} > {bound:.3g}"
+
+    def test_pure_dephasing_meets_the_white_noise_model(self, pi_pulse):
+        """With pure dephasing at T2* = 10 us, criterion 5's case, the exact
+        f_1q sits +4.0e-6 from the k1 = t_g/3 prediction, with no sampling
+        error."""
+        t2, lengths = 10e-6, [*self.LENGTHS, 400]
+        cliffords = rb_oracle.clifford_channels(pi_pulse, self.noise(t2, t1=1e6))
+        exact = rb.fit_rb(lengths, rb_oracle.expected_survival(lengths, cliffords)).f_1q
+        gap = exact - rb.coherence_limited_fidelity(T_G, 1e6, t2, 2e6, k1=T_G / 3.0)
+        assert abs(gap) <= 4.0e-5, f"exact f_1q - white-noise prediction = {gap:.3g}"
+
+    def test_run_rb_means_are_unbiased(self, pi_pulse):
+        """Over 20 seeds (one run with the noise 20 times: row i is seed
+        i's), each length's mean survival lies within 4 sigma of the exact
+        value, sigma being the standard error of the 20 seeds' means."""
+        noise = self.noise(6e-6)
+        exact = rb_oracle.expected_survival(
+            self.LENGTHS, rb_oracle.clifford_channels(pi_pulse, noise)
+        )
+        _, survivals = rb.run_rb(self.LENGTHS, 20, [noise] * 20, pi_pulse, seed=0)
+        sigma = survivals.std(axis=0, ddof=1) / math.sqrt(len(survivals))
+        z = (survivals.mean(axis=0) - exact) / sigma
+        assert np.max(np.abs(z)) <= 4.0, f"z-scores by length: {np.round(z, 2)}"
 
 
 class TestFitRb:
