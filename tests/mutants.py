@@ -33,7 +33,7 @@ SCENARIOS = "src/cryomux/scenarios.py"
 CHAINMODEL = "src/cryomux/chainmodel.py"
 SWEEP = "tests/test_qubitsim.py::TestTdmSweep"
 CHANNEL = "tests/test_qubitsim.py::TestGateChannel"
-DRAWS = "tests/test_rbengine.py::TestCliffordDraws"
+ORACLE = "tests/test_rbengine.py::TestExactOracle"
 
 # (name, file, old text, new text, test selection)
 MUTANTS = [
@@ -218,27 +218,18 @@ MUTANTS = [
         ["tests/test_rbengine.py::TestSequences::test_net_cliffords_equal_the_left_fold"],
     ),
     (
-        "RB draw word's high half drawn first",
+        "every noise draws from default_rng(seed)",
         RBENGINE,
-        "halves[:, 0::2] = block & _MASK32  # PCG64's next32 hands out the low half first\n"
-        "            halves[:, 1::2] = block >> 32",
-        "halves[:, 0::2] = block >> 32\n"
-        "            halves[:, 1::2] = block & _MASK32",
-        [f"{DRAWS}::test_equal_numpy_streams"],
+        "rng = np.random.default_rng(seed + i)",
+        "rng = np.random.default_rng(seed)",
+        ["tests/test_rbengine.py::TestRunRb::test_each_noise_row_equals_a_one_noise_call"],
     ),
     (
-        "PCG64 increment left even",
+        "RB draws never the identity",
         RBENGINE,
-        "inc = ((q_hi << 64 | q_lo) << 1 | 1) & _MASK128",
-        "inc = ((q_hi << 64 | q_lo) << 1) & _MASK128",
-        [f"{DRAWS}::test_equal_numpy_streams"],
-    ),
-    (
-        "redrawn RB row without its block offset",
-        RBENGINE,
-        "for row in start + np.flatnonzero(",
-        "for row in np.flatnonzero(",
-        [f"{DRAWS}::test_redrawn_rows_equal_numpy_streams"],
+        "rng.integers(\n                0, len(CLIFFORD_DECOMPOSITIONS)",
+        "rng.integers(\n                1, len(CLIFFORD_DECOMPOSITIONS)",
+        [f"{ORACLE}::test_run_rb_means_are_unbiased"],
     ),
     (
         "dephasing rate without its ratio-first fallback",

@@ -11,7 +11,8 @@ median milliseconds of the op and of its stages:
   idle, X90 and X180; the other phases are rotations of the X90 or X180
   channel just built), with the Clifford channels and pair tables
   composed from them (up to clifford_draws' call);
-- draws: clifford_draws, the 2,400 sequences' Clifford draws;
+- draws: clifford_draws, the 2,400 sequences' Clifford draws (one
+  generator per T2*);
 - positions: the loop over Clifford positions with each length's recovery
   (up to run_rb's return);
 - fits: fit_rb and the model for each T2*, up to the runner's return;
@@ -23,16 +24,17 @@ median milliseconds of CHANNEL_CALLS calls of one gate_channel at
 fig4a_rb's defaults (40 ns pulse, T1 30 us, T2* 12 us), the channel
 construction layer:
 - a 2-level X90, like the 2 driven tree builds that each op makes per
-  T2*, cold (its tree's stage weights and the config's Liouvillian parts
-  built anew, as a tree's first call builds them) and warm (both read from
-  their memo, as the op's other driven builds read them), and the cold
-  median less the warm one, the saving per warm call;
+  T2*, cold (every qubitsim memo cleared, so its tree's stage weights and
+  the config's Liouvillian parts are built anew, as a tree's first call
+  builds them) and warm (both read from their memo, as the op's other
+  driven builds read them), and the cold median less the warm one, the
+  saving per warm call;
 - a 2-level Y90 right after the X90, rotated from the X90's phase-0
   channel with no tree built, as 4 of each T2*'s 7 calls are;
 - the 2-level idle, the one undriven generator;
 - a 3-level DRAG pi pulse, which no op builds, warm.
-Every row but the rotated one clears the phase-0 channel memo before each
-call, so that it times a tree build.
+The warm rows clear the phase-0 channel memo before each call, so that
+they time a tree build.
 It only reports; the benchmark decides what passes.
 
     python3 tests/rb_op_time.py
@@ -57,6 +59,7 @@ run.load_cryomux()
 import workloads  # noqa: E402
 
 from cryomux import noisecalc, qubitsim, rbengine, scenarios  # noqa: E402
+from memos import clear_qubitsim_memos  # noqa: E402
 
 SEED = 901
 OPS = 15
@@ -94,28 +97,25 @@ def op_stages(bench, i: int) -> list[float]:
 
 def channel_times() -> list[tuple[str, float, float]]:
     """(label, min ms, median ms) of CHANNEL_CALLS gate_channel calls of
-    each channel, with the memos that its row names cleared before each
-    call."""
+    each channel, with its row's memo clearing run before each call."""
     pi_pulse = qubitsim.calibrate_pi_pulse(40e-9)
     x90 = dataclasses.replace(pi_pulse, amplitude=pi_pulse.amplitude / 2)
     noise = qubitsim.SimConfig.from_coherence(noisecalc.CoherenceRecord(30e-6, 12e-6, 12e-6))
-    channel = qubitsim._phase_free_channel
-    cold = (channel, qubitsim._tree_weights, qubitsim._real_liouvillian_parts)
+    warm = qubitsim._phase_free_channel.cache_clear
     channels = (
-        ("2-level X90, cold", x90, noise, 0.0, cold),
-        ("2-level X90, warm", x90, noise, 0.0, (channel,)),
-        ("2-level Y90 after X90 (rotated)", x90, noise, math.pi / 2.0, ()),
-        ("2-level idle, warm", dataclasses.replace(pi_pulse, amplitude=0.0), noise, 0.0, (channel,)),
+        ("2-level X90, cold", x90, noise, 0.0, clear_qubitsim_memos),
+        ("2-level X90, warm", x90, noise, 0.0, warm),
+        ("2-level Y90 after X90 (rotated)", x90, noise, math.pi / 2.0, lambda: None),
+        ("2-level idle, warm", dataclasses.replace(pi_pulse, amplitude=0.0), noise, 0.0, warm),
         ("3-level DRAG pi pulse, warm", dataclasses.replace(pi_pulse, shape="cosine_drag"),
-         dataclasses.replace(noise, levels=3), 0.0, (channel,)),
+         dataclasses.replace(noise, levels=3), 0.0, warm),
     )
     rows = []
-    for label, pulse, config, phase, memos in channels:
+    for label, pulse, config, phase, clear in channels:
         qubitsim.gate_channel(pulse, config)  # warm-up
         seconds = []
         for _ in range(CHANNEL_CALLS):
-            for memo in memos:
-                memo.cache_clear()
+            clear()
             start = time.perf_counter()
             qubitsim.gate_channel(pulse, config, phase=phase)
             seconds.append(time.perf_counter() - start)

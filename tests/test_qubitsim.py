@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from decay_traces import synth_decay_trace
+from memos import clear_qubitsim_memos
 
 from cryomux import chainmodel as cm
 from cryomux import qubitsim as qs
@@ -280,9 +281,7 @@ class TestGateChannel:
         pulse = self.pulse(shape)
 
         def after(*first):
-            qs._phase_free_channel.cache_clear()
-            qs._tree_weights.cache_clear()
-            qs._real_liouvillian_parts.cache_clear()
+            clear_qubitsim_memos()
             for first_config, first_phase in first:
                 qs.gate_channel(pulse, first_config, phase=first_phase)
             return qs.gate_channel(pulse, config, phase=phase)
@@ -307,17 +306,18 @@ class TestGateChannel:
         def nan_modulated(pulse, config, t, modulator):
             return drive(pulse, config, t, ConstantModulator(math.nan))
 
+        # warm memos would hand back this good channel without building the
+        # patched tree
+        qs.gate_channel(pi_pulse)
         monkeypatch.setattr(qs, "_drive_waveforms", nan_modulated)
         # the tree weights and channel are built afresh from the NaN drive,
         # and not kept
-        qs._tree_weights.cache_clear()
-        qs._phase_free_channel.cache_clear()
+        clear_qubitsim_memos()
         try:
             with pytest.raises(IntegrationError, match="trace-preserving"):
                 qs.gate_channel(pi_pulse)
         finally:
-            qs._tree_weights.cache_clear()
-            qs._phase_free_channel.cache_clear()
+            clear_qubitsim_memos()
 
     @pytest.mark.parametrize("levels", [2, 3])
     def test_hermitian_basis_gives_real_coordinates(self, levels):
@@ -412,7 +412,7 @@ class TestGateChannel:
         """Channels built one after another in one process, reading the
         tree weights, Liouvillian parts and phase-0 channel that earlier
         calls left in their memos, have the bits of the same channels built
-        right after all three memos are cleared: one pulse at phase 0.7 and
+        right after every qubitsim memo is cleared: one pulse at phase 0.7 and
         then 0, under a second config at the same step, at a second step, at
         a second t_g, and a 3-level DRAG pulse. The memos hand out read-only
         arrays."""
@@ -426,16 +426,13 @@ class TestGateChannel:
             (self.pulse("cosine_drag"), qs.SimConfig(levels=3, **self.CONFIG), 0.7),
         ]
 
-        def clear():
-            qs._tree_weights.cache_clear()
-            qs._real_liouvillian_parts.cache_clear()
-            qs._phase_free_channel.cache_clear()
-
+        memos = {qs._tree_weights, qs._real_liouvillian_parts, qs._phase_free_channel, qs._level_constants}
+        assert memos <= set(clear_qubitsim_memos())
         cold = []
         for pulse, config, phase in cases:
-            clear()
+            clear_qubitsim_memos()
             cold.append(qs.gate_channel(pulse, config, phase=phase))
-        clear()
+        clear_qubitsim_memos()
         warm = [qs.gate_channel(pulse, config, phase=phase) for pulse, config, phase in cases]
         assert qs._tree_weights.cache_info().hits > 0
         assert qs._real_liouvillian_parts.cache_info().hits > 0

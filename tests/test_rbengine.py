@@ -145,62 +145,8 @@ class TestSequences:
         assert np.all(survival >= 1 - 1e-9)
 
 
-def _numpy_draws(lengths, repeats, n_noises, seed):
-    """run_rb's draws as numpy makes them: each length spawns the next
-    `repeats` children of every SeedSequence(seed + i), and each child draws
-    default_rng(child).integers(0, 24, size=m)."""
-    roots = [np.random.SeedSequence(seed + i) for i in range(n_noises)]
-    draws = []
-    for m in lengths:
-        children = [child for root in roots for child in root.spawn(repeats)]
-        rows = [np.random.default_rng(child).integers(0, 24, size=m) for child in children]
-        draws.append(np.array(rows, dtype=np.int8).reshape(len(children), m))
-    return draws
-
-
-def _assert_same_draws(actual, expected):
-    assert len(actual) == len(expected)
-    for got, want in zip(actual, expected):
-        assert got.dtype == np.int8
-        assert np.array_equal(got, want)
-
-
 class TestCliffordDraws:
-    # odd lengths leave the high half of each row's last word unused
     LENGTHS = [1, 5, 13, 64]
-
-    # with two noises the second root's seed crosses a word boundary too
-    @pytest.mark.parametrize(
-        "seed, repeats, n_noises",
-        [(0, 4, 2), (2**32 - 1, 4, 2), (2**32, 4, 2), (2**63 - 1, 4, 2), (2**64 - 1, 4, 2), (17, 1, 3)],
-    )
-    def test_equal_numpy_streams(self, seed, repeats, n_noises):
-        _assert_same_draws(
-            rb.clifford_draws(self.LENGTHS, repeats, n_noises, seed),
-            _numpy_draws(self.LENGTHS, repeats, n_noises, seed),
-        )
-
-    @pytest.mark.parametrize("threshold", [1 << 30, (1 << 32) - 1])
-    def test_redrawn_rows_equal_numpy_streams(self, monkeypatch, threshold):
-        # a raised threshold sends most rows to integers' own redraw, and
-        # rows mapped one at a time put each in a block of its own. Every
-        # row's fast draws are right at numpy's real threshold, so a redraw
-        # written to the wrong row shows only as a child redrawn twice
-        repeats, n_noises, seed = 5, 2, 41
-        expected = _numpy_draws(self.LENGTHS, repeats, n_noises, seed)
-        redraws = []
-        default_rng = np.random.default_rng
-
-        def counted(child):
-            redraws.append(child)
-            return default_rng(child)
-
-        monkeypatch.setattr(rb, "_REJECT_BELOW", threshold)
-        monkeypatch.setattr(rb, "_MAP_HALVES", 1)
-        monkeypatch.setattr(np.random, "default_rng", counted)
-        _assert_same_draws(rb.clifford_draws(self.LENGTHS, repeats, n_noises, seed), expected)
-        children = {(child.entropy, child.spawn_key) for child in redraws}
-        assert len(children) == len(redraws) > len(self.LENGTHS) * repeats * n_noises / 2
 
     def test_negative_seed_raises_as_seed_sequence_does(self):
         with pytest.raises(ValueError) as expected:
@@ -237,16 +183,17 @@ class TestRunRb:
     )
     def test_batched_run_matches_gate_by_gate_reference(self, pi_pulse, lengths):
         # each sequence applied one generator channel at a time to rho_0,
-        # with the same spawned stream per (length, repeat)
+        # its Cliffords drawn as run_rb draws them: one default_rng(seed),
+        # a (repeats, m) int8 block per length in length order
         repeats, seed = 6, 9
         noise = CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6)
         table = rb.build_clifford_table()
         channels = rb.generator_channels(pi_pulse, qs.SimConfig.from_coherence(noise))
-        streams = np.random.SeedSequence(seed).spawn(len(lengths) * repeats)
+        rng = np.random.default_rng(seed)
         expected = np.empty((len(lengths), repeats))
         for i, m in enumerate(lengths):
-            for j in range(repeats):
-                sequence = np.random.default_rng(streams[i * repeats + j]).integers(0, 24, size=m)
+            sequences = rng.integers(0, 24, size=(repeats, m), dtype=np.int8)
+            for j, sequence in enumerate(sequences):
                 v = np.array([1.0, 0.0, 0.0, 0.0], dtype=complex)
                 for idx in [*sequence, _recovery(table, sequence)]:
                     for gate in rb.CLIFFORD_DECOMPOSITIONS[idx]:
@@ -271,6 +218,15 @@ class TestRunRb:
             one_ls, (one,) = rb.run_rb(lengths, repeats, [noise], pi_pulse, seed=seed + i)
             assert np.array_equal(one_ls, ls)
             assert np.array_equal(survivals[i], one)
+
+    def test_a_length_does_not_depend_on_the_lengths_after_it(self, pi_pulse):
+        noises = [
+            CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6),
+            CoherenceRecord(t1=20e-6, t2_star=10e-6, t2_echo=10e-6),
+        ]
+        _, short = rb.run_rb([1, 5, 20], 4, noises, pi_pulse, seed=13)
+        _, longer = rb.run_rb([1, 5, 20, 21, 64], 4, noises, pi_pulse, seed=13)
+        assert np.array_equal(longer[:, :3], short)
 
     def test_no_noises_give_no_rows(self, pi_pulse):
         lengths, survivals = rb.run_rb([2, 4, 8], 3, [], pi_pulse)
