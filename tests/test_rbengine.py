@@ -145,8 +145,33 @@ class TestSequences:
         assert np.all(survival >= 1 - 1e-9)
 
 
+def _numpy_draws(lengths, repeats, n_noises, seed):
+    """run_rb's draws as numpy makes them: noise i's PCG64 generator, seeded
+    by SeedSequence(seed + i), draws a (repeats, m) int8 block of
+    integers(0, 24) per length in length order, and the noises' blocks are
+    stacked in noise order."""
+    rngs = [np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed + i))) for i in range(n_noises)]
+    return [
+        np.concatenate([rng.integers(0, 24, size=(repeats, m), dtype=np.int8) for rng in rngs])
+        for m in lengths
+    ]
+
+
 class TestCliffordDraws:
     LENGTHS = [1, 5, 13, 64]
+
+    # with two noises the second noise's seed crosses a word boundary too
+    @pytest.mark.parametrize(
+        "seed, repeats, n_noises",
+        [(0, 4, 2), (2**32 - 1, 4, 2), (2**32, 4, 2), (2**63 - 1, 4, 2), (2**64 - 1, 4, 2), (17, 1, 3)],
+    )
+    def test_equal_numpy_streams(self, seed, repeats, n_noises):
+        actual = rb.clifford_draws(self.LENGTHS, repeats, n_noises, seed)
+        expected = _numpy_draws(self.LENGTHS, repeats, n_noises, seed)
+        assert len(actual) == len(expected)
+        for got, want in zip(actual, expected):
+            assert got.dtype == np.int8
+            assert np.array_equal(got, want)
 
     def test_negative_seed_raises_as_seed_sequence_does(self):
         with pytest.raises(ValueError) as expected:
