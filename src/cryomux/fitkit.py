@@ -87,9 +87,10 @@ def least_squares(
     if y.size < x.size + 1:
         raise FitError("need at least one more data point than parameters")
     if sigma is not None:
-        weights = 1.0 / np.asarray(sigma, dtype=float)
-        if weights.shape != y.shape or not np.all(np.isfinite(weights)):
+        sigma = np.asarray(sigma, dtype=float)
+        if sigma.shape != y.shape or not np.all((sigma > 0) & (sigma < np.inf)):
             raise FitError("sigma must be finite, positive and match the data length")
+        weights = 1.0 / sigma
     else:
         weights = None
     lo = np.full(x.size, -np.inf)

@@ -7,16 +7,18 @@ the test suite rather than asserted. A run takes a list of noise records
 (one per T2* of Fig. 4a); for each it takes every generator's channel from
 the pulse simulator, which integrates only the idle, X90 and X180 and gives
 X90m, Y90, Y90m and Y180 by rotating the drive phase of the X90 or X180 it
-has just integrated, and composes the 24 Clifford channels. By linearity a
-sequence's survival is their product applied to the ground state. The
-channels act on real coordinates in a Hermitian operator basis, and the run
-is one pass: every sequence of every length and noise advances in one loop
-over pairs of Clifford positions, in which the sequences still running take
-one batched step by the product of their pair, each with its own noise's
-channels (a segment of odd length takes its last position alone), and a
-length's sequences take their recovery element when they end. Noise i draws
-its sequences from one default_rng(seed + i), a block per length in length
-order, so its survivals are those of a one-noise run at seed + i.
+has just integrated, maps the 7 channels to real coordinates in a Hermitian
+operator basis and composes the 24 Clifford channels there. By linearity a
+sequence's survival is their product applied to the ground state. The run
+is one pass over pairs of Clifford positions, with one column per sequence
+of every length and noise: each step applies the product of its pair to
+every running column at once, with the column axis innermost, each column
+by its own noise's channel (a segment of odd length takes its last position
+alone), and carries each column's ideal net Clifford from a table of a net
+composed with a pair; a length's sequences take their recovery element,
+the inverse of their net, when they end. Noise i draws its sequences from
+one default_rng(seed + i), a block per length in length order, so its
+survivals are those of a one-noise run at seed + i.
 """
 from __future__ import annotations
 
@@ -137,33 +139,6 @@ def build_clifford_table() -> CliffordTable:
     return CliffordTable(unitaries, composition, inverses)
 
 
-# intp codes of Clifford pairs that _products reads per block of rows, which
-# bounds each of its temporaries at 128 KiB: the codes of a whole
-# 1,000-Clifford length (0.9 MiB) raised rb_paper's peak RSS by 1.9 MiB
-_PRODUCT_CODES = 1 << 14
-
-
-def _products(composition: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Index of each row's product of the Cliffords draws[r, 0], draws[r, 1],
-    ... (the first applied first) under composition. Neighbouring columns are
-    composed pairwise, which the group's associativity makes the left fold:
-    a pair (a, b) is entry n a + b of the flattened n x n table, read with
-    intp codes. Rows are composed a block at a time, at most _PRODUCT_CODES
-    codes per block."""
-    flat, n = composition.reshape(-1), len(composition)
-    step = max(1, 2 * _PRODUCT_CODES // draws.shape[1])
-    nets = np.empty(len(draws), dtype=draws.dtype)
-    for start in range(0, len(draws), step):
-        block = draws[start:start + step]
-        while block.shape[1] > 1:
-            codes = block[:, 0:-1:2].astype(np.intp) * n
-            codes += block[:, 1::2]
-            paired = flat.take(codes)
-            block = np.concatenate([paired, block[:, -1:]], axis=1) if block.shape[1] % 2 else paired
-        nets[start:start + step] = block[:, 0]
-    return nets
-
-
 def clifford_draws(lengths: Sequence[int], repeats: int, n_noises: int, seed: int) -> list[np.ndarray]:
     """Each length's (n_noises * repeats, m) int8 Clifford draws of run_rb.
 
@@ -216,68 +191,91 @@ def run_rb(
     depend on the other noises and equals a one-noise call at seed + i, and
     a length's survivals do not depend on the lengths after it. The recovery
     element inverts the ideal product of the draws.
-    Survival is computed on the real coordinates of _hermitian_basis, in one
-    pass: one loop advances every running sequence of every noise two
-    positions at a time, by the product of their two Cliffords from a
-    per-noise table of all 24 x 24 ordered pairs that each call builds. The
-    positions between two lengths whose count is odd end with one position
-    applied alone, so the loop takes about max(lengths) / 2 steps.
+    Survival is computed on the real coordinates of _hermitian_basis, with
+    one column per sequence, in one pass: each step of one loop applies the
+    next pair of Clifford positions to every running sequence of every
+    noise, as one product with the column axis innermost, by the channel of
+    that pair from a per-noise table of all 24 x 24 ordered pairs that each
+    call builds, and carries each sequence's ideal net Clifford through a
+    table of the 24 x 576 compositions of a net with a pair. The positions
+    between two lengths whose count is odd end with one position applied
+    alone, so the loop takes about max(lengths) / 2 steps. A spare column
+    keeps the column axis at least 2 long, so einsum's loop over it gives a
+    column the same bits however many columns run.
     """
     lengths = list(lengths)
     if any(m2 <= m1 for m1, m2 in zip([0] + lengths, lengths)):
         raise ConfigError("lengths must be >= 1 and strictly increasing")
     if repeats < 1:
         raise ConfigError("repeats must be >= 1")
+    if not noises:
+        return np.asarray(lengths, dtype=float), np.empty((0, len(lengths)))
     table = build_clifford_table()
     n_cliffords = len(CLIFFORD_DECOMPOSITIONS)
+    n_pairs = n_cliffords * n_cliffords
     # each noise's Clifford channels in the real Hermitian basis, whose first
     # element is |0><0|: the ground state is e_0, and a state's survival is
-    # its coordinate 0
+    # its coordinate 0. The basis is orthonormal, so composing the mapped
+    # generator channels maps the composed channel.
     basis = _hermitian_basis(2)
-    cliffords = np.empty((len(noises), n_cliffords, len(basis), len(basis)))
+    dim = len(basis)
+    cliffords = np.empty((len(noises), n_cliffords, dim, dim))
     for i, noise in enumerate(noises):
         config = SimConfig() if noise is None else SimConfig.from_coherence(noise)
         channels = generator_channels(pulse, config)
-        cliffords[i] = [
-            (basis @ sequence_unitary(seq, channels) @ basis.conj().T).real
-            for seq in CLIFFORD_DECOMPOSITIONS
-        ]
-    # noise i's Clifford a then b, C[i, b] @ C[i, a], is row
-    # n_cliffords * (n_cliffords * i + a) + b of the pair table, and its
-    # Clifford c is row n_cliffords * i + c of cliffords
-    pairs = (cliffords[:, None] @ cliffords[:, :, None]).reshape(-1, len(basis), len(basis))
-    cliffords = cliffords.reshape(-1, len(basis), len(basis))
-    # one row per sequence, ordered by length, then noise, then repeat, so
-    # the sequences still running at any position are a suffix of the rows.
-    # Each length's draws are one (row, position) array of its block of rows.
-    block = len(noises) * repeats  # the rows of one length
+        real = {name: (basis @ channel @ basis.conj().T).real for name, channel in channels.items()}
+        cliffords[i] = [sequence_unitary(seq, real) for seq in CLIFFORD_DECOMPOSITIONS]
+    # (dim * dim, n) tables of one channel per column, entries row-major:
+    # noise i's Clifford a then b, C[i, b] @ C[i, a], is column
+    # n_pairs * i + n_cliffords * a + b of pairs, and its Clifford c is
+    # column n_cliffords * i + c of singles
+    pairs = (cliffords[:, None] @ cliffords[:, :, None]).reshape(-1, dim * dim).T.copy()
+    singles = cliffords.reshape(-1, dim * dim).T.copy()
+    # entry n_pairs * c + n_cliffords * a + b of then_pair is n_pairs times
+    # the ideal Clifford c then a then b, composition[composition[c, a], b]
+    then_pair = table.composition.astype(np.int16)[table.composition].reshape(-1) * n_pairs
+    # one column per sequence, ordered by length, then noise, then repeat, so
+    # the sequences still running at any position are a suffix of the
+    # columns, then the spare column, whose draws are the identity
+    block = len(noises) * repeats  # the columns of one length
     draws = clifford_draws(lengths, repeats, len(noises), seed)
-    # each row's offset to its noise's Clifford channels
-    offsets = np.tile(np.arange(len(noises)).repeat(repeats) * n_cliffords, len(lengths))
-    # states hold only the running sequences; those of the shortest running
-    # length come first and are dropped when it ends
-    states = np.zeros((len(offsets), len(basis)))
-    states[:, 0] = 1.0  # the ground state
+    draws.append(np.zeros((1, max(lengths, default=0)), dtype=np.int8))
+    noise_of = np.append(np.tile(np.arange(len(noises)).repeat(repeats), len(lengths)), 0)
+    # states and nets hold only the running columns; those of the shortest
+    # running length come first and are dropped when it ends
+    states = np.zeros((dim, len(noise_of)))
+    states[0] = 1.0  # the ground state
+    # n_pairs times each column's ideal net Clifford: its row of then_pair
+    nets = np.zeros(len(noise_of), dtype=np.int16)  # the identity
     survivals = np.empty((len(noises), len(lengths)))
     for a, (start, m) in enumerate(zip([0] + lengths[:-1], lengths)):
-        running = offsets[a * block:]
-        paired = running * n_cliffords
-        # positions start <= k < m of every running row, as one contiguous
-        # (position, running row) array
+        running = noise_of[a * block:]
+        # positions start <= k < m of every running column, as one
+        # contiguous (position, column) array
         segment = np.concatenate([d[:, start:m].T for d in draws[a:]], axis=1)
         # each pass applies the pair of positions 2q and 2q + 1, and an odd
         # segment its last position alone
         codes = segment[0:-1:2].astype(np.int16) * n_cliffords + segment[1::2]
+        offsets = running * n_pairs
+        # (a gathered table is passed straight to einsum, so that it is freed
+        # before the next pass gathers another)
         for code in codes:
-            states = np.einsum("rij,rj->ri", pairs.take(paired + code, axis=0), states)
+            states = np.einsum("ijr,jr->ir", pairs.take(offsets + code, axis=1).reshape(dim, dim, -1), states)
+            nets = then_pair.take(nets + code)
         if len(segment) % 2:
-            states = np.einsum("rij,rj->ri", cliffords.take(running + segment[-1], axis=0), states)
-        # the recovery element inverts the ideal product of each row's draws
-        net = _products(table.composition, draws[a])
-        recovery = cliffords[running[:block] + table.inverses[net], 0]
-        ends = np.einsum("rj,rj->r", recovery, states[:block])
+            last = segment[-1].astype(np.int16)
+            index = running * n_cliffords + last
+            states = np.einsum("ijr,jr->ir", singles.take(index, axis=1).reshape(dim, dim, -1), states)
+            nets = then_pair.take(nets + last * n_cliffords)  # then the identity
+        # a sequence's recovery element inverts its ideal net Clifford, and
+        # its survival is row 0 of the recovery channel applied to its state;
+        # the product takes one column past the ending ones, so that, as in
+        # the loop, its column axis is at least 2 long
+        ending = slice(0, block + 1)
+        recovery = running[ending] * n_cliffords + table.inverses[nets[ending] // n_pairs]
+        ends = np.einsum("jr,jr->r", singles[:dim].take(recovery, axis=1), states[:, ending])[:block]
         survivals[:, a] = [row.mean() for row in ends.reshape(len(noises), repeats)]
-        states = states[block:]
+        states, nets = states[:, block:], nets[block:]
     return np.asarray(lengths, dtype=float), survivals
 
 
@@ -348,8 +346,10 @@ def coherence_limited_fidelity(
     t_g / 3 for white (Markovian) dephasing. A t2_star above baseline makes
     the added-dephasing term vanish.
     """
-    if min(t_g, t1, t2_star, t2_star_baseline) <= 0:
+    if not all(t > 0 for t in (t_g, t1, t2_star, t2_star_baseline)):
         raise ConfigError("times must be positive")
+    if not 0 <= k1 < math.inf:
+        raise ConfigError("k1 must be finite and >= 0")
     inv_mux = 1.0 / t2_star - 1.0 / t2_star_baseline
     t_phi_mux = 1.0 / inv_mux if inv_mux > 0 else math.inf
     return 1.0 - (t_g / (3.0 * t1) + c0_extra) - k1 / t_phi_mux

@@ -204,18 +204,33 @@ MUTANTS = [
         [f"{SWEEP}::test_piecewise_member_does_not_depend_on_its_batch"],
     ),
     (
-        "flat Clifford table read with stride 23",
+        "carried net table's rows read with stride 575",
         RBENGINE,
-        "codes = block[:, 0:-1:2].astype(np.intp) * n",
-        "codes = block[:, 0:-1:2].astype(np.intp) * 23",
-        ["tests/test_rbengine.py::TestSequences::test_net_cliffords_equal_the_left_fold"],
+        "[table.composition].reshape(-1) * n_pairs",
+        "[table.composition].reshape(-1) * (n_pairs - 1)",
+        ["tests/test_rbengine.py::TestSequences::test_carried_nets_equal_the_left_fold"],
     ),
     (
-        "each block of _products' rows written from row 0",
+        "carried nets of an ended length dropped from the back",
         RBENGINE,
-        "nets[start:start + step] = block[:, 0]",
-        "nets[:len(block)] = block[:, 0]",
-        ["tests/test_rbengine.py::TestSequences::test_net_cliffords_equal_the_left_fold"],
+        "states, nets = states[:, block:], nets[block:]",
+        "states, nets = states[:, block:], nets[:len(nets) - block]",
+        ["tests/test_rbengine.py::TestSequences::test_carried_nets_equal_the_left_fold"],
+    ),
+    (
+        "no spare RB column",
+        RBENGINE,
+        "    draws.append(np.zeros((1, max(lengths, default=0)), dtype=np.int8))\n"
+        "    noise_of = np.append(np.tile(np.arange(len(noises)).repeat(repeats), len(lengths)), 0)\n",
+        "    noise_of = np.tile(np.arange(len(noises)).repeat(repeats), len(lengths))\n",
+        ["tests/test_rbengine.py::TestRunRb::test_each_noise_row_equals_a_one_noise_call"],
+    ),
+    (
+        "RB pair channel gathered with i and j swapped",
+        RBENGINE,
+        "pairs.take(offsets + code, axis=1).reshape(dim, dim, -1)",
+        "pairs.take(offsets + code, axis=1).reshape(dim, dim, -1).swapaxes(0, 1)",
+        ["tests/test_rbengine.py::TestRunRb::test_batched_run_matches_gate_by_gate_reference"],
     ),
     (
         "every noise draws from default_rng(seed)",

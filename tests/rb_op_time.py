@@ -9,12 +9,14 @@ median milliseconds of the op and of its stages:
   parameter checks, the config hash and the calibration evolve);
 - channels: the 21 generator channel calls (9 tree builds: each T2*'s
   idle, X90 and X180; the other phases are rotations of the X90 or X180
-  channel just built), with the Clifford channels and pair tables
-  composed from them (up to clifford_draws' call);
+  channel just built), mapped to real coordinates, with the Clifford
+  channels composed from them and the pair and net tables (up to
+  clifford_draws' call);
 - draws: clifford_draws, the 2,400 sequences' Clifford draws (one
   generator per T2*);
-- positions: the loop over Clifford positions with each length's recovery
-  (up to run_rb's return);
+- positions: the loop over pairs of Clifford positions, each step one
+  product over every running sequence with each sequence's net Clifford
+  carried along, and each length's recovery (up to run_rb's return);
 - fits: fit_rb and the model for each T2*, up to the runner's return;
 - render/write: the rest of run_scenario.
 

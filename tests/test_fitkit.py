@@ -140,6 +140,14 @@ class TestLeastSquaresCore:
         with pytest.raises(FitError):
             fit_by_differences(lambda x: x[0] * t, 2 * t, [1.0], sigma=np.ones(3))
 
+    # a negative sigma would square away in the weights and fit silently, an
+    # infinite one would zero them and end in a singular Jacobian
+    @pytest.mark.parametrize("value", [-1.0, np.inf], ids=["negative", "infinite"])
+    def test_sigma_must_be_finite_and_positive(self, value):
+        t = np.linspace(0.0, 1.0, 10)
+        with pytest.raises(FitError, match="sigma must be finite, positive"):
+            fit_by_differences(lambda x: x[0] * t, 2 * t, [1.0], sigma=np.full(10, value))
+
     @pytest.mark.parametrize(
         "maker,x0",
         [

@@ -1,4 +1,5 @@
 """Clifford group verification, benchmarking runs and the fidelity model."""
+import dataclasses
 import math
 import re
 
@@ -55,14 +56,6 @@ class TestCliffordTable:
         for i, inv in enumerate(table.inverses):
             assert table.composition[i, inv] == 0
             assert _phase_distance(table.unitaries[inv] @ table.unitaries[i], np.eye(2)) < 1e-12
-
-    @pytest.mark.parametrize("m", [1, 37, 1000])
-    def test_pairwise_products_equal_the_left_fold(self, table, m):
-        draws = np.random.default_rng(m).integers(0, 24, size=(16, m), dtype=np.int8)
-        net = np.zeros(16, dtype=np.int8)  # the identity
-        for step in draws.T:
-            net = table.composition[net, step]
-        assert np.array_equal(rb._products(table.composition, draws), net)
 
     def test_mean_generator_count(self):
         assert rb.MEAN_GENERATOR_COUNT == pytest.approx(1.875, abs=1e-12)
@@ -127,18 +120,28 @@ class TestSequences:
         lengths, (survival,) = rb.run_rb([], 2, [None], pi_pulse)
         assert lengths.shape == survival.shape == (0,)
 
-    def test_net_cliffords_equal_the_left_fold(self, table):
-        """_products of run_rb's own draws, lengths of odd and even width,
-        equals composing each row's Cliffords one by one from the identity.
-        The 80 rows of 1,000 Cliffords are composed in blocks of 32, 32
-        and 16 rows."""
-        assert 2 * rb._PRODUCT_CODES // 1000 == 32
-        lengths = (1, 2, 5, 64, 333, 1000)
-        for m, draws in zip(lengths, rb.clifford_draws(lengths, 40, 2, seed=17)):
+    def test_carried_nets_equal_the_left_fold(self, table, pi_pulse, monkeypatch):
+        """The ideal net Clifford that run_rb carries for each sequence, read
+        where its recovery element is looked up, equals composing the
+        sequence's own draws one by one from the identity, at lengths of odd
+        and even width."""
+        looked_up = []
+
+        class Recording(np.ndarray):
+            def __getitem__(self, index):
+                looked_up.append(np.array(index))
+                return np.asarray(self)[index]
+
+        recording = dataclasses.replace(table, inverses=table.inverses.view(Recording))
+        monkeypatch.setattr(rb, "build_clifford_table", lambda: recording)
+        lengths, repeats, seed = (1, 2, 5, 64, 333, 1000), 40, 17
+        rb.run_rb(lengths, repeats, [None, None], pi_pulse, seed=seed)
+        assert len(looked_up) == len(lengths)
+        for m, nets, draws in zip(lengths, looked_up, rb.clifford_draws(lengths, repeats, 2, seed)):
             net = np.zeros(len(draws), dtype=np.int8)  # the identity
             for step in draws.T:
                 net = table.composition[net, step]
-            assert np.array_equal(rb._products(table.composition, draws), net), m
+            assert np.array_equal(nets[:len(draws)], net), m
 
     def test_noise_free_execution_returns_to_ground(self, pi_pulse):
         lengths, (survival,) = rb.run_rb([1, 5, 20], 4, [None], pi_pulse, seed=11)
@@ -229,9 +232,12 @@ class TestRunRb:
         assert np.max(np.abs(survival - expected.mean(axis=1))) <= 1e-12
         assert survival[-1] < 0.99  # the noise is visible at the longest length
 
-    def test_each_noise_row_equals_a_one_noise_call(self, pi_pulse):
+    # with one repeat a one-noise call runs a single column at its longest
+    # length
+    @pytest.mark.parametrize("repeats", [1, 4, 9, 17])
+    def test_each_noise_row_equals_a_one_noise_call(self, pi_pulse, repeats):
         # noise i draws from seed + i, so its row depends on no other noise
-        lengths, repeats, seed = [1, 5, 20], 4, 31
+        lengths, seed = [1, 5, 20], 31
         noises = [
             CoherenceRecord(t1=20e-6, t2_star=5e-6, t2_echo=5e-6),
             CoherenceRecord(t1=20e-6, t2_star=10e-6, t2_echo=10e-6),
@@ -413,6 +419,22 @@ class TestCoherenceLimitedFidelity:
     def test_above_baseline_is_a_valid_limit(self):
         f = rb.coherence_limited_fidelity(40e-9, 30e-6, 50e-6, 40e-6, k1=self.K1)
         assert f == pytest.approx(1 - 40e-9 / (3 * 30e-6), rel=1e-12)
+
+    # a NaN fails every comparison, so a check that a time is <= 0 misses it
+    @pytest.mark.parametrize(
+        "times, k1",
+        [
+            ((40e-9, 30e-6, math.nan, 60e-6), 40e-9 / 3),
+            ((40e-9, 30e-6, 10e-6, math.nan), 40e-9 / 3),
+            ((40e-9, 30e-6, 10e-6, 60e-6), math.nan),
+            ((40e-9, 30e-6, 10e-6, 60e-6), math.inf),
+            ((40e-9, 30e-6, 10e-6, 60e-6), -1e-9),
+        ],
+        ids=["nan_t2_star", "nan_baseline", "nan_k1", "infinite_k1", "negative_k1"],
+    )
+    def test_nan_times_and_bad_k1_rejected(self, times, k1):
+        with pytest.raises(ConfigError):
+            rb.coherence_limited_fidelity(*times, k1=k1)
 
 
 class TestGeneratorChannels:
